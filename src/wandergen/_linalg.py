@@ -1,68 +1,70 @@
-"""Small dense linear-algebra helpers shared by the fiberwise constructions."""
+"""Small dense linear-algebra helpers shared by the fiberwise constructions.
+
+Every helper takes stacked matrices of shape (..., n, k), one per dual
+point, and decides each matrix's rank with the cutoff
+rel * max(sigma_max, 1).  scipy is imported only by the two helpers that
+need it, so the rest of the library starts without it.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .defaults import TOL_RANK_REL
 from .errors import NotContained, SelectionObstruction
 
 
-def matrix_rank(M: np.ndarray, rel: float = TOL_RANK_REL) -> int:
-    """Rank with singular values below rel * max(sigma_max, 1) counted as zero."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > rel * max(s[0], 1.0)))
+def _rank(s: np.ndarray, rel: float) -> np.ndarray:
+    return np.sum(s > rel * np.maximum(s[..., :1], 1.0), axis=-1)
 
 
-def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> np.ndarray:
-    """Orthonormal basis of the column space via SVD (deterministic)."""
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0), dtype=np.complex128)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > rel * max(s[0], 1.0))) if s.size else 0
-    return U[:, :r]
+def matrix_rank(M: np.ndarray, rel: float = TOL_RANK_REL) -> np.ndarray:
+    """Ranks of a stack (..., n, k), singular values below rel * max(sigma_max, 1)
+    counted as zero."""
+    return _rank(np.linalg.svd(M, compute_uv=False), rel)
+
+
+def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, np.ndarray]:
+    """Column-space bases of a stack (..., n, k) via SVD (deterministic).
+
+    Returns the left singular vectors U, shape (..., n, min(n, k)), and the
+    ranks r: the first r columns of each U are an orthonormal basis of that
+    matrix's column space.
+    """
+    U, s, _ = np.linalg.svd(np.asarray(M, dtype=np.complex128), full_matrices=False)
+    return U, _rank(s, rel)
 
 
 def projector(B: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of orthonormal columns B."""
-    return B @ B.conj().T
+    """Orthogonal projectors onto the spans of orthonormal columns B (..., n, d)."""
+    return B @ B.conj().swapaxes(-1, -2)
 
 
 def phase_normalize_columns(Q: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
+    """Rotate each column of a stack (..., n, k) so its largest-magnitude entry
+    is real positive.
 
     Ties break to the lowest index, which pins the phase convention.
     """
-    out = np.array(Q, dtype=np.complex128, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
+    Q = np.asarray(Q, dtype=np.complex128)
+    rows = np.argmax(np.abs(Q), axis=-2)[..., None, :]
+    pivots = np.take_along_axis(Q, rows, axis=-2)
+    # numpy's scalar complex division: its array division differs in the
+    # last bit, and the golden reports pin these bits
+    scale = [abs(z) / z if abs(z) > 0 else 1.0 for z in pivots.ravel()]
+    return Q * np.array(scale, dtype=np.complex128).reshape(pivots.shape)
 
 
-def null_space_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> np.ndarray:
-    """Orthonormal basis of the kernel via SVD rows beyond the rank."""
-    M = np.asarray(M, dtype=np.complex128)
-    cols = M.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if M.shape[0] == 0:
-        return np.eye(cols, dtype=np.complex128)
-    _, s, Vh = np.linalg.svd(M)
-    r = int(np.sum(s > rel * max(s[0], 1.0))) if s.size else 0
-    return Vh[r:].conj().T
+def null_space_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel bases of a stack (..., rows, k) via SVD.
+
+    Returns V, shape (..., k, k), and the ranks r: the columns of V from
+    index r on are an orthonormal basis of that matrix's kernel.
+    """
+    _, s, Vh = np.linalg.svd(np.asarray(M, dtype=np.complex128))
+    return Vh.conj().swapaxes(-1, -2), _rank(s, rel)
 
 
 def complement_in_span(
@@ -71,32 +73,37 @@ def complement_in_span(
     dim: int,
     rel: float = TOL_RANK_REL,
 ) -> np.ndarray:
-    """Orthonormal basis of (span F_big) minus (span F_small), dimension ``dim``.
+    """Per-point orthonormal bases of (span F_big) minus (span F_small).
 
-    The difference of the two orthogonal projectors is (numerically) the
+    Takes stacks (points, n, k) and returns (points, n, dim).  The
+    difference of the two orthogonal projectors is (numerically) the
     projector onto the complement; its range is extracted with a
-    column-pivoted QR so the basis choice is deterministic.
+    column-pivoted QR so the basis choice is deterministic.  scipy has no
+    stacked pivoted QR, so that step runs point by point.
     """
-    n = F_big.shape[0]
-    B_small = orth_columns(F_small, rel)
-    B_big = orth_columns(F_big, rel)
-    if B_big.shape[1] - B_small.shape[1] != dim:
-        raise NotContained(
-            f"fiber complement dimension {B_big.shape[1] - B_small.shape[1]} != expected {dim}"
-        )
-    if dim == 0:
-        return np.zeros((n, 0), dtype=np.complex128)
-    D = projector(B_big) - projector(B_small)
-    Q, R, _ = scipy.linalg.qr(D, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    # D is a difference of nested projectors, so its spectrum sits near {0, 1}
-    detected = int(np.sum(diag > 0.5 * max(diag[0], 1e-300)))
-    if detected != dim:
-        raise NotContained(
-            f"complement projector rank {detected} != expected {dim}; "
-            "containment is numerically inconsistent on this sampling"
-        )
-    return Q[:, :dim]
+    import scipy.linalg
+
+    U_small, r_small = orth_columns(F_small, rel)
+    U_big, r_big = orth_columns(F_big, rel)
+    out = np.zeros(F_big.shape[:-1] + (dim,), dtype=np.complex128)
+    for p in range(out.shape[0]):
+        found = r_big[p] - r_small[p]
+        if found != dim:
+            raise NotContained(f"fiber complement dimension {found} != expected {dim}")
+        if dim == 0:
+            continue
+        D = projector(U_big[p, :, : r_big[p]]) - projector(U_small[p, :, : r_small[p]])
+        Q, R, _ = scipy.linalg.qr(D, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        # D is a difference of nested projectors, so its spectrum sits near {0, 1}
+        detected = int(np.sum(diag > 0.5 * max(diag[0], 1e-300)))
+        if detected != dim:
+            raise NotContained(
+                f"complement projector rank {detected} != expected {dim}; "
+                "containment is numerically inconsistent on this sampling"
+            )
+        out[p] = Q[:, :dim]
+    return out
 
 
 def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
@@ -124,29 +131,42 @@ def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
 
 
 def max_principal_angle(A: np.ndarray, B: np.ndarray, rel: float = TOL_RANK_REL) -> float:
-    """Largest canonical angle between the column spans.
+    """Largest canonical angle between the column spans of two matrices.
 
     Spans of unequal dimension report pi/2 (maximally apart); two empty
     spans agree at angle 0.
     """
-    BA = orth_columns(A, rel)
-    BB = orth_columns(B, rel)
-    if BA.shape[1] != BB.shape[1]:
+    import scipy.linalg
+
+    UA, ra = orth_columns(A, rel)
+    UB, rb = orth_columns(B, rel)
+    if ra != rb:
         return math.pi / 2
-    if BA.shape[1] == 0:
+    if ra == 0:
         return 0.0
-    angles = scipy.linalg.subspace_angles(BA, BB)
+    angles = scipy.linalg.subspace_angles(UA[:, :ra], UB[:, :rb])
     return float(angles.max()) if angles.size else 0.0
 
 
 def oblique_projector_matrix(
     B_onto: np.ndarray, B_along: np.ndarray, rel: float = TOL_RANK_REL
 ) -> np.ndarray:
-    """Projector onto span(B_onto) along span(B_along), zero on the joint
-    span's orthogonal complement."""
-    n = B_onto.shape[0]
-    S = np.hstack([B_along, B_onto])
-    if S.shape[1] == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    coords = np.linalg.pinv(S, rcond=rel)
-    return B_onto @ coords[B_along.shape[1]:, :]
+    """Projectors onto span(B_onto) along span(B_along), zero on the joint
+    span's orthogonal complement; stacks (..., n, d) give (..., n, n)."""
+    coords = np.linalg.pinv(np.concatenate([B_along, B_onto], axis=-1), rcond=rel)
+    return B_onto @ coords[..., B_along.shape[-1]:, :]
+
+
+def raise_at_first_failure(*checks) -> None:
+    """Raise for the first dual point at which some check fails.
+
+    Each check is a pair (failed, error): a boolean array over the points
+    and a function from a point index to the exception.  At that point the
+    earliest listed failing check wins, as in a loop over the points that
+    runs the checks in order.
+    """
+    failed = np.stack([np.asarray(f, dtype=bool) for f, _ in checks])
+    hit = failed.any(axis=0)
+    if hit.any():
+        p = int(np.argmax(hit))
+        raise checks[int(np.argmax(failed[:, p]))][1](p)

@@ -48,12 +48,12 @@ from .fibers import (
     Family,
     SampledFamily,
     fiber_span_angle,
-    fiber_tensor,
     frame_bounds,
     gram_fibers,
     is_biorthogonal,
     is_contained,
     riesz_bounds,
+    union_family,
 )
 from .groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace
 from .wandering import verify_wandering
@@ -325,14 +325,16 @@ def _matrix_json(matrix: np.ndarray) -> list:
 # command handlers
 
 
-def _bounds_with_errors(X, tol_rank: float) -> dict:
+def _bounds_with_errors(X, tol_rank: float, riesz, frame) -> dict:
+    """Riesz and frame bounds from the given bound functions, each failure
+    recorded by its error code."""
     out: dict = {"riesz": None, "riesz_error": None, "frame": None, "frame_error": None}
     try:
-        out["riesz"] = _bounds_json(riesz_bounds(X, tol_rank))
+        out["riesz"] = _bounds_json(riesz(X, tol_rank))
     except WandergenError as exc:
         out["riesz_error"] = exc.code
     try:
-        out["frame"] = _bounds_json(frame_bounds(X, tol_rank))
+        out["frame"] = _bounds_json(frame(X, tol_rank))
     except WandergenError as exc:
         out["frame_error"] = exc.code
     return out
@@ -357,14 +359,6 @@ def _run_analyze(job, space, families, opts) -> dict:
     }
 
 
-def _union(space, A, B):
-    if isinstance(A, Family) and isinstance(B, Family):
-        return A.joined(B)
-    sampling, FA = fiber_tensor(A)
-    _, FB = fiber_tensor(B)
-    return SampledFamily(space, sampling, np.concatenate([FA, FB], axis=2))
-
-
 def _run_complement(job, space, families, opts) -> dict:
     X = _parse_family(space, families, "X")
     Y = _parse_family(space, families, "Y")
@@ -372,7 +366,7 @@ def _run_complement(job, space, families, opts) -> dict:
     residuals: dict = {}
     bounds: dict = {"riesz": None, "riesz_error": None}
     if len(Xp):
-        union = _union(space, X, Xp) if len(X) else Xp
+        union = union_family(X, Xp) if len(X) else Xp
         residuals["union_gram"] = gram_fibers(union).identity_deviation()
         residuals["xprime_gram"] = gram_fibers(Xp).identity_deviation()
         residuals["span_angle"] = fiber_span_angle(union, Y, opts["tol_rank"])
@@ -487,16 +481,10 @@ def _run_cancel(job, opts) -> dict:
 
 def _run_oracle_check(job, space, families, opts) -> dict:
     X = _parse_family(space, families, "X")
-    fiber = _bounds_with_errors(X, opts["tol_rank"])
-    dense: dict = {"riesz": None, "riesz_error": None, "frame": None, "frame_error": None}
-    try:
-        dense["riesz"] = _bounds_json(oracle.dense_riesz_bounds(X, opts["tol_rank"]))
-    except WandergenError as exc:
-        dense["riesz_error"] = exc.code
-    try:
-        dense["frame"] = _bounds_json(oracle.dense_frame_bounds(X, opts["tol_rank"]))
-    except WandergenError as exc:
-        dense["frame_error"] = exc.code
+    fiber = _bounds_with_errors(X, opts["tol_rank"], riesz_bounds, frame_bounds)
+    dense = _bounds_with_errors(
+        X, opts["tol_rank"], oracle.dense_riesz_bounds, oracle.dense_frame_bounds
+    )
     diffs = []
     for key in ("riesz", "frame"):
         if fiber[key] is not None and dense[key] is not None:

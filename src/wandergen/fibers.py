@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "FiberField",
     "Bounds",
     "fiber_tensor",
+    "union_family",
     "gram_normalization",
     "gram_fibers",
     "mixed_gramian",
@@ -59,7 +61,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Family:
-    """Ordered finite list of generators sharing one system space."""
+    """Ordered finite list of generators sharing one system space.
+
+    ``fibers`` holds the transformed members, values[point, channel,
+    member]; it is computed once, on first use, and is read-only.
+    """
 
     space: SystemSpace
     members: tuple[GroupVector, ...]
@@ -76,6 +82,19 @@ class Family:
 
     def __iter__(self):
         return iter(self.members)
+
+    @cached_property
+    def sampling(self) -> DualSampling:
+        return dual_sampling(self.space)
+
+    @cached_property
+    def fibers(self) -> np.ndarray:
+        if self.members:
+            values = np.stack([fourier(v).values for v in self.members], axis=2)
+        else:
+            values = np.zeros((len(self.sampling), self.space.channels, 0), dtype=np.complex128)
+        values.flags.writeable = False
+        return values
 
     def joined(self, other: "Family") -> "Family":
         if other.space != self.space:
@@ -140,23 +159,19 @@ class Bounds:
 
 
 def fiber_tensor(X) -> tuple[DualSampling, np.ndarray]:
-    """Stack member fibers into values[point, channel, member].
+    """The sampling and the fibers values[point, channel, member] of a Family,
+    SampledFamily or per-point basis field."""
+    return X.sampling, X.fibers
 
-    Accepts a Family (members are transformed), a SampledFamily (stored
-    fibers are returned), or any object exposing per-point bases through a
-    ``bases`` attribute.
-    """
-    if isinstance(X, SampledFamily):
-        return X.sampling, X.fibers
-    if hasattr(X, "bases"):
-        return X.sampling, X.bases
-    if len(X.members) == 0:
-        sampling = dual_sampling(X.space)
-        return sampling, np.zeros((len(sampling), X.space.channels, 0), dtype=np.complex128)
-    transformed = [fourier(v) for v in X.members]
-    sampling = transformed[0].sampling
-    values = np.stack([f.values for f in transformed], axis=2)
-    return sampling, values
+
+def union_family(A, B):
+    """A's generators followed by B's: joined members when both are
+    coefficient Families, stacked fibers otherwise."""
+    if isinstance(A, Family) and isinstance(B, Family):
+        return A.joined(B)
+    sampling, FA = fiber_tensor(A)
+    _, FB = fiber_tensor(B)
+    return SampledFamily(A.space, sampling, np.concatenate([FA, FB], axis=2))
 
 
 def gram_normalization(space: SystemSpace) -> float:
@@ -259,12 +274,9 @@ def is_contained(X, Y, tol_rank: float = TOL_RANK_REL) -> bool:
         raise SizeMismatch("containment needs a shared system space")
     _, FX = fiber_tensor(X)
     _, FY = fiber_tensor(Y)
-    for p in range(FX.shape[0]):
-        ry = _linalg.matrix_rank(FY[p], tol_rank)
-        joint = _linalg.matrix_rank(np.hstack([FY[p], FX[p]]), tol_rank)
-        if joint != ry:
-            return False
-    return True
+    ry = _linalg.matrix_rank(FY, tol_rank)
+    joint = _linalg.matrix_rank(np.concatenate([FY, FX], axis=2), tol_rank)
+    return bool(np.all(joint == ry))
 
 
 def fiber_span_angle(X, Y, tol_rank: float = TOL_RANK_REL) -> float:

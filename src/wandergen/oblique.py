@@ -15,7 +15,6 @@ generators orthogonally onto V, then obliquely into the target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,11 @@ from .fibers import (
     is_biorthogonal,
     is_contained,
     riesz_bounds,
+    union_family,
 )
 from .groups import DualSampling, FiniteAbelian, SystemSpace, dual_sampling
 from .oracle import dense_translation_matrix
+from .wandering import complement_fibers
 
 __all__ = [
     "DenseBasis",
@@ -91,10 +92,10 @@ class FiberBasisField:
 
     space: SystemSpace
     sampling: DualSampling
-    bases: np.ndarray  # (points, channels, dim)
+    fibers: np.ndarray  # (points, channels, dim)
 
     def __len__(self) -> int:
-        return int(self.bases.shape[2])
+        return int(self.fibers.shape[2])
 
 
 @dataclass(frozen=True)
@@ -167,34 +168,29 @@ def is_invariant(W, tol_rank: float = TOL_RANK_REL) -> bool:
     return True
 
 
-def _fiberize_dense(W: DenseBasis, tol_rank: float) -> FiberBasisField:
-    """Fiber bases of an invariant dense subspace (invariance checked first)."""
-    if not is_invariant(W, tol_rank):
-        raise NotInvariant("dense subspace is not closed under the group action")
-    space = W.space
-    sampling = dual_sampling(space)
-    PHI = dense_fourier_matrix(space)
-    m = space.channels
-    stacked = (PHI @ W.columns).reshape(len(sampling), m, W.columns.shape[1])
-    per_point = [_linalg.orth_columns(stacked[p], tol_rank) for p in range(len(sampling))]
-    dims = {b.shape[1] for b in per_point}
-    if len(dims) != 1:
-        raise NotDirectSum("invariant subspace has varying fiber dimension on this sampling")
-    return FiberBasisField(space, sampling, np.stack(per_point, axis=0))
-
-
 def _fiber_basis(W, tol_rank: float) -> FiberBasisField:
-    """Resolve a subspace presentation to per-point orthonormal fiber bases."""
+    """Resolve a subspace presentation to per-point orthonormal fiber bases.
+
+    Dense bases are checked for invariance first; every presentation must
+    have one fiber dimension at all points.
+    """
     if isinstance(W, FiberBasisField):
         return W
     if isinstance(W, DenseBasis):
-        return _fiberize_dense(W, tol_rank)
-    sampling, F = fiber_tensor(W)
-    per_point = [_linalg.orth_columns(F[p], tol_rank) for p in range(len(sampling))]
-    dims = {b.shape[1] for b in per_point}
-    if len(dims) != 1:
-        raise NotDirectSum("family has varying fiber rank on this sampling")
-    return FiberBasisField(W.space, sampling, np.stack(per_point, axis=0))
+        if not is_invariant(W, tol_rank):
+            raise NotInvariant("dense subspace is not closed under the group action")
+        sampling = dual_sampling(W.space)
+        F = (dense_fourier_matrix(W.space) @ W.columns).reshape(
+            len(sampling), W.space.channels, W.columns.shape[1]
+        )
+        varying = "invariant subspace has varying fiber dimension"
+    else:
+        sampling, F = fiber_tensor(W)
+        varying = "family has varying fiber rank"
+    U, r = _linalg.orth_columns(F, tol_rank)
+    if r.min() != r.max():
+        raise NotDirectSum(f"{varying} on this sampling")
+    return FiberBasisField(W.space, sampling, U[:, :, : r[0]])
 
 
 def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool = False) -> bool:
@@ -205,16 +201,11 @@ def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool
     """
     _, FA = fiber_tensor(A)
     _, FB = fiber_tensor(B)
-    m = FA.shape[1]
-    for p in range(FA.shape[0]):
-        ra = _linalg.matrix_rank(FA[p], tol_rank)
-        rb = _linalg.matrix_rank(FB[p], tol_rank)
-        joint = _linalg.matrix_rank(np.hstack([FA[p], FB[p]]), tol_rank)
-        if joint != ra + rb:
-            return False
-        if require_ambient and joint != m:
-            return False
-    return True
+    joint = _linalg.matrix_rank(np.concatenate([FA, FB], axis=2), tol_rank)
+    ok = joint == _linalg.matrix_rank(FA, tol_rank) + _linalg.matrix_rank(FB, tol_rank)
+    if require_ambient:
+        ok &= joint == FA.shape[1]
+    return bool(np.all(ok))
 
 
 def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
@@ -228,19 +219,9 @@ def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
         riesz_bounds(X, tol_rank)
         if not is_contained(X, Y, tol_rank):
             raise NotContained("X's orbit span must sit inside Y's")
-    space = Y.space
     sampling, FY = fiber_tensor(Y)
-    _, FX = fiber_tensor(X) if len(X) else (sampling, FY[:, :, :0])
-    d = len(Y) - len(X)
-    if d <= 0:
-        return family_from_fibers(space, sampling, FY[:, :, :0])
-    bases = np.empty((len(sampling), space.channels, d), dtype=np.complex128)
-    for p in range(len(sampling)):
-        bases[p] = _linalg.phase_normalize_columns(
-            _linalg.complement_in_span(FX[p], FY[p], d, tol_rank)
-        )
-    scale = 1.0 / math.sqrt(gram_normalization(space))
-    return family_from_fibers(space, sampling, bases * scale)
+    _, FX = fiber_tensor(X)
+    return family_from_fibers(Y.space, sampling, complement_fibers(Y.space, FX, FY, tol_rank))
 
 
 def _validated_split_bases(
@@ -254,29 +235,33 @@ def _validated_split_bases(
     BV0 = _fiber_basis(split.v0, tol_rank)
     BW0 = _fiber_basis(split.w0, tol_rank)
     sampling, F1 = fiber_tensor(v1)
-    for p in range(len(sampling)):
-        r1 = _linalg.matrix_rank(F1[p], tol_rank)
-        a, b = BV0.bases[p].shape[1], BW0.bases[p].shape[1]
-        joint = _linalg.matrix_rank(np.hstack([BV0.bases[p], BW0.bases[p]]), tol_rank)
-        if joint != a + b:
-            raise NotDirectSum(f"V0 and W0 fibers overlap at dual point {p}")
-        if joint != r1:
-            raise NotDirectSum(
-                f"V0 (+) W0 spans a {joint}-dimensional fiber at dual point {p}, "
-                f"the fine space has {r1}"
-            )
-        if _linalg.matrix_rank(np.hstack([F1[p], BW0.bases[p]]), tol_rank) != r1:
-            raise NotDirectSum(f"W0 fibers leave the fine space at dual point {p}")
+    r1 = _linalg.matrix_rank(F1, tol_rank)
+    joint = _linalg.matrix_rank(np.concatenate([BV0.fibers, BW0.fibers], axis=2), tol_rank)
+    w0_in_v1 = _linalg.matrix_rank(np.concatenate([F1, BW0.fibers], axis=2), tol_rank)
+    _linalg.raise_at_first_failure(
+        (
+            joint != len(BV0) + len(BW0),
+            lambda p: NotDirectSum(f"V0 and W0 fibers overlap at dual point {p}"),
+        ),
+        (
+            joint != r1,
+            lambda p: NotDirectSum(
+                f"V0 (+) W0 spans a {joint[p]}-dimensional fiber at dual point {p}, "
+                f"the fine space has {r1[p]}"
+            ),
+        ),
+        (
+            w0_in_v1 != r1,
+            lambda p: NotDirectSum(f"W0 fibers leave the fine space at dual point {p}"),
+        ),
+    )
     return sampling, BV0, BW0
 
 
 def oblique_projector(split: ObliqueSplit, tol_rank: float = TOL_RANK_REL) -> OperatorField:
     """Fiberwise projector onto W0's span along V0's span inside V1."""
     sampling, BV0, BW0 = _validated_split_bases(split, tol_rank)
-    m = split.within.space.channels
-    mats = np.empty((len(sampling), m, m), dtype=np.complex128)
-    for p in range(len(sampling)):
-        mats[p] = _linalg.oblique_projector_matrix(BW0.bases[p], BV0.bases[p], tol_rank)
+    mats = _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
     return OperatorField(sampling, mats)
 
 
@@ -303,28 +288,37 @@ def restricted_projection_pair(
     _, FMp = fiber_tensor(Mp)
     _, FN = fiber_tensor(N)
     k = len(M)
+    UN, rn = _linalg.orth_columns(FN, tol_rank)
+    # N's fiber rank may vary: zeroing the columns past each point's rank
+    # keeps all the bases in one array without changing any span
+    BN = UN * (np.arange(UN.shape[2]) < rn[:, None])[:, None, :]
+
+    def rank(*blocks):
+        return _linalg.matrix_rank(np.concatenate(blocks, axis=2), tol_rank)
+
+    _linalg.raise_at_first_failure(
+        (
+            (rank(FM) != k) | (rank(FMp) != k),
+            lambda p: NotDirectSum(f"generator fibers are dependent at dual point {p}"),
+        ),
+        (
+            (rank(FM, BN) != k + rn) | (rank(FMp, BN) != k + rn),
+            lambda p: NotDirectSum(f"complements meet N at dual point {p}"),
+        ),
+        (
+            rank(FM, FMp, BN) != k + rn,
+            lambda p: NotDirectSum(f"M (+) N and M' (+) N differ at dual point {p}"),
+        ),
+    )
+    # full column rank everywhere, so the SVD bases keep all k columns
+    P = _linalg.oblique_projector_matrix(_linalg.orth_columns(FM, tol_rank)[0], BN, tol_rank)
+    Q = _linalg.oblique_projector_matrix(_linalg.orth_columns(FMp, tol_rank)[0], BN, tol_rank)
+    PFMp, QFM = P @ FMp, Q @ FM
     p1 = np.empty((len(sampling), k, k), dtype=np.complex128)
     q1 = np.empty((len(sampling), k, k), dtype=np.complex128)
-    for p in range(len(sampling)):
-        BN = _linalg.orth_columns(FN[p], tol_rank)
-        rm = _linalg.matrix_rank(FM[p], tol_rank)
-        rmp = _linalg.matrix_rank(FMp[p], tol_rank)
-        if rm != k or rmp != k:
-            raise NotDirectSum(f"generator fibers are dependent at dual point {p}")
-        rn = BN.shape[1]
-        joint_m = _linalg.matrix_rank(np.hstack([FM[p], BN]), tol_rank)
-        joint_mp = _linalg.matrix_rank(np.hstack([FMp[p], BN]), tol_rank)
-        if joint_m != k + rn or joint_mp != k + rn:
-            raise NotDirectSum(f"complements meet N at dual point {p}")
-        both = _linalg.matrix_rank(np.hstack([FM[p], FMp[p], BN]), tol_rank)
-        if both != k + rn:
-            raise NotDirectSum(f"M (+) N and M' (+) N differ at dual point {p}")
-        BM = _linalg.orth_columns(FM[p], tol_rank)
-        BMp = _linalg.orth_columns(FMp[p], tol_rank)
-        P = _linalg.oblique_projector_matrix(BM, BN, tol_rank)
-        Q = _linalg.oblique_projector_matrix(BMp, BN, tol_rank)
-        p1[p] = np.linalg.lstsq(FM[p], P @ FMp[p], rcond=None)[0]
-        q1[p] = np.linalg.lstsq(FMp[p], Q @ FM[p], rcond=None)[0]
+    for p in range(len(sampling)):  # numpy has no stacked least squares
+        p1[p] = np.linalg.lstsq(FM[p], PFMp[p], rcond=None)[0]
+        q1[p] = np.linalg.lstsq(FMp[p], QFM[p], rcond=None)[0]
     eye = np.eye(k)
     residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
     return ProjectionPair(FiberField(sampling, p1), FiberField(sampling, q1), residual)
@@ -378,29 +372,13 @@ def oblique_frame_wavelets(
         raise NotContained("X's orbit span must sit inside Y's")
     if isinstance(w0, DenseBasis) and not is_invariant(w0, tol_rank):
         raise NotInvariant("W0 is not closed under the group action")
-    BW0 = _fiber_basis(w0, tol_rank)
-    BV0 = _fiber_basis(X, tol_rank)
-    sampling, FY = fiber_tensor(Y)
-    m = Y.space.channels
-    # validate the split at fiber-rank level
-    for p in range(len(sampling)):
-        r1 = _linalg.matrix_rank(FY[p], tol_rank)
-        a, b = BV0.bases[p].shape[1], BW0.bases[p].shape[1]
-        joint = _linalg.matrix_rank(np.hstack([BV0.bases[p], BW0.bases[p]]), tol_rank)
-        if joint != a + b or joint != r1:
-            raise NotDirectSum(f"V0 (+) W0 != V1 at dual point {p}")
-        if _linalg.matrix_rank(np.hstack([FY[p], BW0.bases[p]]), tol_rank) != r1:
-            raise NotDirectSum(f"W0 fibers leave the fine space at dual point {p}")
-    gamma_fibers = np.empty_like(FY)
-    for p in range(len(sampling)):
-        BV = _linalg.complement_in_span(
-            BV0.bases[p], _linalg.orth_columns(FY[p], tol_rank),
-            _linalg.matrix_rank(FY[p], tol_rank) - BV0.bases[p].shape[1], tol_rank,
-        )
-        P_orth = _linalg.projector(BV)
-        P = _linalg.oblique_projector_matrix(BW0.bases[p], BV0.bases[p], tol_rank)
-        gamma_fibers[p] = P @ (P_orth @ FY[p])
-    return family_from_fibers(X.space, sampling, gamma_fibers)
+    sampling, BV0, BW0 = _validated_split_bases(ObliqueSplit(X, w0, Y), tol_rank)
+    _, FY = fiber_tensor(Y)
+    # a valid split gives every fine fiber the rank |BV0| + |BW0|
+    UY, _ = _linalg.orth_columns(FY, tol_rank)
+    BV = _linalg.complement_in_span(BV0.fibers, UY[:, :, : len(BV0) + len(BW0)], len(BW0), tol_rank)
+    P = _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
+    return family_from_fibers(X.space, sampling, P @ (_linalg.projector(BV) @ FY))
 
 
 def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
@@ -416,43 +394,32 @@ def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
     BWt = _fiber_basis(w0_tilde, tol_rank)
     sampling, FG = fiber_tensor(gamma)
     k = len(gamma)
-    N = gram_normalization(gamma.space)
-    out = np.empty((len(sampling), gamma.space.channels, k), dtype=np.complex128)
-    for p in range(len(sampling)):
-        Bt = BWt.bases[p]
-        if Bt.shape[1] != k:
-            raise NotDirectSum(
-                f"dual subspace has fiber dimension {Bt.shape[1]} != {k} at dual point {p}"
-            )
-        pairing = N * FG[p].T @ Bt.conj()
-        s = np.linalg.svd(pairing, compute_uv=False)
-        if s.size == 0 or s[-1] <= tol_rank * max(s[0], 1.0):
-            raise SingularPairing(f"fiber pairing singular at dual point {p}")
-        out[p] = Bt @ np.linalg.inv(pairing).conj()
-    return family_from_fibers(gamma.space, sampling, out)
+    if len(BWt) != k:  # one dimension at every point, so the first point fails
+        raise NotDirectSum(f"dual subspace has fiber dimension {len(BWt)} != {k} at dual point 0")
+    Bt = BWt.fibers
+    pairing = gram_normalization(gamma.space) * FG.transpose(0, 2, 1) @ Bt.conj()
+    s = np.linalg.svd(pairing, compute_uv=False)
+    # the stacked inverse raises on any singular matrix, so check every point first
+    singular = np.flatnonzero(s[:, -1] <= tol_rank * np.maximum(s[:, 0], 1.0))
+    if singular.size:
+        raise SingularPairing(f"fiber pairing singular at dual point {singular[0]}")
+    return family_from_fibers(gamma.space, sampling, Bt @ np.linalg.inv(pairing).conj())
 
 
-def _perp_intersection_field(
-    space: SystemSpace,
-    sampling: DualSampling,
-    F_big: np.ndarray,
-    F_perp_of: np.ndarray,
-    expected_dim: int,
-    tol_rank: float,
-) -> FiberBasisField:
-    """Fiber bases of (span F_big) intersect (span F_perp_of)^perp."""
-    bases = []
-    for p in range(len(sampling)):
-        B = _linalg.orth_columns(F_big[p], tol_rank)
-        A = _linalg.orth_columns(F_perp_of[p], tol_rank)
-        K = _linalg.null_space_columns(A.conj().T @ B, tol_rank)
-        if K.shape[1] != expected_dim:
-            raise NotDirectSum(
-                f"intersection dimension {K.shape[1]} != expected {expected_dim} "
-                f"at dual point {p}"
-            )
-        bases.append(B @ K)
-    return FiberBasisField(space, sampling, np.stack(bases, axis=0))
+def _perp_intersection_field(big, perp_of, expected_dim: int, tol_rank: float) -> FiberBasisField:
+    """Fiber bases of (span big) intersect (span perp_of)^perp."""
+    field = _fiber_basis(big, tol_rank)
+    B = field.fibers
+    A = _fiber_basis(perp_of, tol_rank).fibers
+    V, r = _linalg.null_space_columns(A.conj().transpose(0, 2, 1) @ B, tol_rank)
+    found = V.shape[2] - r
+    wrong = np.flatnonzero(found != expected_dim)
+    if wrong.size:
+        p = wrong[0]
+        raise NotDirectSum(
+            f"intersection dimension {found[p]} != expected {expected_dim} at dual point {p}"
+        )
+    return FiberBasisField(field.space, field.sampling, B @ V[:, :, V.shape[2] - expected_dim:])
 
 
 @dataclass(frozen=True)
@@ -498,31 +465,18 @@ def biorthogonal_wavelets(
     r, s = len(X), len(Y)
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
-    space = X.space
-    sampling, FY = fiber_tensor(Y)
-    _, FYt = fiber_tensor(Yt)
-    _, FX = fiber_tensor(X)
-    _, FXt = fiber_tensor(Xt)
-    W0 = _perp_intersection_field(space, sampling, FY, FXt, s - r, tol_rank)
-    Wt0 = _perp_intersection_field(space, sampling, FYt, FX, s - r, tol_rank)
+    W0 = _perp_intersection_field(Y, Xt, s - r, tol_rank)
+    Wt0 = _perp_intersection_field(Yt, X, s - r, tol_rank)
     gamma = oblique_riesz_wavelets(X, Y, W0, tol_rank)
     gamma_t = dual_family(gamma, Wt0, tol_rank)
     ok, pair_res = is_biorthogonal(gamma, gamma_t, tol_bio)
     if not ok:
         raise SingularPairing(f"constructed pair residual {pair_res:.3e} exceeds {tol_bio:.1e}")
     # union certification: Riesz for the fine spaces, jointly biorthogonal
-    _, FG = fiber_tensor(gamma)
-    _, FGt = fiber_tensor(gamma_t)
-    union = _stack_families(space, sampling, FX, FG)
-    union_t = _stack_families(space, sampling, FXt, FGt)
+    union = union_family(X, gamma)
+    union_t = union_family(Xt, gamma_t)
     riesz_bounds(union, tol_rank)
     riesz_bounds(union_t, tol_rank)
     _, union_res = is_biorthogonal(union, union_t, tol_bio)
     return BiorthogonalPair(gamma, gamma_t, pair_res, float(union_res))
 
-
-def _stack_families(space, sampling, FA, FB):
-    stacked = np.concatenate([FA, FB], axis=2)
-    if space.exact:
-        return family_from_fibers(space, sampling, stacked)
-    return SampledFamily(space, sampling, stacked)

@@ -64,8 +64,7 @@ def verify_wandering(M, tol_bio: float | None = None) -> WanderingCertificate:
         return WanderingCertificate(M, 0.0, complete=False, tolerance=tol_bio)
     residual = gram_fibers(M).identity_deviation()
     _, F = fiber_tensor(M)
-    m = M.space.channels
-    complete = all(_linalg.matrix_rank(F[p]) == m for p in range(F.shape[0]))
+    complete = bool(np.all(_linalg.matrix_rank(F) == M.space.channels))
     return WanderingCertificate(M, residual, complete, tol_bio)
 
 
@@ -143,19 +142,24 @@ def complement_wandering(
     r, s = len(X), len(Y)
     if r > s:
         raise NotContained(f"|X| = {r} exceeds |Y| = {s}; no complement exists")
-    space = X.space
     sampling, FX = fiber_tensor(X)
     _, FY = fiber_tensor(Y)
-    d = s - r
-    if d == 0:
-        return family_from_fibers(space, sampling, FY[:, :, :0])
-    bases = np.empty((len(sampling), space.channels, d), dtype=np.complex128)
-    for p in range(len(sampling)):
-        bases[p] = _linalg.complement_in_span(FX[p], FY[p], d, tol_rank)
-    scale = 1.0 / math.sqrt(gram_normalization(space))
-    if isinstance(space.group, IntegerShift):
-        aligned = _linalg.procrustes_align(bases)
-        return family_from_fibers(space, sampling, aligned * scale)
-    for p in range(len(sampling)):
-        bases[p] = _linalg.phase_normalize_columns(bases[p])
-    return family_from_fibers(space, sampling, bases * scale)
+    align = isinstance(X.space.group, IntegerShift)
+    fibers = complement_fibers(X.space, FX, FY, tol_rank, align)
+    return family_from_fibers(X.space, sampling, fibers)
+
+
+def complement_fibers(space, FX, FY, tol_rank: float, align: bool = False) -> np.ndarray:
+    """Fibers of an orbit-orthonormal family spanning span FY minus span FX.
+
+    At each dual point a column-pivoted factorization picks the complement
+    basis.  Its columns are then phase-pinned (largest-magnitude entry real
+    positive), or with ``align`` rotated onto the previous point's basis for
+    a continuous shift-mode selection, and scaled by the Gram normalization.
+    """
+    d = FY.shape[2] - FX.shape[2]
+    if d <= 0:
+        return FY[:, :, :0]
+    bases = _linalg.complement_in_span(FX, FY, d, tol_rank)
+    bases = _linalg.procrustes_align(bases) if align else _linalg.phase_normalize_columns(bases)
+    return bases * (1.0 / math.sqrt(gram_normalization(space)))

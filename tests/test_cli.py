@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -402,6 +404,17 @@ class TestFlags:
         assert code == 0
         assert report["options"]["tol_rank"] == pytest.approx(1e-7)
         assert report["options"]["tol_bio"] == pytest.approx(1e-5)
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, wandergen.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSerialization:

@@ -290,6 +290,22 @@ class TestSynthesisInequality:
             assert b.lower * asq - eps <= nsq <= b.upper * asq + eps
 
 
+class TestFamilyFibers:
+    def test_fibers_kept_and_read_only(self):
+        rng = np.random.default_rng(62)
+        fam = random_family(rng, space([4], 2), 2)
+        F = fam.fibers
+        assert fam.fibers is F
+        assert fiber_tensor(fam)[1] is F
+        with pytest.raises(ValueError):
+            F[0, 0, 0] = 1.0
+
+    def test_empty_family_fibers(self):
+        fam = wg.Family(space([3], 2), ())
+        assert fam.fibers.shape == (3, 2, 0)
+        assert len(fam.sampling) == 3
+
+
 class TestSampledMode:
     def test_two_tap_bound_curve_values(self):
         sp = wg.SystemSpace(wg.IntegerShift(32), 1)

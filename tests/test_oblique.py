@@ -136,8 +136,8 @@ class TestObliqueProjector:
             X, Y, W0 = random_oblique_instance(rng)
             P = wg.oblique_projector(wg.ObliqueSplit(X, W0, Y))
             assert P.idempotency_residual() <= 1e-10
-            BV0 = _fiber_basis(X, 1e-9).bases
-            BW0 = _fiber_basis(W0, 1e-9).bases
+            BV0 = _fiber_basis(X, 1e-9).fibers
+            BW0 = _fiber_basis(W0, 1e-9).fibers
             assert np.max(np.abs(P.matrices @ BV0)) <= 1e-10
             assert np.max(np.abs(P.matrices @ BW0 - BW0)) <= 1e-10
 

@@ -1,5 +1,7 @@
 """Wandering certificates, the dimension audit, and the complement construction."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,26 @@ class TestComplementWandering:
         Y = wg.Family(sp, (wg.delta(sp, 0, 0), wg.delta(sp, 0, 1)))
         with pytest.raises(wg.NotContained):
             wg.complement_wandering(X, Y)
+
+
+class TestTransformsOnce:
+    def test_complement_transforms_each_member_once(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        X, Y = random_robertson_instance(rng)
+        # fresh families, so no fibers are cached yet
+        X, Y = wg.Family(X.space, X.members), wg.Family(Y.space, Y.members)
+        original = wg.groups.fourier
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return original(v)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wandergen") and getattr(module, "fourier", None) is original:
+                monkeypatch.setattr(module, "fourier", counting)
+        wg.complement_wandering(X, Y)
+        assert len(calls) == len(X) + len(Y)
 
 
 class TestShiftModeComplement:
