@@ -264,13 +264,14 @@ class DualPoint:
     index: tuple[int, ...] | int
 
     def evaluate(self, g) -> complex:
+        # phases are reduced mod n in integers first, so they stay exact for large n
         group = self.group
         if isinstance(group, FiniteAbelian):
             g = group.canonical(g)
-            phase = sum(k * x / n for k, x, n in zip(self.index, g, group.orders))
+            phase = sum((k * x) % n / n for k, x, n in zip(self.index, g, group.orders))
             return complex(np.exp(2j * np.pi * phase))
-        angle = 2.0 * np.pi * int(self.index) / group.grid_size
-        return complex(np.exp(1j * angle * int(g)))
+        n = group.grid_size
+        return complex(np.exp(2j * np.pi * ((int(self.index) * int(g)) % n) / n))
 
     @property
     def angle(self) -> float:
@@ -310,11 +311,12 @@ def character_table(group: FiniteAbelian) -> np.ndarray:
     """chars[p, e] = value of the p-th character at the e-th element.
 
     Both axes use the lexicographic element enumeration, so the table is
-    symmetric and chars[p, e] = exp(2*pi*i * sum_j p_j e_j / n_j).
+    symmetric and chars[p, e] = exp(2*pi*i * sum_j ((p_j e_j) mod n_j) / n_j).
+    Each product is reduced in integers before scaling, which keeps the
+    phases exact as |G| grows.
     """
-    els = np.array(group.elements(), dtype=np.float64)
-    scale = 1.0 / np.array(group.orders, dtype=np.float64)
-    phase = (els * scale) @ els.T
+    els = np.array(group.elements(), dtype=np.int64)
+    phase = sum(np.outer(els[:, j], els[:, j]) % n / n for j, n in enumerate(group.orders))
     return np.exp(2j * np.pi * phase)
 
 
@@ -360,8 +362,10 @@ def fourier(v: GroupVector) -> FiberSamples:
         pos = {g: i for i, g in enumerate(supports)}
         for (g, c), val in v.coeffs.items():
             coeff[pos[g], c] = val
-        t = np.arange(group.grid_size)
-        phases = np.exp(-2j * np.pi * np.outer(t, supports) / group.grid_size)
+        n = group.grid_size
+        # reduce t * g mod n in integers, so far-out supports keep exact phases
+        exponents = np.outer(np.arange(n), [g % n for g in supports]) % n
+        phases = np.exp(-2j * np.pi * exponents / n)
         values = phases @ coeff
     return FiberSamples(sampling, values)
 

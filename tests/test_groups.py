@@ -102,6 +102,33 @@ class TestFourier:
             wg.fourier(v)
 
 
+class TestPhaseAccuracy:
+    """Phases reduced mod n stay accurate as the group or the support grows;
+    numpy's FFT is the independent reference."""
+
+    @pytest.mark.parametrize("orders", [(1024,), (32, 32)])
+    def test_exact_transform_matches_fft(self, orders):
+        rng = np.random.default_rng(3)
+        group = wg.FiniteAbelian(orders)
+        dense = rng.standard_normal((group.order, 2)) + 1j * rng.standard_normal((group.order, 2))
+        out = wg.fourier(wg.from_dense(wg.SystemSpace(group, 2), dense)).values
+        axes = tuple(range(len(orders)))
+        ref = np.fft.fftn(dense.reshape(orders + (2,)), axes=axes, norm="ortho")
+        assert np.max(np.abs(out - ref.reshape(group.order, 2))) <= 1e-14
+
+    def test_evaluate_large_cyclic(self):
+        n = 2**20
+        k, x = n - 3, n - 5
+        ref = np.conj(np.fft.fft(np.eye(1, n, x).ravel()))[k]
+        assert abs(wg.DualPoint(wg.FiniteAbelian((n,)), (k,)).evaluate(x) - ref) <= 1e-14
+
+    def test_shift_far_support(self):
+        grid, g = 256, 10**9 + 3
+        out = wg.fourier(wg.delta(wg.SystemSpace(wg.IntegerShift(grid), 1), g)).values[:, 0]
+        ref = np.fft.fft(np.eye(1, grid, g % grid).ravel())
+        assert np.max(np.abs(out - ref)) <= 1e-14
+
+
 class TestTranslate:
     def test_identity_element(self):
         rng = np.random.default_rng(3)
