@@ -264,7 +264,7 @@ class DualPoint:
     index: tuple[int, ...] | int
 
     def evaluate(self, g) -> complex:
-        # phases are reduced mod n in integers first, so they stay exact for large n
+        # phases are reduced mod n in integers first, so they stay accurate for large n
         group = self.group
         if isinstance(group, FiniteAbelian):
             g = group.canonical(g)
@@ -313,7 +313,7 @@ def character_table(group: FiniteAbelian) -> np.ndarray:
     Both axes use the lexicographic element enumeration, so the table is
     symmetric and chars[p, e] = exp(2*pi*i * sum_j ((p_j e_j) mod n_j) / n_j).
     Each product is reduced in integers before scaling, which keeps the
-    phases exact as |G| grows.
+    phases accurate as |G| grows.
     """
     els = np.array(group.elements(), dtype=np.int64)
     phase = sum(np.outer(els[:, j], els[:, j]) % n / n for j, n in enumerate(group.orders))
@@ -363,7 +363,7 @@ def fourier(v: GroupVector) -> FiberSamples:
         for (g, c), val in v.coeffs.items():
             coeff[pos[g], c] = val
         n = group.grid_size
-        # reduce t * g mod n in integers, so far-out supports keep exact phases
+        # reduce t * g mod n in integers, so far-out supports keep accurate phases
         exponents = np.outer(np.arange(n), [g % n for g in supports]) % n
         phases = np.exp(-2j * np.pi * exponents / n)
         values = phases @ coeff

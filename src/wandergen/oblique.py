@@ -374,9 +374,10 @@ def oblique_frame_wavelets(
         raise NotInvariant("W0 is not closed under the group action")
     sampling, BV0, BW0 = _validated_split_bases(ObliqueSplit(X, w0, Y), tol_rank)
     _, FY = fiber_tensor(Y)
-    # a valid split gives every fine fiber the rank |BV0| + |BW0|
+    a, b = len(BV0), len(BW0)
+    # a valid split gives every fine fiber the rank a + b
     UY, _ = _linalg.orth_columns(FY, tol_rank)
-    BV = _linalg.complement_in_span(BV0.fibers, UY[:, :, : len(BV0) + len(BW0)], len(BW0), tol_rank)
+    BV = _linalg.complement_in_span(BV0.fibers, UY[:, :, : a + b], b, tol_rank)
     P = _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
     return family_from_fibers(X.space, sampling, P @ (_linalg.projector(BV) @ FY))
 
