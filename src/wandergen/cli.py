@@ -30,8 +30,10 @@ or schema errors, 2 domain errors (the report carries the error code).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -104,8 +106,37 @@ def render_json(value) -> str:
     return "".join(parts)
 
 
+@functools.lru_cache(maxsize=512)
+def _key_json(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be strings, got {type(key).__name__}")
+    return json.dumps(key, ensure_ascii=True) + ":"
+
+
 def _render(value, emit) -> None:
-    if value is None:
+    # exact types first, most frequent first; subclasses (bool, numpy
+    # scalars, tuples) fall through to the isinstance chain below
+    kind = type(value)
+    if kind is float:
+        emit(format_float(value))
+    elif kind is dict:
+        emit("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                emit(",")
+            emit(_key_json(key))
+            _render(value[key], emit)
+        emit("}")
+    elif kind is list:
+        emit("[")
+        for i, item in enumerate(value):
+            if i:
+                emit(",")
+            _render(item, emit)
+        emit("]")
+    elif kind is int:
+        emit(str(value))
+    elif value is None:
         emit("null")
     elif value is True:
         emit("true")
@@ -118,23 +149,9 @@ def _render(value, emit) -> None:
     elif isinstance(value, (float, np.floating)):
         emit(format_float(value))
     elif isinstance(value, dict):
-        emit("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {type(key).__name__}")
-            if i:
-                emit(",")
-            emit(json.dumps(key, ensure_ascii=True))
-            emit(":")
-            _render(value[key], emit)
-        emit("}")
+        _render(dict(value), emit)
     elif isinstance(value, (list, tuple)):
-        emit("[")
-        for i, item in enumerate(value):
-            if i:
-                emit(",")
-            _render(item, emit)
-        emit("]")
+        _render(list(value), emit)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -166,7 +183,10 @@ def _get(obj: dict, key: str, kind, message: str):
 
 def _finite_number(value, label: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), f"{label} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     _expect(math.isfinite(value), f"{label} must be finite")
     return value
 
@@ -216,32 +236,40 @@ def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
 
 
 def _parse_member(space: SystemSpace, entries, label: str) -> GroupVector:
+    """One pass: each entry is checked, canonicalized once and summed in; the
+    checks keep a fixed order and format messages only for a failing entry."""
     _expect(isinstance(entries, list), f"family member {label} must be a list of entries")
-    coeffs = []
+    channels = space.channels
+    orders = space.group.orders if isinstance(space.group, FiniteAbelian) else None
+    coeffs: dict = {}
     for i, entry in enumerate(entries):
-        _expect(isinstance(entry, dict), f"{label}[{i}] must be an object")
+        if type(entry) is not dict:
+            _expect(isinstance(entry, dict), f"{label}[{i}] must be an object")
         element = entry.get("element")
         channel = entry.get("channel")
-        _expect(isinstance(channel, int) and not isinstance(channel, bool), f"{label}[{i}].channel must be an integer")
-        _expect(0 <= channel < space.channels, f"{label}[{i}].channel outside 0..{space.channels - 1}")
-        re_part = _finite_number(entry.get("re", 0.0), f"{label}[{i}].re")
-        im_part = _finite_number(entry.get("im", 0.0), f"{label}[{i}].im")
-        if isinstance(space.group, FiniteAbelian):
-            _expect(
-                isinstance(element, list)
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in element),
-                f"{label}[{i}].element must be a list of integers",
-            )
+        if type(channel) is not int or not 0 <= channel < channels:
+            _expect(isinstance(channel, int) and not isinstance(channel, bool), f"{label}[{i}].channel must be an integer")
+            _expect(0 <= channel < channels, f"{label}[{i}].channel outside 0..{channels - 1}")
+        re_part = entry.get("re", 0.0)
+        if type(re_part) is not float or not math.isfinite(re_part):
+            re_part = _finite_number(re_part, f"{label}[{i}].re")
+        im_part = entry.get("im", 0.0)
+        if type(im_part) is not float or not math.isfinite(im_part):
+            im_part = _finite_number(im_part, f"{label}[{i}].im")
+        if orders is None:
+            if type(element) is not int:
+                _expect(isinstance(element, int) and not isinstance(element, bool), f"{label}[{i}].element must be an integer")
         else:
-            _expect(
-                isinstance(element, int) and not isinstance(element, bool),
-                f"{label}[{i}].element must be an integer",
-            )
-        try:
-            coeffs.append(((space.group.canonical(element), channel), complex(re_part, im_part)))
-        except ValueError as exc:
-            raise SchemaError(f"{label}[{i}]: {exc}") from exc
-    return GroupVector(space, coeffs)
+            if type(element) is not list or len(element) != len(orders) or not all(type(x) is int for x in element):
+                _expect(
+                    isinstance(element, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in element),
+                    f"{label}[{i}].element must be a list of integers",
+                )
+                _expect(len(element) == len(orders), f"{label}[{i}]: element rank {len(element)} != group rank {len(orders)}")
+            element = tuple(map(operator.mod, element, orders))
+        key = (element, channel)
+        coeffs[key] = coeffs.get(key, 0j) + complex(re_part, im_part)
+    return GroupVector._wrap(space, coeffs)
 
 
 def _parse_family(space: SystemSpace, families: dict, name: str) -> Family:
@@ -282,12 +310,6 @@ def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) 
 # serialization of outputs
 
 
-def _element_json(space: SystemSpace, element):
-    if isinstance(space.group, FiniteAbelian):
-        return [int(x) for x in element]
-    return int(element)
-
-
 def _family_json(fam) -> list | dict:
     if isinstance(fam, SampledFamily):
         fibers = [
@@ -296,24 +318,19 @@ def _family_json(fam) -> list | dict:
             for j in range(fam.fibers.shape[2])
         ]
         return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
+    exact = isinstance(fam.space.group, FiniteAbelian)
     members = []
     for v in fam.members:
-        entries = []
-        group = fam.space.group
-        if isinstance(group, FiniteAbelian):
-            order_key = lambda item: (group.index_of(item[0][0]), item[0][1])
+        items = list(v.coeffs.items())
+        if exact:  # by element index, then channel
+            items = [items[k] for k in np.argsort(v.positions())]
         else:
-            order_key = lambda item: (item[0][0], item[0][1])
-        for (element, channel), value in sorted(v.coeffs.items(), key=order_key):
-            entries.append(
-                {
-                    "element": _element_json(fam.space, element),
-                    "channel": int(channel),
-                    "re": float(value.real),
-                    "im": float(value.imag),
-                }
-            )
-        members.append(entries)
+            items.sort(key=operator.itemgetter(0))
+        members.append([
+            {"element": list(element) if exact else element, "channel": channel,
+             "re": float(value.real), "im": float(value.imag)}
+            for (element, channel), value in items
+        ])
     return members
 
 

@@ -4,7 +4,8 @@ Two group models are supported:
 
 * ``FiniteAbelian`` -- a direct product of cyclic groups.  The dual group is
   enumerated completely (exact mode); the transform is the unitary DFT with
-  1/sqrt(|G|) normalization so Parseval holds to machine precision.
+  1/sqrt(|G|) normalization, computed by ``np.fft.fftn(norm="ortho")`` over
+  the cyclic axes, so Parseval holds to machine precision.
 * ``IntegerShift`` -- the shift group Z.  The dual torus is sampled at the
   ``grid_size``-th roots of unity (sampled mode); transforms are exact
   trigonometric-polynomial evaluations at the grid points, with no
@@ -17,6 +18,7 @@ serialization bit-exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +39,7 @@ __all__ = [
     "DualSampling",
     "FiberSamples",
     "character_table",
+    "dft",
     "delta",
     "from_dense",
     "dual_sampling",
@@ -87,7 +90,7 @@ class FiniteAbelian:
 
     def elements(self) -> list[tuple[int, ...]]:
         """All elements in lexicographic multi-index order."""
-        return [tuple(int(i) for i in idx) for idx in np.ndindex(*self.orders)]
+        return list(itertools.product(*(range(n) for n in self.orders)))
 
     def index_of(self, g) -> int:
         g = self.canonical(g)
@@ -167,6 +170,15 @@ class GroupVector:
         self.space = space
         self.coeffs = merged
 
+    @classmethod
+    def _wrap(cls, space: SystemSpace, coeffs: dict) -> "GroupVector":
+        """Adopt ``coeffs`` as is: its keys must already be canonical
+        (element, channel) pairs and its values Python complex numbers."""
+        v = cls.__new__(cls)
+        v.space = space
+        v.coeffs = coeffs
+        return v
+
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values()))
 
@@ -186,14 +198,21 @@ class GroupVector:
         positions = [g for g, _ in self.coeffs]
         return min(positions), max(positions)
 
-    def dense(self) -> np.ndarray:
-        """Dense (|G|, channels) coefficient array; exact mode only."""
+    def positions(self) -> np.ndarray:
+        """Flat row-major positions (element index * channels + channel) of
+        the stored coefficients, in storage order; exact mode only."""
         group = self.space.group
         if not isinstance(group, FiniteAbelian):
             raise ExactModeRequired("dense coefficients exist only for finite groups")
-        out = np.zeros((group.order, self.space.channels), dtype=np.complex128)
-        for (g, c), v in self.coeffs.items():
-            out[group.index_of(g), c] = v
+        keys = np.array([(*g, c) for g, c in self.coeffs], dtype=np.intp)
+        dims = group.orders + (self.space.channels,)
+        return np.ravel_multi_index(keys.reshape(-1, len(dims)).T, dims)
+
+    def dense(self) -> np.ndarray:
+        """Dense (|G|, channels) coefficient array; exact mode only."""
+        flat = self.positions()
+        out = np.zeros((self.space.group.order, self.space.channels), dtype=np.complex128)
+        out.reshape(-1)[flat] = np.fromiter(self.coeffs.values(), np.complex128, len(flat))
         return out
 
     def __add__(self, other: "GroupVector") -> "GroupVector":
@@ -237,13 +256,8 @@ def from_dense(space: SystemSpace, dense: np.ndarray) -> GroupVector:
     dense = np.asarray(dense, dtype=np.complex128)
     if dense.shape != (group.order, space.channels):
         raise ValueError(f"expected shape {(group.order, space.channels)}, got {dense.shape}")
-    elements = group.elements()
-    coeffs = {
-        (elements[e], c): dense[e, c]
-        for e in range(group.order)
-        for c in range(space.channels)
-    }
-    return GroupVector(space, coeffs)
+    keys = itertools.product(group.elements(), range(space.channels))
+    return GroupVector._wrap(space, dict(zip(keys, dense.reshape(-1).tolist())))
 
 
 @dataclass
@@ -298,7 +312,11 @@ class DualSampling:
 
 def dual_sampling(space: SystemSpace) -> DualSampling:
     """Enumerate characters (exact mode) or grid the torus (shift mode)."""
-    group = space.group
+    return _group_sampling(space.group)
+
+
+@lru_cache(maxsize=16)
+def _group_sampling(group: GroupSpec) -> DualSampling:
     if isinstance(group, FiniteAbelian):
         points = tuple(DualPoint(group, idx) for idx in group.elements())
         return DualSampling(points=points, exact=True)
@@ -306,18 +324,32 @@ def dual_sampling(space: SystemSpace) -> DualSampling:
     return DualSampling(points=points, exact=False)
 
 
-@lru_cache(maxsize=None)
 def character_table(group: FiniteAbelian) -> np.ndarray:
     """chars[p, e] = value of the p-th character at the e-th element.
 
     Both axes use the lexicographic element enumeration, so the table is
     symmetric and chars[p, e] = exp(2*pi*i * sum_j ((p_j e_j) mod n_j) / n_j).
     Each product is reduced in integers before scaling, which keeps the
-    phases accurate as |G| grows.
+    phases accurate as |G| grows.  The transforms do not use it: it builds
+    the dense oracle's O(|G|^2) matrices only, and is not cached.
     """
     els = np.array(group.elements(), dtype=np.int64)
     phase = sum(np.outer(els[:, j], els[:, j]) % n / n for j, n in enumerate(group.orders))
     return np.exp(2j * np.pi * phase)
+
+
+def _over_cyclic_axes(transform, group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
+    # the lexicographic element order is the C order of an (n_1, ..., n_k) array
+    a = np.asarray(a)
+    cyclic = a.reshape(group.orders + a.shape[1:])
+    axes = tuple(range(len(group.orders)))
+    return transform(cyclic, axes=axes, norm="ortho").reshape(a.shape)
+
+
+def dft(group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
+    """Unitary transform along the first axis of a (|G|, ...) array:
+    out[p] = |G|^{-1/2} sum_e conj(chars[p, e]) a[e]."""
+    return _over_cyclic_axes(np.fft.fftn, group, a)
 
 
 @dataclass
@@ -352,8 +384,7 @@ def fourier(v: GroupVector) -> FiberSamples:
     sampling = dual_sampling(space)
     group = space.group
     if isinstance(group, FiniteAbelian):
-        values = character_table(group).conj() @ v.dense() / math.sqrt(group.order)
-        return FiberSamples(sampling, values)
+        return FiberSamples(sampling, dft(group, v.dense()))
     _check_grid_support(v)
     values = np.zeros((group.grid_size, space.channels), dtype=np.complex128)
     if v.coeffs:
@@ -375,8 +406,7 @@ def inverse_fourier(f: FiberSamples, space: SystemSpace) -> GroupVector:
     group = space.group
     if not isinstance(group, FiniteAbelian):
         raise ExactModeRequired("sampled fibers have no exact inverse transform")
-    dense = character_table(group).T @ np.asarray(f.values) / math.sqrt(group.order)
-    return from_dense(space, dense)
+    return from_dense(space, _over_cyclic_axes(np.fft.ifftn, group, f.values))
 
 
 def translate(g, v: GroupVector) -> GroupVector:

@@ -46,7 +46,7 @@ from .fibers import (
     riesz_bounds,
     union_family,
 )
-from .groups import DualSampling, FiniteAbelian, SystemSpace, dual_sampling
+from .groups import DualSampling, FiniteAbelian, SystemSpace, dft, dual_sampling
 from .oracle import dense_translation_matrix
 from .wandering import complement_fibers
 
@@ -180,9 +180,8 @@ def _fiber_basis(W, tol_rank: float) -> FiberBasisField:
         if not is_invariant(W, tol_rank):
             raise NotInvariant("dense subspace is not closed under the group action")
         sampling = dual_sampling(W.space)
-        F = (dense_fourier_matrix(W.space) @ W.columns).reshape(
-            len(sampling), W.space.channels, W.columns.shape[1]
-        )
+        m, d = W.space.channels, W.columns.shape[1]
+        F = dft(W.space.group, W.columns.reshape(len(sampling), m, d))
         varying = "invariant subspace has varying fiber dimension"
     else:
         sampling, F = fiber_tensor(W)

@@ -9,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from wandergen.cli import main, render_json
+from wandergen import oracle
+from wandergen.cli import _parse_member, main, render_json
+from wandergen.fibers import Family
+from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -103,6 +106,57 @@ class TestGoldenFiles:
         assert main(["--job", job, "--seed", "0", "--out", str(a)]) == 0
         assert main(["--job", job, "--seed", "0", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestGoldenOracleEvidence:
+    """The committed Z2 golden families against the dense oracle: the
+    transform leaves no rounding noise in their imaginary parts."""
+
+    SPACE = SystemSpace(FiniteAbelian((2,)), 2)
+
+    def family(self, members):
+        return Family(self.SPACE, [
+            GroupVector(self.SPACE, {(tuple(e["element"]), e["channel"]): complex(e["re"], e["im"]) for e in m})
+            for m in members
+        ])
+
+    def load(self, name):
+        with open(os.path.join(GOLDEN, f"{name}.json")) as handle:
+            job = json.load(handle)
+        with open(os.path.join(GOLDEN, f"{name}.report.json")) as handle:
+            report = json.load(handle)
+        families = {k: self.family(v) for k, v in job["families"].items()}
+        return families, report
+
+    @staticmethod
+    def imaginary_parts(members):
+        return [e["im"] for m in members for e in m]
+
+    def test_complement_z2(self):
+        fams, report = self.load("complement_z2")
+        members = report["families"]["Xprime"]
+        assert all(im == 0.0 for im in self.imaginary_parts(members))
+        MX, MY = (oracle.dense_family_matrix(fams[k]) for k in ("X", "Y"))
+        MXp = oracle.dense_family_matrix(self.family(members))
+        # X' is orthogonal to X's orbit, and X (+) X' spans Y's orbit span
+        assert np.max(np.abs(MX.conj().T @ MXp)) <= 1e-15
+        union = oracle.dense_projector(np.hstack([MX, MXp]))
+        assert np.max(np.abs(union - oracle.dense_projector(MY))) <= 1e-15
+
+    def test_oblique_z2(self):
+        fams, report = self.load("oblique_z2")
+        members = report["families"]["Gamma"]
+        assert all(im == 0.0 for im in self.imaginary_parts(members))
+        MX, MY, MW = (oracle.dense_family_matrix(fams[k]) for k in ("X", "Y", "W0"))
+        MG = oracle.dense_family_matrix(self.family(members))
+        # Gamma spans W0 and lies in it along V0; removing its V0 part
+        # leaves a span that completes V0 to V1
+        assert np.max(np.abs(oracle.dense_projector(MG) - oracle.dense_projector(MW))) <= 1e-15
+        P = oracle.dense_oblique_projector(MX, MW)
+        assert np.max(np.abs(P @ MG - MG)) <= 1e-15
+        Z = (np.eye(MX.shape[0]) - oracle.dense_projector(MX)) @ MG
+        split = oracle.dense_projector(Z) + oracle.dense_projector(MX)
+        assert np.max(np.abs(split - oracle.dense_projector(MY))) <= 1e-15
 
 
 class TestRoundTrip:
@@ -346,6 +400,104 @@ class TestMalformedInputs:
         assert code == 1
         assert report["status"] == "error"
 
+    # (entries of member X[0], expected SchemaError message); the checks run
+    # in this order: entry type, channel, re, im, element
+    ENTRY_CASES = [
+        ([1], "X[0][0] must be an object"),
+        ([{"element": [0], "channel": True, "re": 1.0}], "X[0][0].channel must be an integer"),
+        ([{"element": [0], "channel": 2.0, "re": 1.0}], "X[0][0].channel must be an integer"),
+        ([{"element": [0], "re": 1.0}], "X[0][0].channel must be an integer"),
+        ([{"element": [0], "channel": 2, "re": 1.0}], "X[0][0].channel outside 0..1"),
+        ([{"element": [0], "channel": -1, "re": 1.0}], "X[0][0].channel outside 0..1"),
+        ([{"element": [0], "channel": 0, "re": float("nan")}], "X[0][0].re must be finite"),
+        ([{"element": [0], "channel": 0, "re": float("inf")}], "X[0][0].re must be finite"),
+        ([{"element": [0], "channel": 0, "im": float("-inf")}], "X[0][0].im must be finite"),
+        ([{"element": [0], "channel": 0, "re": "1.0"}], "X[0][0].re must be a number"),
+        ([{"element": [0], "channel": 0, "re": True}], "X[0][0].re must be a number"),
+        ([{"element": [0], "channel": 0, "im": "0"}], "X[0][0].im must be a number"),
+        ([{"element": [0], "channel": 0, "im": False}], "X[0][0].im must be a number"),
+        ([{"element": 0, "channel": 0, "re": 1.0}], "X[0][0].element must be a list of integers"),
+        ([{"channel": 0, "re": 1.0}], "X[0][0].element must be a list of integers"),
+        ([{"element": [True], "channel": 0, "re": 1.0}], "X[0][0].element must be a list of integers"),
+        ([{"element": [0.0], "channel": 0, "re": 1.0}], "X[0][0].element must be a list of integers"),
+        ([{"element": [0, 1], "channel": 0, "re": 1.0}], "X[0][0]: element rank 2 != group rank 1"),
+        ([{"element": [], "channel": 0, "re": 1.0}], "X[0][0]: element rank 0 != group rank 1"),
+        (
+            [{"element": [0], "channel": 0, "re": 1.0}, {"element": [1], "channel": 1, "re": 1.0, "im": "x"}],
+            "X[0][1].im must be a number",
+        ),
+        # several faults in one entry: the earliest check reports
+        ([{"element": "x", "channel": 9, "re": float("nan")}], "X[0][0].channel outside 0..1"),
+        ([{"element": "x", "channel": 0, "re": "y", "im": "z"}], "X[0][0].re must be a number"),
+        ([{"element": [0, 0], "channel": 0, "re": 1.0, "im": float("nan")}], "X[0][0].im must be finite"),
+        ({"element": [0]}, "family member X[0] must be a list of entries"),
+    ]
+
+    @pytest.mark.parametrize("entries,message", ENTRY_CASES, ids=range(len(ENTRY_CASES)))
+    def test_entry_error_messages(self, tmp_path, entries, message):
+        job = orthonormal_delta_job()
+        job["families"]["X"] = [entries]
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["command"] == "analyze"
+        assert report["error"] == {"code": "SchemaError", "message": message}
+
+    SHIFT_CASES = [
+        ([0], "X[0][0].element must be an integer"),
+        (0.5, "X[0][0].element must be an integer"),
+        (True, "X[0][0].element must be an integer"),
+        (None, "X[0][0].element must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("element,message", SHIFT_CASES, ids=range(len(SHIFT_CASES)))
+    def test_shift_element_error_messages(self, tmp_path, element, message):
+        job = orthonormal_delta_job()
+        job["system"] = {"group": {"kind": "integer_shift", "grid": 8}, "channels": 1}
+        job["families"]["X"] = [[{"element": element, "channel": 0, "re": 1.0}]]
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["error"] == {"code": "SchemaError", "message": message}
+
+    def test_duplicate_entries_sum(self):
+        space = SystemSpace(FiniteAbelian((2,)), 2)
+        entries = [
+            {"element": [0], "channel": 0, "re": 0.5},
+            {"element": [1], "channel": 1, "im": 2.0},
+            {"element": [0], "channel": 0, "re": 0.25, "im": 1.0},
+            {"element": [2], "channel": 0, "re": 0.25},  # 2 = 0 in Z2
+        ]
+        v = _parse_member(space, entries, "X[0]")
+        assert v.coeffs == {((0,), 0): 1.0 + 1.0j, ((1,), 1): 2.0j}
+        assert v == GroupVector(space, {((0,), 0): 1.0 + 1.0j, ((1,), 1): 2.0j})
+
+    @pytest.mark.parametrize("where", ["re", "im"])
+    def test_integer_beyond_float_range(self, tmp_path, where):
+        job = orthonormal_delta_job()
+        job["families"]["X"][0][0][where] = 10**400
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["command"] == "analyze"
+        assert report["error"] == {"code": "SchemaError", "message": f"X[0][0].{where} must be finite"}
+
+    def test_tolerance_beyond_float_range(self, tmp_path):
+        job = orthonormal_delta_job()
+        job["options"]["tol_rank"] = -(10**400)
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["error"] == {"code": "SchemaError", "message": "tol_rank must be finite"}
+
+    def test_representation_cell_beyond_float_range(self, tmp_path):
+        cell = [[{"re": 10**400, "im": 0.0}]]
+        job = {
+            "version": "wandergen/1",
+            "command": "cancel",
+            "system": {"group": {"kind": "builtin", "name": "S3"}},
+            "representations": {"rho": {"dim": 1, "matrices": [cell] * 6}},
+        }
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["error"] == {"code": "SchemaError", "message": "rho entry re must be finite"}
+
     def test_missing_file(self, tmp_path):
         out = tmp_path / "r"
         code = main(["--job", str(tmp_path / "missing.json"), "--out", str(out)])
@@ -430,3 +582,11 @@ class TestSerialization:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             render_json(float("inf"))
+
+    def test_subclasses_render_like_their_base(self):
+        value = {"b": (np.float64(0.5), np.int64(3), True, None, -0.0), "a": {"c": [1, "x", False]}}
+        assert render_json(value) == '{"a":{"c":[1,"x",false]},"b":[0.5,3,true,null,0]}\n'
+
+    def test_non_string_key_rejected(self):
+        with pytest.raises(TypeError):
+            render_json({"a": {1: 2.0}})

@@ -1,5 +1,8 @@
 """Group model: characters, transforms, translation, modulation, convolution."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,19 +105,41 @@ class TestFourier:
             wg.fourier(v)
 
 
+def character_sum(group, dense):
+    """|G|^{-1/2} sum_e dense[e] conj(gamma_p(e)) term by term: phases reduced
+    mod n in integers, real and imaginary parts summed exactly by fsum."""
+    els = np.array(group.elements())
+    phase = sum(np.outer(els[:, j], els[:, j]) % n / n for j, n in enumerate(group.orders))
+    conj_chars = np.exp(-2j * np.pi * phase)
+    out = np.empty(dense.shape, dtype=np.complex128)
+    for c in range(dense.shape[1]):
+        for p, terms in enumerate(conj_chars * dense[:, c]):
+            out[p, c] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return out / math.sqrt(group.order)
+
+
 class TestPhaseAccuracy:
     """Phases reduced mod n stay accurate as the group or the support grows;
-    numpy's FFT is the independent reference."""
+    a direct character sum (exact mode) or numpy's FFT (sampled mode) is the
+    independent reference."""
 
     @pytest.mark.parametrize("orders", [(1024,), (32, 32)])
-    def test_exact_transform_matches_fft(self, orders):
+    def test_exact_transform_matches_character_sum(self, orders):
         rng = np.random.default_rng(3)
         group = wg.FiniteAbelian(orders)
         dense = rng.standard_normal((group.order, 2)) + 1j * rng.standard_normal((group.order, 2))
         out = wg.fourier(wg.from_dense(wg.SystemSpace(group, 2), dense)).values
-        axes = tuple(range(len(orders)))
-        ref = np.fft.fftn(dense.reshape(orders + (2,)), axes=axes, norm="ortho")
-        assert np.max(np.abs(out - ref.reshape(group.order, 2))) <= 1e-14
+        assert np.max(np.abs(out - character_sum(group, dense))) <= 1e-14
+
+    def test_transforms_skip_the_character_table(self, monkeypatch):
+        def table(group):
+            raise AssertionError("the exact transforms must not build the character table")
+
+        monkeypatch.setattr(wg.groups, "character_table", table)
+        sp = space([3, 4], 2)
+        v = random_vector(np.random.default_rng(9), sp)
+        back = wg.inverse_fourier(wg.fourier(v), sp)
+        np.testing.assert_allclose(back.dense(), v.dense(), atol=1e-14)
 
     def test_evaluate_large_cyclic(self):
         n = 2**20
@@ -255,3 +280,48 @@ class TestGroupVector:
     def test_elements_canonicalized(self):
         sp = space([4], 1)
         assert wg.delta(sp, 5) == wg.delta(sp, 1)
+
+    def test_dense_matches_entrywise_fill(self):
+        rng = np.random.default_rng(10)
+        sp = space([3, 5], 3)
+        coeffs = {}
+        for _ in range(20):  # sparse, out of order, unreduced elements
+            g = tuple(int(x) for x in rng.integers(-20, 20, size=2))
+            coeffs[(g, int(rng.integers(0, 3)))] = complex(*rng.standard_normal(2))
+        v = wg.GroupVector(sp, coeffs)
+        ref = np.zeros((sp.group.order, sp.channels), dtype=np.complex128)
+        for (g, c), val in v.coeffs.items():
+            ref[sp.group.index_of(g), c] = val
+        np.testing.assert_array_equal(v.dense(), ref)
+        assert wg.GroupVector(sp).dense().shape == (15, 3)
+
+    def test_from_dense_round_trip_is_exact(self):
+        rng = np.random.default_rng(11)
+        sp = space([2, 3], 2)
+        dense = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        v = wg.from_dense(sp, dense)
+        assert list(v.coeffs) == [(g, c) for g in sp.group.elements() for c in range(2)]
+        assert all(type(val) is complex for val in v.coeffs.values())
+        np.testing.assert_array_equal(v.dense(), dense)
+
+
+class TestCaches:
+    def test_every_cache_is_bounded(self):
+        import wandergen.cli  # noqa: F401  (loads every module)
+
+        caches = {
+            f"{name}.{attr}": fn
+            for name, module in list(sys.modules.items())
+            if name.startswith("wandergen")
+            for attr, fn in vars(module).items()
+            if callable(getattr(fn, "cache_parameters", None))
+        }
+        assert "wandergen.groups._group_sampling" in caches
+        assert [q for q, fn in caches.items() if fn.cache_parameters()["maxsize"] is None] == []
+
+    def test_character_table_is_not_cached(self):
+        assert not hasattr(character_table, "cache_info")
+
+    def test_dual_sampling_is_shared(self):
+        group = wg.FiniteAbelian((6,))
+        assert wg.dual_sampling(wg.SystemSpace(group, 1)) is wg.dual_sampling(wg.SystemSpace(group, 3))
