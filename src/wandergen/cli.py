@@ -312,10 +312,12 @@ def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) 
 
 def _family_json(fam) -> list | dict:
     if isinstance(fam, SampledFamily):
+        # member-major (member, point, channel), one .tolist() per part
+        values = np.asarray(fam.fibers, dtype=np.complex128).transpose(2, 0, 1)
         fibers = [
-            [[_complex_json(fam.fibers[p, c, j]) for c in range(fam.fibers.shape[1])]
-             for p in range(fam.fibers.shape[0])]
-            for j in range(fam.fibers.shape[2])
+            [[{"re": re, "im": im} for re, im in zip(re_row, im_row)]
+             for re_row, im_row in zip(re_member, im_member)]
+            for re_member, im_member in zip(values.real.tolist(), values.imag.tolist())
         ]
         return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
     exact = isinstance(fam.space.group, FiniteAbelian)

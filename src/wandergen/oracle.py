@@ -1,9 +1,11 @@
 """Dense brute-force ground truth, independent of the fiberization path.
 
-Exact mode only: the full orbit matrix is materialized column by column and
-bounds, projectors, and spans are derived directly with dense linear
-algebra.  Differential tests compare these answers against the fiberized
-ones; that comparison is this module's reason to exist.
+Exact mode only: the full orbit matrix is one index gather from the stacked
+dense generators (the coefficient of g x at h is x(h - g)), and bounds,
+projectors, and spans are derived directly with dense linear algebra.
+Neither the transform nor ``translate`` is used.  Differential tests compare
+these answers against the fiberized ones; that comparison is this module's
+reason to exist.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from .defaults import ORACLE_SIZE_LIMIT, TOL_RANK_REL
 from .errors import EmptyFamily, ExactModeRequired, NotDirectSum, NotRiesz, SizeLimit
 from .fibers import Bounds
-from .groups import FiniteAbelian, SystemSpace, translate
+from .groups import FiniteAbelian, SystemSpace
 
 __all__ = [
     "dense_family_matrix",
@@ -33,14 +35,28 @@ def _require_exact(space: SystemSpace) -> FiniteAbelian:
     return group
 
 
+def _offset_index(group: FiniteAbelian, shifts: np.ndarray) -> np.ndarray:
+    """idx[h, i] = flat index of h - shifts[:, i], for every element h in
+    index order; ``shifts`` holds element multi-indices as columns.
+
+    int32 (every index is below |G|) keeps the |G| x |G| table of the orbit
+    matrix at a quarter of that matrix's bytes when m = k = 1.
+    """
+    coords = np.indices(group.orders).reshape(len(group.orders), -1, 1)
+    offsets = coords - shifts[:, None, :]
+    return np.ravel_multi_index(tuple(offsets), group.orders, mode="wrap").astype(np.int32)
+
+
 def dense_translation_matrix(space: SystemSpace, g) -> np.ndarray:
     """Permutation-kron-identity realization of left translation by g."""
     group = _require_exact(space)
-    n = group.order
-    L = np.zeros((n, n))
-    for h in group.elements():
-        L[group.index_of(group.compose(g, h)), group.index_of(h)] = 1.0
-    return np.kron(L, np.eye(space.channels))
+    n, m = group.order, space.channels
+    # row (h, c) takes the coefficient at (h - g, c)
+    source = _offset_index(group, np.array(group.canonical(g))[:, None])
+    channel = np.arange(m)
+    L = np.zeros((n, m, n, m))
+    L[np.arange(n)[:, None], channel, source, channel] = 1.0
+    return L.reshape(n * m, n * m)
 
 
 def dense_family_matrix(X) -> np.ndarray:
@@ -53,11 +69,12 @@ def dense_family_matrix(X) -> np.ndarray:
     n, m, k = group.order, space.channels, len(members)
     if n * m * k > ORACLE_SIZE_LIMIT:
         raise SizeLimit(f"|G|*m*k = {n * m * k} exceeds the oracle cap {ORACLE_SIZE_LIMIT}")
-    cols = np.empty((n * m, n * k), dtype=np.complex128)
-    for gi, g in enumerate(group.elements()):
-        for j, x in enumerate(members):
-            cols[:, gi * k + j] = translate(g, x).dense().reshape(-1)
-    return cols
+    stacked = np.stack([x.dense() for x in members], axis=-1)  # (element, channel, member)
+    elements = np.indices(group.orders).reshape(len(group.orders), -1)
+    source = _offset_index(group, elements)  # source[h, g]: index of h - g
+    # entry (h, c, g, j) is x_j(h - g, c); the result is already C-ordered
+    cols = stacked[source[:, None, :, None], np.arange(m)[:, None, None], np.arange(k)]
+    return cols.reshape(n * m, n * k)
 
 
 def _gram_spectrum(X) -> np.ndarray:

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from wandergen import oracle
+from wandergen import cli, oracle
 from wandergen.cli import _parse_member, main, render_json
-from wandergen.fibers import Family
+from wandergen.fibers import Family, SampledFamily
 from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -257,6 +257,58 @@ class TestSampledComplementCommand:
         assert "interpolation" in out["note"]
         assert len(out["fibers"]) == 1 and len(out["fibers"][0]) == 32
         assert report["residuals"]["union_gram"] <= 1e-6
+
+
+class TestSampledFamilyRendering:
+    """Shift-mode family reports against a per-scalar rendering of the fibers."""
+
+    @staticmethod
+    def per_scalar_family_json(original):
+        def family_json(fam):
+            if not isinstance(fam, SampledFamily):
+                return original(fam)
+            points, channels, members = fam.fibers.shape
+            fibers = [
+                [[cli._complex_json(fam.fibers[p, c, j]) for c in range(channels)] for p in range(points)]
+                for j in range(members)
+            ]
+            return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
+
+        return family_json
+
+    @staticmethod
+    def shift_job(command, channels, families):
+        return {
+            "version": "wandergen/1",
+            "command": command,
+            "system": {"group": {"kind": "integer_shift", "grid": 16}, "channels": channels},
+            "families": families,
+        }
+
+    JOBS = {
+        "complement": ("complement", 3, {
+            "X": [[entry(0, 0, 0.8), entry(1, 1, 0.36, -0.48)]],
+            "Y": [[entry(0, c, 1.0)] for c in range(3)],
+        }),
+        "oblique": ("oblique", 2, {
+            "X": [[entry(0, 0, 0.8), entry(1, 1, 0.6)]],
+            "Y": [[entry(0, 0, 1.0)], [entry(0, 1, 1.0)]],
+            "W0": [[entry(0, 1, 1.0), entry(2, 0, 0.3, 0.1)]],
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(JOBS))
+    def test_byte_identical_to_per_scalar(self, tmp_path, monkeypatch, name):
+        job = self.shift_job(*self.JOBS[name])
+        code, report, fast = run(tmp_path, job, "fast.json")
+        assert code == 0
+        family = next(iter(report["families"].values()))
+        assert family["fiber_sampled"] is True and len(family["fibers"][0]) == 16
+        assert any(z["im"] != 0 for member in family["fibers"] for point in member for z in point)
+        monkeypatch.setattr(cli, "_family_json", self.per_scalar_family_json(cli._family_json))
+        code, _, slow = run(tmp_path, job, "slow.json")
+        assert code == 0
+        assert fast == slow
 
 
 class TestDualAndBiortho:

@@ -1,15 +1,42 @@
 """Dense oracle: orbit matrices, bounds, projectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import wandergen as wg
-from wandergen import oracle
+from wandergen import groups, oracle
 from conftest import random_riesz_family
 
 
 def space(orders, m=1):
     return wg.SystemSpace(wg.FiniteAbelian(tuple(orders)), m)
+
+
+def random_family(rng, sp, k):
+    n, m = sp.group.order, sp.channels
+    return wg.Family(sp, tuple(
+        wg.from_dense(sp, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        for _ in range(k)
+    ))
+
+
+def translated_columns(X):
+    """Orbit matrix built one translate at a time, lexicographic in (g, j)."""
+    return np.stack(
+        [wg.translate(g, x).dense().reshape(-1) for g in X.space.group.elements() for x in X.members],
+        axis=1,
+    )
+
+
+def refuse_translate(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the oracle called translate")
+
+    monkeypatch.setattr(groups, "translate", fail)
+    monkeypatch.setattr(wg, "translate", fail)
+    monkeypatch.setattr(oracle, "translate", fail, raising=False)
 
 
 class TestDenseFamilyMatrix:
@@ -44,6 +71,51 @@ class TestDenseFamilyMatrix:
         fam = wg.Family(sp, (wg.delta(sp, 0),))
         with pytest.raises(wg.ExactModeRequired):
             oracle.dense_family_matrix(fam)
+
+    @pytest.mark.parametrize("orders,m,k", [
+        ((1,), 1, 1), ((1,), 3, 2),
+        ((2,), 1, 1), ((2,), 2, 2), ((2,), 4, 1),
+        ((16,), 1, 3), ((16,), 2, 2), ((16,), 3, 1), ((16,), 4, 4),
+        ((4, 6), 3, 2), ((2, 2, 3), 2, 5),
+        ((4, 6), 1, 3),  # wide: more members than channels
+    ])
+    def test_equals_translated_columns(self, orders, m, k):
+        rng = np.random.default_rng(sum(orders) * 100 + m * 10 + k)
+        X = random_family(rng, space(orders, m), k)
+        M = oracle.dense_family_matrix(X)
+        assert M.shape == (X.space.group.order * m, X.space.group.order * k)
+        assert M.dtype == np.complex128 and M.flags.c_contiguous
+        assert np.array_equal(M, translated_columns(X))
+
+    def test_repeated_and_sparse_members(self):
+        sp = space([4, 6], 2)
+        x = wg.delta(sp, (1, 5), 1, 0.5 - 2j) + wg.delta(sp, (3, 0), 0, 1.5)
+        X = wg.Family(sp, (x, wg.delta(sp, (0, 2), 1), x))
+        assert np.array_equal(oracle.dense_family_matrix(X), translated_columns(X))
+
+    def test_builders_never_translate(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        X = random_family(rng, space([2, 2, 3], 2), 3)
+        expected = translated_columns(X)
+        x = X.members[0]
+        shifted = wg.translate((1, 0, 2), x).dense().reshape(-1)
+        refuse_translate(monkeypatch)
+        assert np.array_equal(oracle.dense_family_matrix(X), expected)
+        L = oracle.dense_translation_matrix(X.space, (1, 0, 2))
+        assert np.array_equal(L @ x.dense().reshape(-1), shifted)
+
+    def test_peak_memory_at_the_cap(self):
+        # Z256, 4 channels, 4 members: |G|*m*k = 4096, a 16 MiB matrix
+        rng = np.random.default_rng(15)
+        X = random_family(rng, space([256], 4), 4)
+        tracemalloc.start()
+        try:
+            M = oracle.dense_family_matrix(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.nbytes == 16 * 2**20
+        assert peak <= 1.25 * M.nbytes
 
 
 class TestDenseBounds:
@@ -110,17 +182,28 @@ class TestDenseProjectors:
         np.testing.assert_allclose(P @ u, W @ coeffs[2:], atol=1e-10)
 
 
+def assert_permutation(L):
+    assert set(np.unique(L)) <= {0.0, 1.0}
+    assert np.all(L.sum(axis=0) == 1) and np.all(L.sum(axis=1) == 1)
+
+
 def test_translation_matrix_is_regular_action():
-    sp = space([4], 2)
     rng = np.random.default_rng(13)
-    dense = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    v = wg.from_dense(sp, dense)
-    for g in [(1,), (3,)]:
-        L = oracle.dense_translation_matrix(sp, g)
-        np.testing.assert_allclose(
-            L @ v.dense().reshape(-1),
-            wg.translate(g, v).dense().reshape(-1),
-            atol=1e-14,
-        )
-        # permutation kron identity is unitary
-        np.testing.assert_allclose(L.T @ L, np.eye(8), atol=1e-15)
+    for orders in [(4,), (4, 6), (2, 2, 3)]:
+        sp = space(orders, 2)
+        n = sp.group.order
+        v = wg.from_dense(sp, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+        for g in sp.group.elements():
+            L = oracle.dense_translation_matrix(sp, g)
+            assert L.shape == (2 * n, 2 * n)
+            assert_permutation(L)
+            assert np.array_equal(L @ v.dense().reshape(-1), wg.translate(g, v).dense().reshape(-1))
+
+
+def test_translation_matrix_accepts_any_element_form():
+    sp = space([5], 3)
+    expected = oracle.dense_translation_matrix(sp, (2,))
+    for g in [2, np.int64(7), (-3,), [12]]:
+        assert np.array_equal(oracle.dense_translation_matrix(sp, g), expected)
+    with pytest.raises(ValueError):
+        oracle.dense_translation_matrix(space([2, 3]), (1,))
