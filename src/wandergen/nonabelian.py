@@ -8,11 +8,18 @@ Equivalence of representations is detected through characters (valid for
 finite groups) but always witnessed by an explicit unitary intertwiner: a
 generic element of the intertwiner space is drawn by group-averaging a
 seeded Gaussian matrix, and its unitary polar factor is returned.
+
+A ``Representation`` is validated once, when it is built from outside
+matrices (identity, unitarity and the homomorphism property, to 1e-10), and
+holds a read-only copy of them afterwards. ``direct_sum`` and
+``regular_representation`` carry the proof instead of re-checking: a
+block-diagonal sum of representations is one, and the left-translation
+matrices of a Cayley table form one exactly when the table is associative,
+which ``regular_representation`` checks in integers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +90,9 @@ class FiniteGroup:
             if inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
         if n <= _ASSOC_CHECK_LIMIT:
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise ValueError(f"Cayley table is not associative at ({a}, {b}, {c})")
+            bad = _first_nonassociative(np.array(table, dtype=np.intp))
+            if bad is not None:
+                raise ValueError("Cayley table is not associative at ({}, {}, {})".format(*bad))
         self.table = table
         self.order = n
         self.identity = identity
@@ -150,6 +157,20 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _first_nonassociative(table: np.ndarray) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or None.
+
+    ``table`` is an (n, n) integer Cayley table; the test holds n^3 entries.
+    """
+    n = table.shape[0]
+    left = table[table]  # [a, b, c] -> (ab)c
+    right = table[np.arange(n)[:, None, None], table[None]]  # [a, b, c] -> a(bc)
+    bad = np.flatnonzero(left != right)
+    if bad.size == 0:
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad[0], left.shape))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -237,15 +258,19 @@ def quaternion_8() -> FiniteGroup:
 
 @dataclass(frozen=True)
 class Representation:
-    """Unitary matrices indexed by group element."""
+    """Unitary matrices indexed by group element.
+
+    The constructor checks the matrices and keeps a read-only copy of them.
+    """
 
     group: FiniteGroup
-    matrices: np.ndarray  # (|G|, d, d)
+    matrices: np.ndarray  # (|G|, d, d), read-only
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=np.complex128)
+        mats = np.array(self.matrices, dtype=np.complex128)
         if mats.shape[0] != self.group.order or mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected ({self.group.order}, d, d) matrices, got {mats.shape}")
+        mats.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
         d = mats.shape[1]
         if d == 0:
@@ -267,6 +292,16 @@ class Representation:
         return int(self.matrices.shape[1])
 
 
+def _proven(group: FiniteGroup, mats: np.ndarray) -> Representation:
+    """Wrap (|G|, d, d) complex matrices already known to form a unitary
+    representation of ``group``, read-only, without the constructor's checks."""
+    mats.flags.writeable = False
+    rep = object.__new__(Representation)
+    object.__setattr__(rep, "group", group)
+    object.__setattr__(rep, "matrices", mats)
+    return rep
+
+
 def direct_sum(*reps: Representation) -> Representation:
     """Block-diagonal sum; zero-dimensional summands are legal and vanish."""
     if not reps:
@@ -281,26 +316,31 @@ def direct_sum(*reps: Representation) -> Representation:
     for r in reps:
         mats[:, offset:offset + r.dim, offset:offset + r.dim] = r.matrices
         offset += r.dim
-    return Representation(group, mats)
+    return _proven(group, mats)
 
 
 def regular_representation(group: FiniteGroup, multiplicity: int = 1) -> Representation:
     """N block copies of the left-translation permutation matrices.
 
     The realization index is (element * N + block), matching the dense
-    layout of exact-mode coefficient vectors with N channels.
+    layout of exact-mode coefficient vectors with N channels. The matrices
+    are exact permutations, and L_a L_b = L_ab for every b exactly when
+    (ab)c = a(bc) for every b and c, so the homomorphism property is checked
+    on the Cayley table, at any order; it raises for the first failing a.
     """
     if multiplicity < 0:
         raise ValueError("multiplicity must be >= 0")
-    n = group.order
-    mats = np.zeros((n, n * multiplicity, n * multiplicity), dtype=np.complex128)
-    eye = np.eye(multiplicity)
-    for g in group.elements():
-        L = np.zeros((n, n))
-        for h in group.elements():
-            L[group.compose(g, h), h] = 1.0
-        mats[g] = np.kron(L, eye)
-    return Representation(group, mats)
+    n, N = group.order, multiplicity
+    table = np.array(group.table, dtype=np.intp)
+    if N:
+        bad = _first_nonassociative(table)
+        if bad is not None:
+            raise ValueError(f"homomorphism property fails at element {bad[0]}")
+    # row (gh, b) of L_g reads column (h, b)
+    g, h, b = np.arange(n)[:, None, None], np.arange(n)[None, :, None], np.arange(N)
+    mats = np.zeros((n, n, N, n, N), dtype=np.complex128)
+    mats[g, table[:, :, None], b, h, b] = 1.0
+    return _proven(group, mats.reshape(n, n * N, n * N))
 
 
 @dataclass(frozen=True)
@@ -480,10 +520,7 @@ def cancel(
 def _orbit_matrix(rep: Representation, columns: np.ndarray) -> np.ndarray:
     """Stack rep(g) @ columns over all g, lexicographic in (g, column)."""
     n, k = rep.group.order, columns.shape[1]
-    out = np.empty((columns.shape[0], n * k), dtype=np.complex128)
-    for g in rep.group.elements():
-        out[:, g * k:(g + 1) * k] = rep.matrices[g] @ columns
-    return out
+    return (rep.matrices @ columns).transpose(1, 0, 2).reshape(columns.shape[0], n * k)
 
 
 def wandering_complement_general(
@@ -526,9 +563,10 @@ def wandering_complement_general(
     if r:
         U = np.linalg.svd(orbit_x, full_matrices=True)[0]
         B = U[:, group.order * r:]
-    else:
+        sigma2 = Representation(group, B.conj().T @ lam.matrices @ B)
+    else:  # B^H lam B is lam itself
         B = np.eye(dim, dtype=np.complex128)
-    sigma2 = Representation(group, B.conj().T @ lam.matrices @ B)
+        sigma2 = lam
     target = regular_representation(group, s - r)
     witness = are_equivalent(target, sigma2, tol=tol)
     if witness is None:

@@ -550,6 +550,26 @@ class TestMalformedInputs:
         assert code == 1
         assert report["error"] == {"code": "SchemaError", "message": "rho entry re must be finite"}
 
+    # S3 one-dimensional matrices, one per element (element 0 is the identity)
+    REPRESENTATION_CASES = [
+        ([-1.0] * 6, "matrix at the identity is not the identity"),
+        ([1.0] + [2.0] * 5, "representation matrices are not unitary"),
+        ([1.0, -1.0, 1.0, 1.0, 1.0, 1.0], "homomorphism property fails at element 1"),
+    ]
+
+    @pytest.mark.parametrize("values,reason", REPRESENTATION_CASES, ids=range(len(REPRESENTATION_CASES)))
+    def test_invalid_representation(self, tmp_path, values, reason):
+        job = {
+            "version": "wandergen/1",
+            "command": "cancel",
+            "system": {"group": {"kind": "builtin", "name": "S3"}},
+            "representations": {"rho": {"dim": 1, "matrices": [[[{"re": v}]] for v in values]}},
+        }
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["command"] == "cancel"
+        assert report["error"] == {"code": "SchemaError", "message": f"representation 'rho' invalid: {reason}"}
+
     def test_missing_file(self, tmp_path):
         out = tmp_path / "r"
         code = main(["--job", str(tmp_path / "missing.json"), "--out", str(out)])

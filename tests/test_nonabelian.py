@@ -50,6 +50,42 @@ def s3_irreps():
     return group, triv, sign, std
 
 
+def intercalate_loop(n=26, a=1, b=2):
+    """Z_n (n even) with the 2x2 subsquare in rows a, a+n/2 and columns b, b+n/2
+    swapped: a Latin square with identity 0 and two-sided inverses that is not
+    associative."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    half = n // 2
+    for row in (a, a + half):
+        table[row][b], table[row][b + half] = table[row][b + half], table[row][b]
+    return table
+
+
+def builtin_groups():
+    s3 = na.symmetric_3()
+    return [
+        s3,
+        na.dihedral_4(),
+        na.quaternion_8(),
+        na.cyclic_group(1),
+        na.cyclic_group(5),
+        na.from_abelian(wg.FiniteAbelian((2, 3))),
+        na.direct_product(s3, na.cyclic_group(4)),
+    ]
+
+
+def kron_regular(group, multiplicity):
+    """Per-element reference: np.kron of each left-translation matrix with I_N."""
+    n = group.order
+    mats = np.zeros((n, n * multiplicity, n * multiplicity), dtype=np.complex128)
+    for g in range(n):
+        L = np.zeros((n, n))
+        for h in range(n):
+            L[group.compose(g, h), h] = 1.0
+        mats[g] = np.kron(L, np.eye(multiplicity))
+    return mats
+
+
 class TestFiniteGroup:
     def test_builtin_orders(self):
         assert na.symmetric_3().order == 6
@@ -84,8 +120,19 @@ class TestFiniteGroup:
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Cayley table is not associative at \(1, 1, 2\)$"):
             na.FiniteGroup(table)
+
+    def test_associativity_helper_finds_first_triple(self):
+        table = np.array(na.symmetric_3().table)
+        assert na._first_nonassociative(table) is None
+        loop = intercalate_loop()
+        expected = next(
+            (a, b, c)
+            for a, b, c in itertools.product(range(26), repeat=3)
+            if loop[loop[a][b]][c] != loop[a][loop[b][c]]
+        )
+        assert na._first_nonassociative(np.array(loop)) == expected
 
     def test_generators_generate(self):
         for group in (na.symmetric_3(), na.dihedral_4(), na.quaternion_8()):
@@ -114,6 +161,100 @@ class TestRegularRepresentation:
     def test_z2_double_character(self):
         chi = na.character(na.regular_representation(na.cyclic_group(2), 2))
         np.testing.assert_allclose(chi.values, [4, 0], atol=1e-12)
+
+
+    @pytest.mark.parametrize("multiplicity", [0, 1, 2, 3])
+    def test_matches_kron_reference(self, multiplicity):
+        for group in builtin_groups():
+            rep = na.regular_representation(group, multiplicity)
+            ref = kron_regular(group, multiplicity)
+            assert rep.matrices.dtype == ref.dtype
+            assert np.array_equal(rep.matrices, ref)
+
+    def test_non_associative_loop_rejected_above_table_check(self):
+        table = intercalate_loop()
+        loop = na.FiniteGroup(table)  # order 26: the constructor skips associativity
+        first_a = min(
+            a for a, b, c in itertools.product(range(26), repeat=3)
+            if table[table[a][b]][c] != table[a][table[b][c]]
+        )
+        for multiplicity in (1, 2):
+            with pytest.raises(ValueError, match=rf"^homomorphism property fails at element {first_a}$"):
+                na.regular_representation(loop, multiplicity)
+        assert na.regular_representation(loop, 0).dim == 0
+
+    def test_orbit_matrix_matches_loop(self):
+        rng = np.random.default_rng(87)
+        for group in builtin_groups():
+            for multiplicity in (1, 2, 3):
+                rep = na.regular_representation(group, multiplicity)
+                d = rep.dim
+                columns = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+                ref = np.empty((d, group.order * 2), dtype=np.complex128)
+                for g in range(group.order):
+                    ref[:, 2 * g:2 * g + 2] = rep.matrices[g] @ columns
+                assert np.array_equal(na._orbit_matrix(rep, columns), ref)
+
+
+class TestRepresentationChecks:
+    def test_wrong_shape(self):
+        group = na.symmetric_3()
+        with pytest.raises(ValueError, match=r"^expected \(6, d, d\) matrices, got \(5, 2, 2\)$"):
+            na.Representation(group, np.zeros((5, 2, 2)))
+        with pytest.raises(ValueError, match=r"^expected \(6, d, d\) matrices, got \(6, 2, 3\)$"):
+            na.Representation(group, np.zeros((6, 2, 3)))
+
+    def test_identity_must_map_to_identity(self):
+        mats = np.tile(-np.eye(2), (6, 1, 1))
+        with pytest.raises(ValueError, match="^matrix at the identity is not the identity$"):
+            na.Representation(na.symmetric_3(), mats)
+
+    def test_matrices_must_be_unitary(self):
+        mats = np.tile(2.0 * np.eye(2), (6, 1, 1))
+        mats[0] = np.eye(2)
+        with pytest.raises(ValueError, match="^representation matrices are not unitary$"):
+            na.Representation(na.symmetric_3(), mats)
+
+    def test_homomorphism_failure_names_element(self):
+        # unitary, identity at 0, but rho(1) rho(1) = 1 != rho(2) = -1
+        mats = np.array([1.0, 1.0, -1.0]).reshape(3, 1, 1)
+        with pytest.raises(ValueError, match="^homomorphism property fails at element 1$"):
+            na.Representation(na.cyclic_group(3), mats)
+
+    def test_matrices_read_only_copy(self):
+        _, perm = s3_permutation_matrices()
+        rep = na.Representation(na.symmetric_3(), perm)
+        with pytest.raises(ValueError):
+            rep.matrices[0, 0, 0] = 5.0
+        assert perm.flags.writeable
+        perm[0, 0, 0] = 5.0  # the caller's array is not the representation's
+        assert rep.matrices[0, 0, 0] == 1.0
+        for built in (na.regular_representation(na.symmetric_3(), 2), na.direct_sum(rep, rep)):
+            assert not built.matrices.flags.writeable
+
+
+class TestProvenRepresentations:
+    """direct_sum and regular_representation do not re-run the float checks."""
+
+    @pytest.fixture
+    def no_recheck(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Representation checks re-run")
+
+        _, triv, sign, std = s3_irreps()
+        monkeypatch.setattr(na.Representation, "__post_init__", refuse)
+        return triv, sign, std
+
+    def test_direct_sum_skips_checks(self, no_recheck):
+        triv, sign, std = no_recheck
+        total = na.direct_sum(triv, sign, std)
+        assert total.dim == 4
+        assert np.array_equal(total.matrices[:, 2:, 2:], std.matrices)
+
+    def test_regular_representation_skips_checks(self, no_recheck):
+        for group in builtin_groups():
+            rep = na.regular_representation(group, 2)
+            assert np.array_equal(rep.matrices, kron_regular(group, 2))
 
 
 class TestCharacter:
