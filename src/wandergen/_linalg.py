@@ -2,8 +2,8 @@
 
 Every helper takes stacked matrices of shape (..., n, k), one per dual
 point, and decides each matrix's rank with the cutoff
-rel * max(sigma_max, 1).  scipy is imported only by the two helpers that
-need it, so the rest of the library starts without it.
+rel * max(sigma_max, 1).  Pivoted QR and principal angles are numpy
+kernels batched over the stack, so the library needs numpy only.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, 
     return U, _rank(s, rel)
 
 
+def leading_columns(U: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Zero the columns of each basis U[p] (points, n, d) from index r[p] on.
+
+    Ranks may vary across points: this keeps every basis in one array, with
+    the span of U[p, :, :r[p]].
+    """
+    return U * (np.arange(U.shape[-1]) < r[:, None])[:, None, :]
+
+
 def projector(B: np.ndarray) -> np.ndarray:
     """Orthogonal projectors onto the spans of orthonormal columns B (..., n, d)."""
     return B @ B.conj().swapaxes(-1, -2)
@@ -67,6 +76,76 @@ def null_space_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.nda
     return Vh.conj().swapaxes(-1, -2), _rank(s, rel)
 
 
+def _pivoted_qr(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-pivoted Householder QR (Businger-Golub) of a stack (..., m, n).
+
+    Returns Q (..., m, kk), R (..., kk, n) and the pivots (..., n) with
+    D[..., piv] = Q @ R and kk = min(m, n), as LAPACK zgeqp3 and zungqr give
+    them matrix by matrix: the column of largest remaining norm is the
+    next pivot, the first one on a tie, and the norms are downdated as in
+    zlaqp2 (LAPACK Working Note 176); each reflector H = I - tau v v^H is
+    zlarfg's, so R has a real diagonal; Q = H_1 ... H_kk, formed as zung2r
+    does.  The loop runs over the columns; each step is batched over the stack.
+    """
+    D = np.asarray(D, dtype=np.complex128)
+    m, n = D.shape[-2:]
+    kk = min(m, n)
+    A = D.reshape((-1, m, n)).copy()
+    rows = np.arange(A.shape[0])
+    piv = np.broadcast_to(np.arange(n), (A.shape[0], n)).copy()
+    vn1 = np.linalg.norm(A, axis=1)
+    vn2 = vn1.copy()
+    tau = np.zeros((A.shape[0], kk), dtype=np.complex128)
+    tol3z = math.sqrt(np.finfo(np.float64).eps / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(kk):
+            pvt = i + np.argmax(vn1[:, i:], axis=1)
+            col = A[rows, :, pvt]
+            A[rows, :, pvt] = A[:, :, i]
+            A[:, :, i] = col
+            piv[rows, pvt], piv[:, i] = piv[:, i].copy(), piv[rows, pvt]
+            vn1[rows, pvt], vn2[rows, pvt] = vn1[:, i], vn2[:, i]
+            # zlarfg: H^H [alpha; x] = [beta; 0] with beta real
+            alpha = A[:, i, i]
+            xnorm = np.linalg.norm(A[:, i + 1:, i], axis=1)
+            parts = np.stack([np.abs(alpha.real), np.abs(alpha.imag), xnorm])
+            w = parts.max(axis=0)
+            beta = -np.copysign(w * np.sqrt(((parts / w) ** 2).sum(axis=0)), alpha.real)
+            act = (xnorm != 0) | (alpha.imag != 0)
+            t = np.where(act, (beta - alpha.real) / beta - 1j * (alpha.imag / beta), 0)
+            A[:, i + 1:, i] *= np.where(act, 1 / (alpha - beta), 1)[:, None]
+            A[:, i, i] = np.where(act, beta, alpha)
+            tau[:, i] = t
+            if i + 1 < n:
+                v = A[:, i:, i].copy()
+                v[:, 0] = 1
+                C = A[:, i:, i + 1:]
+                vw = v[:, :, None] * (v[:, None, :].conj() @ C)
+                C -= t.conj()[:, None, None] * vw
+                # zlaqp2's partial column norm downdate
+                cols = slice(i + 1, n)
+                live = vn1[:, cols] != 0
+                temp = np.maximum(1 - (np.abs(A[:, i, cols]) / vn1[:, cols]) ** 2, 0)
+                stale = live & (temp * (vn1[:, cols] / vn2[:, cols]) ** 2 <= tol3z)
+                fresh = np.linalg.norm(A[:, i + 1:, cols], axis=1)
+                vn1[:, cols] = np.where(stale, fresh, np.where(live, vn1[:, cols] * np.sqrt(temp), vn1[:, cols]))
+                vn2[:, cols] = np.where(stale, fresh, vn2[:, cols])
+    R = np.triu(A[:, :kk, :])
+    # zung2r: Q = H_1 ... H_kk applied to the first kk unit columns
+    Q = np.tril(A[:, :, :kk], -1)
+    for i in range(kk - 1, -1, -1):
+        t = tau[:, i]
+        if i + 1 < kk:
+            Q[:, i, i] = 1
+            v = Q[:, i:, i].copy()
+            C = Q[:, i:, i + 1:]
+            C -= t[:, None, None] * (v[:, :, None] * (v[:, None, :].conj() @ C))
+        Q[:, i + 1:, i] *= -t[:, None]
+        Q[:, i, i] = 1 - t
+    lead = D.shape[:-2]
+    return Q.reshape(lead + (m, kk)), R.reshape(lead + (kk, n)), piv.reshape(lead + (n,))
+
+
 def complement_in_span(
     F_small: np.ndarray,
     F_big: np.ndarray,
@@ -78,32 +157,36 @@ def complement_in_span(
     Takes stacks (points, n, k) and returns (points, n, dim).  The
     difference of the two orthogonal projectors is (numerically) the
     projector onto the complement; its range is extracted with a
-    column-pivoted QR so the basis choice is deterministic.  scipy has no
-    stacked pivoted QR, so that step runs point by point.
+    column-pivoted QR (``_pivoted_qr``) so the basis choice is
+    deterministic.  At each point the complement dimension is checked
+    before the QR's detected rank, and the first failing point raises.
     """
-    import scipy.linalg
-
     U_small, r_small = orth_columns(F_small, rel)
     U_big, r_big = orth_columns(F_big, rel)
-    out = np.zeros(F_big.shape[:-1] + (dim,), dtype=np.complex128)
-    for p in range(out.shape[0]):
-        found = r_big[p] - r_small[p]
-        if found != dim:
-            raise NotContained(f"fiber complement dimension {found} != expected {dim}")
-        if dim == 0:
-            continue
-        D = projector(U_big[p, :, : r_big[p]]) - projector(U_small[p, :, : r_small[p]])
-        Q, R, _ = scipy.linalg.qr(D, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        # D is a difference of nested projectors, so its spectrum sits near {0, 1}
-        detected = int(np.sum(diag > 0.5 * max(diag[0], 1e-300)))
-        if detected != dim:
-            raise NotContained(
-                f"complement projector rank {detected} != expected {dim}; "
+    found = r_big - r_small
+    dimension = (
+        found != dim,
+        lambda p: NotContained(f"fiber complement dimension {found[p]} != expected {dim}"),
+    )
+    if dim == 0:
+        raise_at_first_failure(dimension)
+        return np.zeros(F_big.shape[:-1] + (0,), dtype=np.complex128)
+    D = projector(leading_columns(U_big, r_big)) - projector(leading_columns(U_small, r_small))
+    Q, R, _ = _pivoted_qr(D)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    # D is a difference of nested projectors, so its spectrum sits near {0, 1}
+    detected = np.sum(diag > 0.5 * np.maximum(diag[:, :1], 1e-300), axis=-1)
+    raise_at_first_failure(
+        dimension,
+        (
+            detected != dim,
+            lambda p: NotContained(
+                f"complement projector rank {detected[p]} != expected {dim}; "
                 "containment is numerically inconsistent on this sampling"
-            )
-        out[p] = Q[:, :dim]
-    return out
+            ),
+        ),
+    )
+    return Q[:, :, :dim]
 
 
 def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
@@ -131,21 +214,37 @@ def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
 
 
 def max_principal_angle(A: np.ndarray, B: np.ndarray, rel: float = TOL_RANK_REL) -> float:
-    """Largest canonical angle between the column spans of two matrices.
+    """Largest canonical angle between the column spans of two matrices, or
+    the largest over a stack of pairs (..., n, k).
 
     Spans of unequal dimension report pi/2 (maximally apart); two empty
-    spans agree at angle 0.
+    spans agree at angle 0.  Pairs of equal rank r are grouped by r, and
+    each group takes the sine/cosine split of Knyazev-Argentati (2002):
+    orthonormal bases QA, QB by SVD, the cosines as the singular values of
+    QA^H QB, the sines as those of QB - QA QA^H QB, and arcsin wherever the
+    cosine squared is >= 0.5.
     """
-    import scipy.linalg
-
     UA, ra = orth_columns(A, rel)
     UB, rb = orth_columns(B, rel)
-    if ra != rb:
+    UA, UB = UA.reshape((-1,) + UA.shape[-2:]), UB.reshape((-1,) + UB.shape[-2:])
+    ra, rb = np.ravel(ra), np.ravel(rb)
+    if np.any(ra != rb):
         return math.pi / 2
-    if ra == 0:
-        return 0.0
-    angles = scipy.linalg.subspace_angles(UA[:, :ra], UB[:, :rb])
-    return float(angles.max()) if angles.size else 0.0
+    worst = 0.0
+    for r in np.unique(ra[ra > 0]):
+        at = ra == r
+        QA = np.linalg.svd(UA[at, :, :r], full_matrices=False)[0]
+        QB = np.linalg.svd(UB[at, :, :r], full_matrices=False)[0]
+        QA_H_QB = QA.conj().swapaxes(-1, -2) @ QB
+        sigma = np.linalg.svd(QA_H_QB, compute_uv=False)
+        sines = np.linalg.svd(QB - QA @ QA_H_QB, compute_uv=False)
+        theta = np.where(
+            sigma**2 >= 0.5,
+            np.arcsin(np.clip(sines, -1.0, 1.0)),
+            np.arccos(np.clip(sigma[:, ::-1], -1.0, 1.0)),
+        )
+        worst = max(worst, float(theta.max()))
+    return worst
 
 
 def oblique_projector_matrix(

@@ -283,9 +283,7 @@ def fiber_span_angle(X, Y, tol_rank: float = TOL_RANK_REL) -> float:
     """Max over dual points of the largest principal angle between fiber spans."""
     _, FX = fiber_tensor(X)
     _, FY = fiber_tensor(Y)
-    return max(
-        _linalg.max_principal_angle(FX[p], FY[p], tol_rank) for p in range(FX.shape[0])
-    )
+    return _linalg.max_principal_angle(FX, FY, tol_rank)
 
 
 def family_from_fibers(space: SystemSpace, sampling: DualSampling, F: np.ndarray):

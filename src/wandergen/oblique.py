@@ -130,10 +130,12 @@ class OperatorField:
     def dense(self, space: SystemSpace) -> np.ndarray:
         """Exact-mode dense realization: conjugate the block diagonal by the
         dense transform."""
-        import scipy.linalg
-
         PHI = dense_fourier_matrix(space)
-        blocks = scipy.linalg.block_diag(*self.matrices)
+        points, c, _ = self.matrices.shape
+        blocks = np.zeros((points, c, points, c), dtype=self.matrices.dtype)
+        at = np.arange(points)
+        blocks[at, :, at, :] = self.matrices
+        blocks = blocks.reshape(points * c, points * c)
         return PHI.conj().T @ blocks @ PHI
 
 
@@ -288,9 +290,7 @@ def restricted_projection_pair(
     _, FN = fiber_tensor(N)
     k = len(M)
     UN, rn = _linalg.orth_columns(FN, tol_rank)
-    # N's fiber rank may vary: zeroing the columns past each point's rank
-    # keeps all the bases in one array without changing any span
-    BN = UN * (np.arange(UN.shape[2]) < rn[:, None])[:, None, :]
+    BN = _linalg.leading_columns(UN, rn)
 
     def rank(*blocks):
         return _linalg.matrix_rank(np.concatenate(blocks, axis=2), tol_rank)
@@ -312,12 +312,10 @@ def restricted_projection_pair(
     # full column rank everywhere, so the SVD bases keep all k columns
     P = _linalg.oblique_projector_matrix(_linalg.orth_columns(FM, tol_rank)[0], BN, tol_rank)
     Q = _linalg.oblique_projector_matrix(_linalg.orth_columns(FMp, tol_rank)[0], BN, tol_rank)
-    PFMp, QFM = P @ FMp, Q @ FM
-    p1 = np.empty((len(sampling), k, k), dtype=np.complex128)
-    q1 = np.empty((len(sampling), k, k), dtype=np.complex128)
-    for p in range(len(sampling)):  # numpy has no stacked least squares
-        p1[p] = np.linalg.lstsq(FM[p], PFMp[p], rcond=None)[0]
-        q1[p] = np.linalg.lstsq(FMp[p], QFM[p], rcond=None)[0]
+    # FM and FMp have full column rank k, so their pseudo-inverses give the
+    # least-squares solutions at every point at once
+    p1 = np.linalg.pinv(FM) @ (P @ FMp)
+    q1 = np.linalg.pinv(FMp) @ (Q @ FM)
     eye = np.eye(k)
     residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
     return ProjectionPair(FiberField(sampling, p1), FiberField(sampling, q1), residual)
