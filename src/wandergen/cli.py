@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -57,7 +57,7 @@ from .fibers import (
     riesz_bounds,
     union_family,
 )
-from .groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace
+from .groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace, _scatter
 from .wandering import verify_wandering
 
 FORMAT_VERSION = "wandergen/1"
@@ -99,6 +99,10 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+class _Raw(str):
+    """Report text that ``_render`` emits verbatim."""
+
+
 def render_json(value) -> str:
     parts: list[str] = []
     _render(value, parts.append)
@@ -136,6 +140,8 @@ def _render(value, emit) -> None:
         emit("]")
     elif kind is int:
         emit(str(value))
+    elif kind is _Raw:
+        emit(value)
     elif value is None:
         emit("null")
     elif value is True:
@@ -235,41 +241,75 @@ def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
     raise SchemaError(f"group kind '{kind}' is not a finite group presentation")
 
 
+def _bulk_complex(cells: list) -> np.ndarray | None:
+    """Bulk checks on {re, im} objects (a missing part is 0): their complex values
+    if every cell is a dict and every part an exact, finite int or float, else None."""
+    if not set(map(type, cells)) <= {dict}:
+        return None
+    parts = [list(map(dict.get, cells, itertools.repeat(key), itertools.repeat(0.0))) for key in ("re", "im")]
+    if not set(map(type, parts[0])) | set(map(type, parts[1])) <= {int, float}:
+        return None
+    try:
+        parts = np.array(parts, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return np.ascontiguousarray(parts.T).view(np.complex128)[:, 0] if np.isfinite(parts).all() else None
+
+
+def _bulk_member(space: SystemSpace, entries: list):
+    """(flat positions, values) of an exact-mode member whose entries pass
+    every check, found with whole-column tests; None when any test fails."""
+    orders, channels = space.group.orders, space.channels
+    values = _bulk_complex(entries)
+    if values is None:
+        return None
+    elements = [e.get("element") for e in entries]
+    chans = [e.get("channel") for e in entries]
+    if set(map(type, elements)) != {list} or set(map(len, elements)) != {len(orders)}:
+        return None
+    coords = list(itertools.chain.from_iterable(elements))
+    if set(map(type, coords)) != {int} or set(map(type, chans)) != {int}:
+        return None
+    chans = np.array(chans, dtype=np.int64)
+    if chans.min() < 0 or chans.max() >= channels:
+        return None
+    index = np.array(coords, dtype=np.int64).reshape(len(entries), -1) % orders
+    return np.ravel_multi_index((*index.T, chans), orders + (channels,)), values
+
+
 def _parse_member(space: SystemSpace, entries, label: str) -> GroupVector:
-    """One pass: each entry is checked, canonicalized once and summed in; the
-    checks keep a fixed order and format messages only for a failing entry."""
+    """Exact-mode members are checked in bulk first.  Any other member takes
+    the per-entry pass, which checks each entry in a fixed order and reports
+    the first failing one.  Duplicates sum in input order."""
     _expect(isinstance(entries, list), f"family member {label} must be a list of entries")
+    if space.exact:
+        try:
+            bulk = _bulk_member(space, entries)
+        except OverflowError:  # an element or channel integer beyond int64
+            bulk = None
+        if bulk is not None:
+            return GroupVector._exact(space, *_scatter(space, *bulk))
     channels = space.channels
-    orders = space.group.orders if isinstance(space.group, FiniteAbelian) else None
-    coeffs: dict = {}
+    orders = space.group.orders if space.exact else None
+    checked = []
     for i, entry in enumerate(entries):
-        if type(entry) is not dict:
-            _expect(isinstance(entry, dict), f"{label}[{i}] must be an object")
+        _expect(isinstance(entry, dict), f"{label}[{i}] must be an object")
         element = entry.get("element")
         channel = entry.get("channel")
-        if type(channel) is not int or not 0 <= channel < channels:
-            _expect(isinstance(channel, int) and not isinstance(channel, bool), f"{label}[{i}].channel must be an integer")
-            _expect(0 <= channel < channels, f"{label}[{i}].channel outside 0..{channels - 1}")
-        re_part = entry.get("re", 0.0)
-        if type(re_part) is not float or not math.isfinite(re_part):
-            re_part = _finite_number(re_part, f"{label}[{i}].re")
-        im_part = entry.get("im", 0.0)
-        if type(im_part) is not float or not math.isfinite(im_part):
-            im_part = _finite_number(im_part, f"{label}[{i}].im")
+        _expect(isinstance(channel, int) and not isinstance(channel, bool), f"{label}[{i}].channel must be an integer")
+        _expect(0 <= channel < channels, f"{label}[{i}].channel outside 0..{channels - 1}")
+        re_part = _finite_number(entry.get("re", 0.0), f"{label}[{i}].re")
+        im_part = _finite_number(entry.get("im", 0.0), f"{label}[{i}].im")
         if orders is None:
-            if type(element) is not int:
-                _expect(isinstance(element, int) and not isinstance(element, bool), f"{label}[{i}].element must be an integer")
+            _expect(isinstance(element, int) and not isinstance(element, bool), f"{label}[{i}].element must be an integer")
         else:
-            if type(element) is not list or len(element) != len(orders) or not all(type(x) is int for x in element):
-                _expect(
-                    isinstance(element, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in element),
-                    f"{label}[{i}].element must be a list of integers",
-                )
-                _expect(len(element) == len(orders), f"{label}[{i}]: element rank {len(element)} != group rank {len(orders)}")
-            element = tuple(map(operator.mod, element, orders))
-        key = (element, channel)
-        coeffs[key] = coeffs.get(key, 0j) + complex(re_part, im_part)
-    return GroupVector._wrap(space, coeffs)
+            _expect(
+                isinstance(element, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in element),
+                f"{label}[{i}].element must be a list of integers",
+            )
+            _expect(len(element) == len(orders), f"{label}[{i}]: element rank {len(element)} != group rank {len(orders)}")
+        checked.append(((element, channel), complex(re_part, im_part)))
+    return GroupVector(space, checked)
 
 
 def _parse_family(space: SystemSpace, families: dict, name: str) -> Family:
@@ -290,6 +330,12 @@ def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) 
     matrices = _get(block, "matrices", list, f"{name}.matrices")
     _expect(len(matrices) == group.order, f"{name} needs one matrix per group element")
     mats = np.zeros((group.order, dim, dim), dtype=np.complex128)
+    bulk = None
+    if all(type(mat) is list and len(mat) == dim and all(type(row) is list and len(row) == dim for row in mat)
+           for mat in matrices):
+        bulk = _bulk_complex([cell for mat in matrices for row in mat for cell in row])
+    if bulk is not None:  # every cell passed in bulk; otherwise the loop reports the first fault
+        mats, matrices = bulk.reshape(mats.shape), ()
     for g, mat in enumerate(matrices):
         _expect(isinstance(mat, list) and len(mat) == dim, f"{name}.matrices[{g}] must be {dim} rows")
         for a, row in enumerate(mat):
@@ -320,19 +366,19 @@ def _family_json(fam) -> list | dict:
             for re_member, im_member in zip(values.real.tolist(), values.imag.tolist())
         ]
         return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
-    exact = isinstance(fam.space.group, FiniteAbelian)
+    # coefficient Families are exact mode (shift constructions return
+    # SampledFamily); each member renders straight from its arrays, stored
+    # cells by element index, then channel; %.17g is format_float's format
+    labels = ["[" + ",".join(map(str, e)) + "]" for e in fam.space.group.elements()]
+    template = '{"channel":%d,"element":%s,"im":%.17g,"re":%.17g}'
     members = []
     for v in fam.members:
-        items = list(v.coeffs.items())
-        if exact:  # by element index, then channel
-            items = [items[k] for k in np.argsort(v.positions())]
-        else:
-            items.sort(key=operator.itemgetter(0))
-        members.append([
-            {"element": list(element) if exact else element, "channel": channel,
-             "re": float(value.real), "im": float(value.imag)}
-            for (element, channel), value in items
-        ])
+        element, channel = np.divmod(np.flatnonzero(v.support_mask()), fam.space.channels)
+        values = v.dense()[element, channel] + 0.0  # + 0.0 folds -0.0 in both parts
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite value in report")
+        entries = zip(channel.tolist(), element.tolist(), values.imag.tolist(), values.real.tolist())
+        members.append(_Raw("[" + ",".join([template % (c, labels[e], i, r) for c, e, i, r in entries]) + "]"))
     return members
 
 
@@ -412,7 +458,8 @@ def _run_oblique(job, space, families, opts) -> dict:
     Y = _parse_family(space, families, "Y")
     w0 = _resolve_w0(space, families, opts)
     gamma = oblique.oblique_riesz_wavelets(X, Y, w0, opts["tol_rank"])
-    checks = {"gamma_in_w0": is_contained(gamma, w0 if isinstance(w0, Family) else oblique._fiber_basis(w0, opts["tol_rank"]), opts["tol_rank"])}
+    # a dense W0 was resolved and tested once inside; containment reads its fibers
+    checks = {"gamma_in_w0": is_contained(gamma, w0, opts["tol_rank"])}
     return {
         "families": {"Gamma": _family_json(gamma)},
         "sizes": {"X": len(X), "Y": len(Y), "Gamma": len(gamma)},

@@ -26,14 +26,15 @@ from .errors import EmptyFamily, ExactModeRequired, NotRiesz, RankJump, SizeMism
 from .groups import (
     CoefficientArray,
     DualSampling,
-    FiberSamples,
     FiniteAbelian,
     GroupVector,
     SystemSpace,
     character_table,
+    dft,
     dual_sampling,
     fourier,
-    inverse_fourier,
+    from_dense,
+    idft,
     translate,
 )
 
@@ -64,7 +65,8 @@ class Family:
     """Ordered finite list of generators sharing one system space.
 
     ``fibers`` holds the transformed members, values[point, channel,
-    member]; it is computed once, on first use, and is read-only.
+    member]; it is computed once, on first use, and is read-only.  In exact
+    mode it is one transform of the stacked (|G|, channels, members) array.
     """
 
     space: SystemSpace
@@ -89,7 +91,9 @@ class Family:
 
     @cached_property
     def fibers(self) -> np.ndarray:
-        if self.members:
+        if self.members and self.space.exact:
+            values = dft(self.space.group, np.stack([v.dense() for v in self.members], axis=2))
+        elif self.members:
             values = np.stack([fourier(v).values for v in self.members], axis=2)
         else:
             values = np.zeros((len(self.sampling), self.space.channels, 0), dtype=np.complex128)
@@ -160,7 +164,7 @@ class Bounds:
 
 def fiber_tensor(X) -> tuple[DualSampling, np.ndarray]:
     """The sampling and the fibers values[point, channel, member] of a Family,
-    SampledFamily or per-point basis field."""
+    SampledFamily, dense basis or per-point basis field."""
     return X.sampling, X.fibers
 
 
@@ -288,12 +292,9 @@ def fiber_span_angle(X, Y, tol_rank: float = TOL_RANK_REL) -> float:
 
 def family_from_fibers(space: SystemSpace, sampling: DualSampling, F: np.ndarray):
     """Materialize fibers as a Family (exact mode) or SampledFamily (shift mode)."""
-    if space.exact:
-        members = tuple(
-            inverse_fourier(FiberSamples(sampling, F[:, :, j]), space)
-            for j in range(F.shape[2])
-        )
-        return Family(space, members)
+    if space.exact:  # one inverse transform, then one view per member
+        coeffs = idft(space.group, F)
+        return Family(space, tuple(from_dense(space, coeffs[:, :, j]) for j in range(F.shape[2])))
     return SampledFamily(space, sampling, np.asarray(F, dtype=np.complex128))
 
 
@@ -317,16 +318,13 @@ def orthonormalize(X, tol_rank: float = TOL_RANK_REL):
 def synthesize(X, a) -> GroupVector:
     """sum over entries a[(g, j)] * translate(g, x_j)."""
     entries = a.entries if isinstance(a, CoefficientArray) else a
-    total: dict = {}
+    total = GroupVector(X.space)
     for (g, j), weight in entries.items():
         j = int(j)
         if not 0 <= j < len(X):
             raise IndexError(f"family index {j} outside 0..{len(X) - 1}")
-        shifted = translate(g, X.members[j])
-        w = complex(weight)
-        for key, val in shifted.coeffs.items():
-            total[key] = total.get(key, 0j) + w * val
-    return GroupVector(X.space, total)
+        total = total + complex(weight) * translate(g, X.members[j])
+    return total
 
 
 def dense_fourier_matrix(space: SystemSpace) -> np.ndarray:

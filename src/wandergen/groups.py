@@ -14,15 +14,24 @@ Two group models are supported:
 Group elements are canonical integer tuples (finite case) or plain integers
 (shift case); there is no abstract element interface, which keeps
 serialization bit-exact.
+
+An exact-mode ``GroupVector`` stores a read-only dense (|G|, channels) array
+and a boolean support mask: the stored coefficients are the masked cells, so
+a parsed sparse member keeps its explicit zeros.  ``coeffs`` is a read-only
+mapping built from the arrays: canonical (element, channel) keys in element
+index, then channel order.  A shift-mode vector keeps a dict: its support is
+unbounded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Union
 
 import numpy as np
 
@@ -40,6 +49,7 @@ __all__ = [
     "FiberSamples",
     "character_table",
     "dft",
+    "idft",
     "delta",
     "from_dense",
     "dual_sampling",
@@ -153,10 +163,11 @@ class GroupVector:
     """Finitely supported coefficients over (group element, channel).
 
     Channels are 0-based indices below ``space.channels``.  Instances are
-    value objects; arithmetic returns new vectors.
+    value objects; arithmetic returns new vectors.  ``coeffs`` is a
+    read-only mapping of the stored coefficients (see the module docstring).
     """
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "_values", "_mask")  # _mask is None in shift mode
 
     def __init__(self, space: SystemSpace, coeffs: Mapping | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -167,24 +178,36 @@ class GroupVector:
                 raise ValueError(f"channel {c} outside 0..{space.channels - 1}")
             key = (space.group.canonical(g), c)
             merged[key] = merged.get(key, 0j) + complex(value)
-        self.space = space
-        self.coeffs = merged
+        self.space, self._values, self._mask = space, merged, None
+        if space.exact:
+            flat = [space.group.index_of(g) * space.channels + c for g, c in merged]
+            self._values, self._mask = _scatter(space, flat, list(merged.values()))
 
     @classmethod
-    def _wrap(cls, space: SystemSpace, coeffs: dict) -> "GroupVector":
-        """Adopt ``coeffs`` as is: its keys must already be canonical
-        (element, channel) pairs and its values Python complex numbers."""
+    def _exact(cls, space: SystemSpace, values: np.ndarray, mask: np.ndarray) -> "GroupVector":
+        """Adopt (|G|, channels) arrays as is; zero outside ``mask``."""
         v = cls.__new__(cls)
-        v.space = space
-        v.coeffs = coeffs
+        v.space, v._values, v._mask = space, values, mask
+        values.flags.writeable = mask.flags.writeable = False
         return v
 
+    @property
+    def coeffs(self) -> Mapping:
+        if self._mask is None:
+            return MappingProxyType(self._values)
+        # exact mode: built from the arrays on access, by element index, then channel
+        keys = itertools.product(self.space.group.elements(), range(self.space.channels))
+        items = zip(keys, self._values.reshape(-1).tolist())
+        return MappingProxyType(dict(itertools.compress(items, self._mask.flat)))
+
     def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values()))
+        return math.sqrt(self.inner(self).real)
 
     def inner(self, other: "GroupVector") -> complex:
         """<self, other>, conjugate-linear in ``other``."""
-        a, b = self.coeffs, other.coeffs
+        if self._mask is not None:
+            return complex(np.vdot(other.dense(), self._values))
+        a, b = self._values, other._values
         if len(a) <= len(b):
             return sum((v * b[k].conjugate() for k, v in a.items() if k in b), 0j)
         return sum((a[k] * v.conjugate() for k, v in b.items() if k in a), 0j)
@@ -193,33 +216,29 @@ class GroupVector:
         """(min, max) support indices for shift-mode vectors; None when empty."""
         if not isinstance(self.space.group, IntegerShift):
             raise ValueError("support_window is a shift-mode notion")
-        if not self.coeffs:
+        if not self._values:
             return None
-        positions = [g for g, _ in self.coeffs]
+        positions = [g for g, _ in self._values]
         return min(positions), max(positions)
 
-    def positions(self) -> np.ndarray:
-        """Flat row-major positions (element index * channels + channel) of
-        the stored coefficients, in storage order; exact mode only."""
-        group = self.space.group
-        if not isinstance(group, FiniteAbelian):
-            raise ExactModeRequired("dense coefficients exist only for finite groups")
-        keys = np.array([(*g, c) for g, c in self.coeffs], dtype=np.intp)
-        dims = group.orders + (self.space.channels,)
-        return np.ravel_multi_index(keys.reshape(-1, len(dims)).T, dims)
-
     def dense(self) -> np.ndarray:
-        """Dense (|G|, channels) coefficient array; exact mode only."""
-        flat = self.positions()
-        out = np.zeros((self.space.group.order, self.space.channels), dtype=np.complex128)
-        out.reshape(-1)[flat] = np.fromiter(self.coeffs.values(), np.complex128, len(flat))
-        return out
+        """The stored dense (|G|, channels) array, read-only; exact mode only."""
+        if self._mask is None:
+            raise ExactModeRequired("dense coefficients exist only for finite groups")
+        return self._values
+
+    def support_mask(self) -> np.ndarray:
+        """Read-only (|G|, channels) mask of the stored cells; exact mode only."""
+        self.dense()
+        return self._mask
 
     def __add__(self, other: "GroupVector") -> "GroupVector":
         if other.space != self.space:
             raise ValueError("mismatched system spaces")
-        merged = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        if self._mask is not None:
+            return GroupVector._exact(self.space, self._values + other._values, self._mask | other._mask)
+        merged = dict(self._values)
+        for k, v in other._values.items():
             merged[k] = merged.get(k, 0j) + v
         return GroupVector(self.space, merged)
 
@@ -228,19 +247,33 @@ class GroupVector:
 
     def __mul__(self, scalar) -> "GroupVector":
         s = complex(scalar)
-        return GroupVector(self.space, {k: s * v for k, v in self.coeffs.items()})
+        if self._mask is not None:
+            return GroupVector._exact(self.space, s * self._values, self._mask)
+        return GroupVector(self.space, {k: s * v for k, v in self._values.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupVector)
-            and other.space == self.space
-            and other.coeffs == self.coeffs
-        )
+        if not isinstance(other, GroupVector) or other.space != self.space:
+            return False
+        if self._mask is None:
+            return other._values == self._values
+        return np.array_equal(other._mask, self._mask) and np.array_equal(other._values, self._values)
 
     def __repr__(self) -> str:
         return f"GroupVector({len(self.coeffs)} coeffs over {self.space.group})"
+
+
+def _scatter(space: SystemSpace, flat, values) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-mode storage: ``values`` summed in input order at the flat
+    positions element index * channels + channel, each position stored."""
+    dense = np.zeros((space.group.order, space.channels), dtype=np.complex128)
+    mask = np.zeros(dense.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # a sum may overflow, as Python floats do, without a warning
+        np.add.at(dense.reshape(-1), flat, np.asarray(values, dtype=np.complex128))
+    mask.reshape(-1)[flat] = True
+    dense.flags.writeable = mask.flags.writeable = False
+    return dense, mask
 
 
 def delta(space: SystemSpace, element, channel: int = 0, value=1.0) -> GroupVector:
@@ -249,15 +282,15 @@ def delta(space: SystemSpace, element, channel: int = 0, value=1.0) -> GroupVect
 
 
 def from_dense(space: SystemSpace, dense: np.ndarray) -> GroupVector:
-    """Build a vector from a dense (|G|, channels) array; exact mode only."""
+    """Wrap a dense (|G|, channels) array, not copied if complex128 (the
+    vector then shares it: leave it unchanged); exact mode only."""
     group = space.group
     if not isinstance(group, FiniteAbelian):
         raise ExactModeRequired("dense coefficients exist only for finite groups")
-    dense = np.asarray(dense, dtype=np.complex128)
+    dense = np.asarray(dense, dtype=np.complex128).view()
     if dense.shape != (group.order, space.channels):
         raise ValueError(f"expected shape {(group.order, space.channels)}, got {dense.shape}")
-    keys = itertools.product(group.elements(), range(space.channels))
-    return GroupVector._wrap(space, dict(zip(keys, dense.reshape(-1).tolist())))
+    return GroupVector._exact(space, dense, np.broadcast_to(np.True_, dense.shape))
 
 
 @dataclass
@@ -352,6 +385,11 @@ def dft(group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
     return _over_cyclic_axes(np.fft.fftn, group, a)
 
 
+def idft(group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
+    """Inverse of ``dft`` along the first axis of a (|G|, ...) array."""
+    return _over_cyclic_axes(np.fft.ifftn, group, a)
+
+
 @dataclass
 class FiberSamples:
     """Per-dual-point value rows of a transformed vector, shape (points, channels)."""
@@ -406,12 +444,17 @@ def inverse_fourier(f: FiberSamples, space: SystemSpace) -> GroupVector:
     group = space.group
     if not isinstance(group, FiniteAbelian):
         raise ExactModeRequired("sampled fibers have no exact inverse transform")
-    return from_dense(space, _over_cyclic_axes(np.fft.ifftn, group, f.values))
+    return from_dense(space, idft(group, f.values))
 
 
 def translate(g, v: GroupVector) -> GroupVector:
     """Left translation: the coefficient at h moves to g*h (unitary)."""
     group = v.space.group
+    if isinstance(group, FiniteAbelian):  # a roll over the cyclic axes
+        shift, axes = group.canonical(g), tuple(range(len(group.orders)))
+        moved = (np.roll(a.reshape(group.orders + (-1,)), shift, axes).reshape(a.shape)
+                 for a in (v.dense(), v.support_mask()))
+        return GroupVector._exact(v.space, *moved)
     return GroupVector(
         v.space,
         {(group.compose(g, e), c): val for (e, c), val in v.coeffs.items()},

@@ -16,6 +16,7 @@ generators orthogonally onto V, then obliquely into the target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +47,7 @@ from .fibers import (
     riesz_bounds,
     union_family,
 )
-from .groups import DualSampling, FiniteAbelian, SystemSpace, dft, dual_sampling
-from .oracle import dense_translation_matrix
+from .groups import DualSampling, SystemSpace, dft, dual_sampling
 from .wandering import complement_fibers
 
 __all__ = [
@@ -71,7 +71,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DenseBasis:
-    """Dense coefficient columns spanning a subspace of the exact ambient space."""
+    """Dense coefficient columns spanning a subspace of the exact ambient space;
+    ``fibers`` (values[point, channel, column]) is computed once, read-only."""
 
     space: SystemSpace
     columns: np.ndarray  # (|G| * channels, d)
@@ -84,6 +85,17 @@ class DenseBasis:
         if cols.ndim != 2 or cols.shape[0] != rows:
             raise ValueError(f"expected ({rows}, d) columns, got {cols.shape}")
         object.__setattr__(self, "columns", cols)
+
+    @cached_property
+    def sampling(self) -> DualSampling:
+        return dual_sampling(self.space)
+
+    @cached_property
+    def fibers(self) -> np.ndarray:
+        group = self.space.group
+        values = dft(group, self.columns.reshape(group.order, self.space.channels, -1))
+        values.flags.writeable = False
+        return values
 
 
 @dataclass(frozen=True)
@@ -139,55 +151,43 @@ class OperatorField:
         return PHI.conj().T @ blocks @ PHI
 
 
-def _group_generators(group: FiniteAbelian) -> list[tuple[int, ...]]:
-    gens = []
-    for j, n in enumerate(group.orders):
-        if n > 1:
-            g = [0] * len(group.orders)
-            g[j] = 1
-            gens.append(tuple(g))
-    return gens
-
-
 def is_invariant(W, tol_rank: float = TOL_RANK_REL) -> bool:
     """Whether the subspace is closed under the group action.
 
     Orbit families and fiber basis fields are invariant by construction and
     return True immediately.  Dense bases get the generator translation
-    test: translating every basis column by each group generator must stay
-    inside the span.
+    test: translating every basis column by each group generator (a roll
+    along one cyclic axis) must stay inside the span.
     """
     if isinstance(W, (Family, SampledFamily, FiberBasisField)):
         return True
     if not isinstance(W, DenseBasis):
         raise TypeError(f"unsupported subspace presentation: {type(W).__name__}")
-    B = W.columns
+    B, orders = W.columns, W.space.group.orders
     r = _linalg.matrix_rank(B, tol_rank)
-    for g in _group_generators(W.space.group):
-        L = dense_translation_matrix(W.space, g)
-        if _linalg.matrix_rank(np.hstack([B, L @ B]), tol_rank) != r:
-            return False
-    return True
+    cyclic = B.reshape(orders + (-1,))  # rows are (element, channel) pairs, element-major
+    moved = (np.roll(cyclic, 1, axis).reshape(B.shape) for axis, n in enumerate(orders) if n > 1)
+    return all(_linalg.matrix_rank(np.hstack([B, LB]), tol_rank) == r for LB in moved)
 
 
-def _fiber_basis(W, tol_rank: float) -> FiberBasisField:
+def _fiber_basis(
+    W, tol_rank: float, not_invariant: str = "dense subspace is not closed under the group action"
+) -> FiberBasisField:
     """Resolve a subspace presentation to per-point orthonormal fiber bases.
 
-    Dense bases are checked for invariance first; every presentation must
-    have one fiber dimension at all points.
+    Dense bases are checked for invariance first (NotInvariant with the
+    given message); every presentation must have one fiber dimension at all
+    points.
     """
     if isinstance(W, FiberBasisField):
         return W
     if isinstance(W, DenseBasis):
         if not is_invariant(W, tol_rank):
-            raise NotInvariant("dense subspace is not closed under the group action")
-        sampling = dual_sampling(W.space)
-        m, d = W.space.channels, W.columns.shape[1]
-        F = dft(W.space.group, W.columns.reshape(len(sampling), m, d))
+            raise NotInvariant(not_invariant)
         varying = "invariant subspace has varying fiber dimension"
     else:
-        sampling, F = fiber_tensor(W)
         varying = "family has varying fiber rank"
+    sampling, F = fiber_tensor(W)
     U, r = _linalg.orth_columns(F, tol_rank)
     if r.min() != r.max():
         raise NotDirectSum(f"{varying} on this sampling")
@@ -341,9 +341,7 @@ def oblique_riesz_wavelets(
     r, s = len(X), len(Y)
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
-    if isinstance(w0, DenseBasis) and not is_invariant(w0, tol_rank):
-        raise NotInvariant("W0 is not closed under the group action")
-    BW0 = _fiber_basis(w0, tol_rank)
+    BW0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")
     Z = orth_complement_in(Y, X, tol_rank)
     P = oblique_projector(ObliqueSplit(X, BW0, Y), tol_rank)
     sampling, FZ = fiber_tensor(Z)
@@ -367,8 +365,7 @@ def oblique_frame_wavelets(
     frame_bounds(Y, tol_rank)
     if not is_contained(X, Y, tol_rank):
         raise NotContained("X's orbit span must sit inside Y's")
-    if isinstance(w0, DenseBasis) and not is_invariant(w0, tol_rank):
-        raise NotInvariant("W0 is not closed under the group action")
+    w0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")  # resolved once
     sampling, BV0, BW0 = _validated_split_bases(ObliqueSplit(X, w0, Y), tol_rank)
     _, FY = fiber_tensor(Y)
     a, b = len(BV0), len(BW0)

@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wandergen import cli, oracle
+from wandergen import cli, oblique, oracle
 from wandergen.cli import _parse_member, main, render_json
 from wandergen.fibers import Family, SampledFamily
 from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
@@ -209,6 +211,68 @@ class TestObliqueCommand:
         assert report["sizes"]["Gamma"] == 1
         assert report["checks"]["gamma_in_w0"] is True
         assert report["bounds"]["riesz"]["lower"] > 0
+
+
+class TestDenseW0Command:
+    """options.w0_dense: one invariance test per job, the messages and their
+    precedence over X/Y errors kept."""
+
+    NOT_CLOSED = {"code": "NotInvariant", "message": "W0 is not closed under the group action"}
+
+    @staticmethod
+    def job(command, w0, x=None):
+        inv = 1.0 / math.sqrt(2.0)
+        return {
+            "version": "wandergen/1",
+            "command": command,
+            "system": z2_system(),
+            "families": {
+                "X": x if x is not None else [[entry([0], 0, inv), entry([0], 1, inv)]],
+                "Y": [[entry([0], 0, 1.0)], [entry([0], 1, 1.0)]],
+                "W0": w0,
+            },
+            "options": {"w0_dense": True},
+        }
+
+    NON_INVARIANT = [[entry([0], 1, 1.0), entry([1], 1, 0.5)]]
+    ORBIT_SPAN = [[entry([0], 1, 1.0)], [entry([1], 1, 1.0)]]  # both translates of the golden W0
+
+    @pytest.mark.parametrize("command", ["oblique", "frame-oblique"])
+    def test_non_invariant_message(self, tmp_path, command):
+        code, report, _ = run(tmp_path, self.job(command, self.NON_INVARIANT))
+        assert code == 2
+        assert report["error"] == self.NOT_CLOSED
+
+    @pytest.mark.parametrize("x,error", [
+        ([[entry([0], 0, 1.0)], [entry([0], 0, 2.0)]], "NotRiesz"),
+        ([[entry([0], 0, 1.0)], [entry([0], 1, 1.0)]], "SizesEqual"),
+    ], ids=["singular-x", "equal-sizes"])
+    def test_x_and_y_errors_come_first(self, tmp_path, x, error):
+        code, report, _ = run(tmp_path, self.job("oblique", self.NON_INVARIANT, x))
+        assert code == 2
+        assert report["error"]["code"] == error
+
+    @pytest.mark.parametrize("command", ["oblique", "frame-oblique"])
+    def test_invariance_tested_once_per_job(self, tmp_path, monkeypatch, command):
+        calls = []
+        original = oblique.is_invariant
+        monkeypatch.setattr(oblique, "is_invariant", lambda W, tol: calls.append(W) or original(W, tol))
+        code, report, _ = run(tmp_path, self.job(command, self.ORBIT_SPAN))
+        assert code == 0
+        assert len(calls) == 1
+        if command == "oblique":
+            assert report["checks"]["gamma_in_w0"] is True
+
+    def test_dense_and_orbit_w0_agree(self, tmp_path):
+        code, dense, _ = run(tmp_path, self.job("oblique", self.ORBIT_SPAN), "dense.json")
+        assert code == 0
+        orbit_job = self.job("oblique", [[entry([0], 1, 1.0)]])
+        orbit_job["options"] = {}
+        code, orbit, _ = run(tmp_path, orbit_job, "orbit.json")
+        assert code == 0
+        values = lambda r: [(e["element"], e["channel"], e["re"], e["im"]) for e in r["families"]["Gamma"][0]]
+        for a, b in zip(values(dense), values(orbit)):
+            assert a[:2] == b[:2] and a[2:] == pytest.approx(b[2:], abs=1e-12)
 
 
 class TestFrameObliqueCommand:
@@ -662,3 +726,216 @@ class TestSerialization:
     def test_non_string_key_rejected(self):
         with pytest.raises(TypeError):
             render_json({"a": {1: 2.0}})
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the bulk parser and the array renderer against the
+# per-entry parser and the dict renderer they replace
+
+
+def reference_parse(space, entries, label):
+    """Per-entry parser into one dict of (canonical element, channel) -> complex,
+    checks in the order entry type, channel, re, im, element."""
+
+    def number(value, where):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise cli.SchemaError(f"{where} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise cli.SchemaError(f"{where} must be finite")
+        return value
+
+    if not isinstance(entries, list):
+        raise cli.SchemaError(f"family member {label} must be a list of entries")
+    orders, channels = space.group.orders, space.channels
+    coeffs = {}
+    for i, entry in enumerate(entries):
+        at = f"{label}[{i}]"
+        if not isinstance(entry, dict):
+            raise cli.SchemaError(f"{at} must be an object")
+        channel = entry.get("channel")
+        if not isinstance(channel, int) or isinstance(channel, bool):
+            raise cli.SchemaError(f"{at}.channel must be an integer")
+        if not 0 <= channel < channels:
+            raise cli.SchemaError(f"{at}.channel outside 0..{channels - 1}")
+        re_part = number(entry.get("re", 0.0), f"{at}.re")
+        im_part = number(entry.get("im", 0.0), f"{at}.im")
+        element = entry.get("element")
+        if not isinstance(element, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in element):
+            raise cli.SchemaError(f"{at}.element must be a list of integers")
+        if len(element) != len(orders):
+            raise cli.SchemaError(f"{at}: element rank {len(element)} != group rank {len(orders)}")
+        key = (tuple(x % n for x, n in zip(element, orders)), channel)
+        coeffs[key] = coeffs.get(key, 0j) + complex(re_part, im_part)
+    return coeffs
+
+
+def reference_member_json(space, coeffs):
+    """Dict rendering: entries sorted by element index, then channel."""
+    items = sorted(coeffs.items(), key=lambda kv: (space.group.index_of(kv[0][0]), kv[0][1]))
+    return [
+        {"element": list(element), "channel": channel, "re": float(value.real), "im": float(value.imag)}
+        for (element, channel), value in items
+    ]
+
+
+def parse_outcome(parse, space, entries):
+    try:
+        return "ok", parse(space, entries, "X[0]")
+    except cli.SchemaError as exc:
+        return "error", str(exc)
+
+
+HUGE = [2**63, -(2**63) - 1, 2**70, -(10**30)]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e-308, 5e-324]),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.sampled_from([10**300, -(10**300), 2**1023]),
+)
+
+
+@st.composite
+def exact_members(draw):
+    orders = draw(st.sampled_from([(1,), (2,), (5,), (2, 3), (4, 2, 2)]))
+    channels = draw(st.integers(min_value=1, max_value=3))
+    coordinate = st.one_of(st.integers(min_value=-7, max_value=7), st.sampled_from(HUGE))
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        entry = {
+            "element": [draw(coordinate) for _ in orders],
+            "channel": draw(st.integers(min_value=0, max_value=channels - 1)),
+        }
+        for part in ("re", "im"):  # a missing part counts as 0
+            if draw(st.booleans()):
+                entry[part] = draw(NUMBERS)
+        entries.append(entry)
+    return SystemSpace(FiniteAbelian(orders), channels), entries
+
+
+class TestBulkParsingDifferential:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(member=exact_members())
+    def test_coeffs_and_rendering_match_the_dict_reference(self, member):
+        space, entries = member
+        expected = reference_parse(space, entries, "X[0]")
+        v = _parse_member(space, entries, "X[0]")
+        # storage order: element index, then channel; Python complex values
+        order = sorted(expected, key=lambda k: (space.group.index_of(k[0]), k[1]))
+        assert list(v.coeffs) == order
+        assert [repr(x) for x in v.coeffs.values()] == [repr(expected[k]) for k in order]
+        assert all(type(x) is complex for x in v.coeffs.values())
+
+        def rendered(members):
+            try:
+                return render_json(members())
+            except ValueError as exc:  # a sum that overflowed to inf
+                return str(exc)
+
+        fast = rendered(lambda: cli._family_json(Family(space, (v,))))
+        assert fast == rendered(lambda: [reference_member_json(space, expected)])
+
+    BAD_VALUES = [
+        ("channel", 4), ("channel", -1), ("channel", True), ("channel", 1.0), ("channel", None),
+        ("channel", 2**70), ("re", "1"), ("re", float("nan")), ("re", 10**400), ("re", False),
+        ("im", float("-inf")), ("im", None), ("im", -(10**400)), ("element", [0, 0]), ("element", []),
+        ("element", [1.0]), ("element", [True]), ("element", 3), ("element", None), (None, "entry"),
+    ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        length=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+    )
+    def test_first_faulty_entry_is_reported(self, length, data):
+        space = SystemSpace(FiniteAbelian((7,)), 2)
+        entries = [entry([i], i % 2, 0.5 * i, -0.25 * i) for i in range(length)]
+        bad = sorted(set(data.draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=3))))
+        for at in bad:
+            field, value = data.draw(st.sampled_from(self.BAD_VALUES))
+            if field is None:
+                entries[at] = value
+            else:
+                entries[at] = dict(entries[at], **{field: value})
+        assert parse_outcome(_parse_member, space, entries) == parse_outcome(reference_parse, space, entries)
+        assert parse_outcome(_parse_member, space, entries)[1].startswith(f"X[0][{bad[0]}]")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("re", "x", "X[0][3071].re must be a number"),
+        ("channel", 9, "X[0][3071].channel outside 0..3"),
+        ("element", [1, 2], "X[0][3071]: element rank 2 != group rank 1"),
+        ("im", 10**400, "X[0][3071].im must be finite"),
+    ], ids=["re", "channel", "element", "im"])
+    def test_deep_fault_in_long_member(self, tmp_path, field, value, message):
+        job = orthonormal_delta_job()
+        job["system"] = {"group": {"kind": "finite_abelian", "orders": [1024]}, "channels": 4}
+        member = [entry([g], c, 1.0, -1.0) for g in range(1024) for c in range(4)]
+        member[3071][field] = value
+        member[3500]["channel"] = -1  # a later fault never wins
+        job["families"]["X"] = [member]
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["error"] == {"code": "SchemaError", "message": message}
+
+    def test_subclassed_values_take_the_per_entry_pass(self):
+        class Entry(dict):
+            pass
+
+        space = SystemSpace(FiniteAbelian((3,)), 1)
+        entries = [Entry(element=[1], channel=0, re=2.0), {"element": [4], "channel": 0, "im": 1}]
+        v = _parse_member(space, entries, "X[0]")
+        assert v.coeffs == {((1,), 0): 2.0 + 1.0j}
+
+    def test_parse_does_not_mutate_the_job(self, tmp_path):
+        job = orthonormal_delta_job()
+        job["families"]["X"][0].append(entry([1], 0, -0.0, 1))
+        before = json.dumps(job, sort_keys=True)
+        args = cli.build_parser().parse_args(["--job", "-"])
+        first = cli.run_job(job, args)
+        assert json.dumps(job, sort_keys=True) == before
+        assert cli.run_job(job, args) == first
+
+
+class TestRepresentationParsing:
+    @staticmethod
+    def job(matrices):
+        return {
+            "version": "wandergen/1",
+            "command": "cancel",
+            "system": {"group": {"kind": "builtin", "name": "S3"}},
+            "representations": {"rho": {"dim": 1, "matrices": matrices}},
+        }
+
+    def test_bulk_cells_match_per_cell_values(self):
+        from wandergen import nonabelian
+
+        class Cell(dict):  # not a plain dict: parsed cell by cell
+            pass
+
+        group = nonabelian.symmetric_3()
+        # the trivial representation, spelled six ways
+        cells = [{"re": 1}, {"re": 1.0, "im": 0}, {"re": 1, "im": -0.0}, {"re": 1.0}, {"im": 0.0, "re": 1}, {"re": 1.0, "im": 0.0}]
+        reps = [
+            cli._parse_representation(group, {"rho": {"dim": 1, "matrices": [[[make(c)]] for c in cells]}}, "rho")
+            for make in (dict, Cell)
+        ]
+        assert np.array_equal(reps[0].matrices, reps[1].matrices)
+        assert reps[0].matrices.dtype == reps[1].matrices.dtype == np.complex128
+
+    @pytest.mark.parametrize("faults,message", [
+        ({4: [[{"re": "x"}]], 5: [[{"re": 1.0}], [{"re": 1.0}]]}, "rho entry re must be a number"),
+        ({2: [[{"re": 1.0}], [{"re": 1.0}]], 4: [[{"im": 10**400}]]}, "rho.matrices[2] must be 1 rows"),
+        ({3: [[{"re": 1.0, "im": float("nan")}]]}, "rho entry im must be finite"),
+        ({1: [[1.0]], 5: [[{"re": "y"}]]}, "rho.matrices[1][0][0] must be {re, im}"),
+        ({5: [[{"re": 1.0}, {"re": 0.0}]]}, "rho.matrices[5][0] must be 1 entries"),
+    ])
+    def test_first_fault_wins(self, tmp_path, faults, message):
+        matrices = [[[{"re": 1.0}]] for _ in range(6)]
+        for g, mat in faults.items():
+            matrices[g] = mat
+        code, report, _ = run(tmp_path, self.job(matrices))
+        assert code == 1
+        assert report["error"] == {"code": "SchemaError", "message": message}

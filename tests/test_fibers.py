@@ -6,7 +6,7 @@ import pytest
 
 import wandergen as wg
 from wandergen import oracle
-from wandergen.fibers import fiber_span_angle, fiber_tensor, gram_normalization
+from wandergen.fibers import family_from_fibers, fiber_span_angle, fiber_tensor, gram_normalization
 from conftest import (
     combine_fiberwise,
     random_coeff_stack,
@@ -335,3 +335,20 @@ class TestSampledMode:
             uppers.append(b.upper)
         assert lowers[0] >= lowers[1] >= lowers[2]
         assert uppers[0] <= uppers[1] <= uppers[2]
+
+
+class TestBatchedTransforms:
+    """One stacked FFT per family, bit for bit equal to one per member."""
+
+    @pytest.mark.parametrize("orders", [(256,), (1024,), (32, 32)], ids=["Z256", "Z1024", "Z32xZ32"])
+    def test_forward_and_inverse_equal_per_member(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        sp = space(orders, 4)
+        X = random_family(rng, sp, 3)
+        per_member = np.stack([wg.fourier(v).values for v in X.members], axis=2)
+        assert np.array_equal(X.fibers, per_member)
+        F = X.fibers @ random_coeff_stack(rng, len(X.sampling), 3, 2)
+        Z = family_from_fibers(sp, X.sampling, F)
+        for j, z in enumerate(Z.members):
+            expected = wg.inverse_fourier(wg.groups.FiberSamples(X.sampling, F[:, :, j]), sp)
+            assert np.array_equal(z.dense(), expected.dense())

@@ -305,6 +305,51 @@ class TestGroupVector:
         np.testing.assert_array_equal(v.dense(), dense)
 
 
+class TestExactStorage:
+    """Exact-mode vectors: a read-only dense array plus a support mask."""
+
+    def test_from_dense_wraps_without_copying(self):
+        sp = space([3], 2)
+        dense = np.arange(6, dtype=np.complex128).reshape(3, 2)
+        v = wg.from_dense(sp, dense)
+        assert np.shares_memory(v.dense(), dense)
+        assert not v.dense().flags.writeable and dense.flags.writeable
+        assert v.support_mask().all()
+
+    def test_coeffs_is_read_only(self):
+        v = wg.delta(space([2], 1), 1)
+        with pytest.raises(TypeError):
+            v.coeffs[((0,), 0)] = 1.0
+        with pytest.raises(ValueError):
+            v.dense()[0, 0] = 1.0
+
+    def test_explicit_zeros_are_stored(self):
+        sp = space([4], 2)
+        v = wg.GroupVector(sp, {((2,), 1): 0.0, ((1,), 0): 1.0, ((5,), 0): -1.0})
+        assert list(v.coeffs.items()) == [(((1,), 0), 0j), (((2,), 1), 0j)]
+        assert v != wg.GroupVector(sp, {((1,), 0): 0.0})
+        assert (v + wg.delta(sp, 3, 1)).support_mask().sum() == 3
+        assert (2.0 * v).coeffs == v.coeffs
+
+    def test_translate_moves_values_and_support(self):
+        rng = np.random.default_rng(12)
+        sp = space([3, 4], 2)
+        coeffs = {((int(a), int(b)), int(c)): complex(*rng.standard_normal(2))
+                  for a, b, c in rng.integers(0, 4, size=(8, 3)) if c < 2}
+        v = wg.GroupVector(sp, coeffs)
+        for g in [(1, 0), (2, 3), (-1, 5)]:
+            expected = {(sp.group.compose(g, e), c): val for (e, c), val in v.coeffs.items()}
+            assert wg.translate(g, v).coeffs == expected
+
+    def test_shift_mode_has_no_dense_storage(self):
+        v = wg.delta(wg.SystemSpace(wg.IntegerShift(8), 1), 10**30)
+        assert v.coeffs == {(10**30, 0): 1.0}
+        with pytest.raises(wg.ExactModeRequired):
+            v.dense()
+        with pytest.raises(wg.ExactModeRequired):
+            v.support_mask()
+
+
 class TestCaches:
     def test_every_cache_is_bounded(self):
         import wandergen.cli  # noqa: F401  (loads every module)

@@ -403,3 +403,82 @@ class TestBiorthogonalWavelets:
         skew = wg.Family(sp, (X.members[0] * 2.0,))
         with pytest.raises(wg.HypothesisFailure):
             wg.biorthogonal_wavelets(skew, X, Y, Y)
+
+
+class TestDenseW0ResolvedOnce:
+    """A dense W0 is tested for invariance once, by rolling its columns along
+    the cyclic axes, with the NotInvariant messages and precedence kept."""
+
+    @staticmethod
+    def reference_is_invariant(W, tol_rank=1e-9):
+        # every generator's dense translation matrix applied to the columns
+        B, orders = W.columns, W.space.group.orders
+        r = np.linalg.matrix_rank(B, tol=None)
+        for j, n in enumerate(orders):
+            if n > 1:
+                g = tuple(int(i == j) for i in range(len(orders)))
+                L = oracle.dense_translation_matrix(W.space, g)
+                if np.linalg.matrix_rank(np.hstack([B, L @ B]), tol=None) != r:
+                    return False
+        return True
+
+    @pytest.mark.parametrize("orders", [[5], [2, 3], [1, 4], [2, 1, 2]])
+    def test_roll_verdicts_match_translation_matrices(self, orders):
+        rng = np.random.default_rng(sum(orders))
+        sp = space(orders, 2)
+        fam = random_riesz_family(rng, sp, 1)
+        cases = [oracle.dense_family_matrix(fam), rng.standard_normal((sp.group.order * 2, 2))]
+        for cols in cases:
+            basis = wg.DenseBasis(sp, cols)
+            assert wg.is_invariant(basis) == self.reference_is_invariant(basis)
+        assert wg.is_invariant(wg.DenseBasis(sp, cases[0]))
+
+    @pytest.mark.parametrize("construct", [wg.oblique_riesz_wavelets, wg.oblique_frame_wavelets])
+    def test_invariance_tested_once(self, monkeypatch, construct):
+        from wandergen import oblique
+
+        sp, X, Y, W0 = z2_worked_example()
+        calls = []
+        original = oblique.is_invariant
+        monkeypatch.setattr(oblique, "is_invariant", lambda W, tol: calls.append(W) or original(W, tol))
+        gamma = construct(X, Y, wg.DenseBasis(sp, oracle.dense_family_matrix(W0)))
+        assert len(gamma) >= 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("construct", [wg.oblique_riesz_wavelets, wg.oblique_frame_wavelets])
+    def test_w0_message(self, construct):
+        rng = np.random.default_rng(61)
+        X, Y, _ = random_oblique_instance(rng)
+        W = random_noninvariant_dense_w0(rng, X, Y)
+        with pytest.raises(wg.NotInvariant, match="^W0 is not closed under the group action$"):
+            construct(X, Y, W)
+
+    def test_x_and_y_errors_come_first(self):
+        rng = np.random.default_rng(61)
+        X, Y, _ = random_oblique_instance(rng)
+        W = random_noninvariant_dense_w0(rng, X, Y)
+        singular = wg.Family(X.space, (X.members[0], X.members[0]))
+        with pytest.raises(wg.NotRiesz):
+            wg.oblique_riesz_wavelets(singular, Y, W)
+        with pytest.raises(wg.SizesEqual):
+            wg.oblique_riesz_wavelets(Y, Y, W)
+        outside = wg.Family(X.space, (wg.delta(X.space, 0, 0),))
+        if not wg.is_contained(outside, Y):
+            with pytest.raises(wg.NotContained):
+                wg.oblique_riesz_wavelets(outside, Y, W)
+
+    def test_other_presentations_keep_the_generic_message(self):
+        rng = np.random.default_rng(61)
+        X, Y, _ = random_oblique_instance(rng)
+        W = random_noninvariant_dense_w0(rng, X, Y)
+        generic = "^dense subspace is not closed under the group action$"
+        with pytest.raises(wg.NotInvariant, match=generic):
+            wg.oblique_projector(wg.ObliqueSplit(X, W, Y))
+        with pytest.raises(wg.NotInvariant, match=generic):
+            _fiber_basis(W, 1e-9)
+
+    def test_dense_fibers_computed_once_and_read_only(self):
+        sp, _, _, W0 = z2_worked_example()
+        basis = wg.DenseBasis(sp, oracle.dense_family_matrix(W0))
+        F = basis.fibers
+        assert basis.fibers is F and not F.flags.writeable
+        assert F.shape == (2, 2, 2)
