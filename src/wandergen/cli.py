@@ -197,6 +197,12 @@ def _finite_number(value, label: str) -> float:
     return value
 
 
+def _tolerance(value, label: str) -> float:
+    value = _finite_number(value, label)
+    _expect(value > 0.0, f"{label} must be positive")
+    return value
+
+
 def _parse_system(job: dict, grid_override: int | None) -> SystemSpace:
     system = _get(job, "system", dict, "system block")
     group = _get(system, "group", dict, "group spec")
@@ -390,9 +396,9 @@ def _matrix_json(matrix: np.ndarray) -> list:
 # command handlers
 
 
-def _bounds_with_errors(X, tol_rank: float, riesz, frame) -> dict:
-    """Riesz and frame bounds from the given bound functions, each failure
-    recorded by its error code."""
+def _bounds_with_errors(X, tol_rank: float, riesz, frame, frame_errors=WandergenError) -> dict:
+    """Riesz and frame bounds from the given bound functions, each failure recorded
+    by its error code; a frame failure outside ``frame_errors`` propagates."""
     out: dict = {"riesz": None, "riesz_error": None, "frame": None, "frame_error": None}
     try:
         out["riesz"] = _bounds_json(riesz(X, tol_rank))
@@ -400,27 +406,21 @@ def _bounds_with_errors(X, tol_rank: float, riesz, frame) -> dict:
         out["riesz_error"] = exc.code
     try:
         out["frame"] = _bounds_json(frame(X, tol_rank))
-    except WandergenError as exc:
+    except frame_errors as exc:
         out["frame_error"] = exc.code
     return out
 
 
 def _run_analyze(job, space, families, opts) -> dict:
     X = _parse_family(space, families, "X")
-    bounds: dict = {"riesz": None, "riesz_error": None, "frame": None, "frame_error": None}
-    try:
-        bounds["riesz"] = _bounds_json(riesz_bounds(X, opts["tol_rank"]))
-    except WandergenError as exc:
-        bounds["riesz_error"] = exc.code
     # frame failure means nothing about this family is certifiable: propagate
-    bounds["frame"] = _bounds_json(frame_bounds(X, opts["tol_rank"]))
-    cert = verify_wandering(X, opts["tol_bio"])
+    bounds = _bounds_with_errors(X, opts["tol_rank"], riesz_bounds, frame_bounds, frame_errors=())
+    cert = verify_wandering(X, opts["tol_bio"], opts["tol_rank"])
     return {
         "bounds": bounds,
         "sizes": {"X": len(X)},
         "residuals": {"wandering": float(cert.max_gram_residual)},
         "checks": {"wandering": cert.valid, "complete": cert.complete},
-        "exact": space.exact,
     }
 
 
@@ -441,7 +441,6 @@ def _run_complement(job, space, families, opts) -> dict:
         "sizes": {"X": len(X), "Y": len(Y), "Xprime": len(Xp)},
         "residuals": residuals,
         "bounds": bounds,
-        "exact": space.exact,
     }
 
 
@@ -465,7 +464,6 @@ def _run_oblique(job, space, families, opts) -> dict:
         "sizes": {"X": len(X), "Y": len(Y), "Gamma": len(gamma)},
         "bounds": {"riesz": _bounds_json(riesz_bounds(gamma, opts["tol_rank"]))},
         "checks": checks,
-        "exact": space.exact,
     }
 
 
@@ -478,7 +476,6 @@ def _run_frame_oblique(job, space, families, opts) -> dict:
         "families": {"Gamma": _family_json(gamma)},
         "sizes": {"X": len(X), "Y": len(Y), "Gamma": len(gamma)},
         "bounds": {"frame": _bounds_json(frame_bounds(gamma, opts["tol_rank"]))},
-        "exact": space.exact,
     }
 
 
@@ -492,7 +489,6 @@ def _run_dual(job, space, families, opts) -> dict:
         "sizes": {"Gamma": len(gamma), "Gammatilde": len(gamma_t)},
         "residuals": {"biorthogonality": float(residual)},
         "checks": {"biorthogonal": bool(ok)},
-        "exact": space.exact,
     }
 
 
@@ -510,7 +506,6 @@ def _run_biortho(job, space, families, opts) -> dict:
         "sizes": {"X": len(X), "Y": len(Y), "Gamma": len(pair.gamma)},
         "residuals": {"pair": pair.pair_residual, "union": pair.union_residual},
         "bounds": {"riesz_gamma": _bounds_json(riesz_bounds(pair.gamma, opts["tol_rank"]))},
-        "exact": space.exact,
     }
 
 
@@ -563,7 +558,6 @@ def _run_oracle_check(job, space, families, opts) -> dict:
             "max_bound_diff": max(diffs) if diffs else None,
         },
         "sizes": {"X": len(X)},
-        "exact": True,
     }
 
 
@@ -574,16 +568,8 @@ def emit_bound_curve(X, tol_rank: float = TOL_RANK_REL) -> str:
     """
     if X.space.exact:
         raise WrongMode("bound curves are for integer_shift systems; use analyze instead")
-    G = gram_fibers(X)
-    evs = np.linalg.eigvalsh(G.matrices)
-    lines = []
-    for p, point in enumerate(G.sampling.points):
-        lines.append(
-            "\t".join(
-                (format_float(point.angle), format_float(evs[p, 0]), format_float(evs[p, -1]))
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(gram_fibers(X).sampling.points, X.gram_eigenvalues)
+    return "".join(f"{format_float(p.angle)}\t{format_float(evs[0])}\t{format_float(evs[-1])}\n" for p, evs in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +608,14 @@ def _parse_options(job: dict, args) -> dict:
         _expect(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
     if args.seed is not None:
         seed = args.seed
-    tol_rank = options.get("tol_rank", TOL_RANK_REL)
-    tol_rank = _finite_number(tol_rank, "tol_rank")
+    tol_rank = _tolerance(options.get("tol_rank", TOL_RANK_REL), "tol_rank")
     if args.tol_rank is not None:
-        tol_rank = args.tol_rank
+        tol_rank = _tolerance(args.tol_rank, "tol_rank")
     tol_bio = options.get("tol_bio")
     if tol_bio is not None:
-        tol_bio = _finite_number(tol_bio, "tol_bio")
+        tol_bio = _tolerance(tol_bio, "tol_bio")
     if args.tol_bio is not None:
-        tol_bio = args.tol_bio
+        tol_bio = _tolerance(args.tol_bio, "tol_bio")
     w0_dense = options.get("w0_dense", False)
     _expect(isinstance(w0_dense, bool), "w0_dense must be a boolean")
     return {"seed": seed, "tol_rank": tol_rank, "tol_bio": tol_bio, "w0_dense": w0_dense}
@@ -668,7 +653,7 @@ def run_job(job: dict, args) -> tuple[str, int]:
                 "biortho": _run_biortho,
                 "oracle-check": _run_oracle_check,
             }[command]
-            update = handler(job, space, families, opts)
+            update = {**handler(job, space, families, opts), "exact": space.exact}
     except WandergenError as exc:
         report["status"] = "error"
         report["error"] = {"code": exc.code, "message": str(exc)}

@@ -60,8 +60,26 @@ __all__ = [
 ]
 
 
+class _Orbit:
+    """Gram fibers ``gram`` (points, members, members) and their ascending
+    eigenvalues ``gram_eigenvalues`` (points, members), each computed once,
+    on first use, and read-only: every bound and certificate shares them."""
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        G = _gram_tensor(self.fibers, self.fibers, gram_normalization(self.space))
+        G.flags.writeable = False
+        return G
+
+    @cached_property
+    def gram_eigenvalues(self) -> np.ndarray:
+        evs = np.linalg.eigvalsh(self.gram)
+        evs.flags.writeable = False
+        return evs
+
+
 @dataclass(frozen=True)
-class Family:
+class Family(_Orbit):
     """Ordered finite list of generators sharing one system space.
 
     ``fibers`` holds the transformed members, values[point, channel,
@@ -107,7 +125,7 @@ class Family:
 
 
 @dataclass(frozen=True)
-class SampledFamily:
+class SampledFamily(_Orbit):
     """Fiber-sampled stand-in for a family when no coefficient realization exists.
 
     Shift-mode constructions return these: the fibers are trustworthy at the
@@ -199,9 +217,7 @@ def gram_fibers(X) -> FiberField:
     """
     if len(X) == 0:
         raise EmptyFamily("gram_fibers needs at least one generator")
-    sampling, F = fiber_tensor(X)
-    mats = _gram_tensor(F, F, gram_normalization(X.space))
-    return FiberField(sampling, mats)
+    return FiberField(X.sampling, X.gram)
 
 
 def mixed_gramian(X, Xt) -> FiberField:
@@ -216,11 +232,6 @@ def mixed_gramian(X, Xt) -> FiberField:
     return FiberField(sampling, mats)
 
 
-def _gram_eigenvalues(X) -> tuple[DualSampling, np.ndarray]:
-    G = gram_fibers(X)
-    return G.sampling, np.linalg.eigvalsh(G.matrices)  # ascending per point
-
-
 def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     """Extremal Gram-fiber eigenvalues over the sampling.
 
@@ -228,7 +239,7 @@ def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     tolerance: the two-sided synthesis inequality then has no positive
     lower constant.
     """
-    sampling, evs = _gram_eigenvalues(X)
+    sampling, evs = gram_fibers(X).sampling, X.gram_eigenvalues
     per_point_tol = tol_rank * np.maximum(evs[:, -1], 1.0)
     if np.any(evs[:, 0] <= per_point_tol):
         worst = int(np.argmin(evs[:, 0] - per_point_tol))
@@ -246,7 +257,7 @@ def frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     well-defined on this sampling (RankJump).  The lower bound is the
     smallest eigenvalue exceeding the rank tolerance anywhere.
     """
-    sampling, evs = _gram_eigenvalues(X)
+    sampling, evs = gram_fibers(X).sampling, X.gram_eigenvalues
     tol = tol_rank * np.maximum(evs[:, -1], 1.0)[:, None]
     keep = evs > tol
     ranks = keep.sum(axis=1)
@@ -307,8 +318,7 @@ def orthonormalize(X, tol_rank: float = TOL_RANK_REL):
     """
     riesz_bounds(X, tol_rank)  # raises NotRiesz on singular fibers
     sampling, F = fiber_tensor(X)
-    G = _gram_tensor(F, F, gram_normalization(X.space))
-    w, U = np.linalg.eigh(G)
+    w, U = np.linalg.eigh(X.gram)
     inv_sqrt = (U * (w[:, None, :] ** -0.5)) @ U.conj().transpose(0, 2, 1)
     # with G_ij = N sum_c xhat_i conj(xhat_j), whitening uses conj(G)^{-1/2}
     FZ = F @ inv_sqrt.conj()

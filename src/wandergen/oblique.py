@@ -11,6 +11,11 @@ the orthogonal complement V of the coarse space inside the fine one, then
 the oblique projector onto the target space along the coarse space applied
 to those generators.  The frame construction first projects the fine
 generators orthogonally onto V, then obliquely into the target.
+
+The public functions check their hypotheses once, at entry, in a fixed
+order.  The private steps trust them: ``_oblique_riesz_core``, shared by
+the Riesz and biorthogonal constructions, and ``_validated_split``, which
+assumes V0 already sits inside V1.
 """
 
 from __future__ import annotations
@@ -135,10 +140,6 @@ class OperatorField:
         PP = self.matrices @ self.matrices
         return float(np.max(np.abs(PP - self.matrices)))
 
-    def apply(self, fibers: np.ndarray) -> np.ndarray:
-        """Apply pointwise to stacked fiber columns (points, channels, k)."""
-        return self.matrices @ fibers
-
     def dense(self, space: SystemSpace) -> np.ndarray:
         """Exact-mode dense realization: conjugate the block diagonal by the
         dense transform."""
@@ -225,16 +226,12 @@ def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
     return family_from_fibers(Y.space, sampling, complement_fibers(Y.space, FX, FY, tol_rank))
 
 
-def _validated_split_bases(
-    split: ObliqueSplit, tol_rank: float
-) -> tuple[DualSampling, FiberBasisField, FiberBasisField]:
-    """Resolve and validate the split: containments, trivial intersection,
-    and joint spanning of the fine space's fibers."""
-    v1 = split.within
-    if not is_contained(split.v0, v1, tol_rank):
-        raise NotContained("V0 generators leave the fine space fiberwise")
-    BV0 = _fiber_basis(split.v0, tol_rank)
-    BW0 = _fiber_basis(split.w0, tol_rank)
+def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[DualSampling, FiberBasisField, FiberBasisField, np.ndarray]:
+    """Resolve and validate a split whose V0 is known to sit inside V1 (trivial
+    intersection, joint spanning of the fine space's fibers); returns the
+    sampling, both fiber bases and the projectors onto W0 along V0."""
+    BV0 = _fiber_basis(v0, tol_rank)
+    BW0 = _fiber_basis(w0, tol_rank)
     sampling, F1 = fiber_tensor(v1)
     r1 = _linalg.matrix_rank(F1, tol_rank)
     joint = _linalg.matrix_rank(np.concatenate([BV0.fibers, BW0.fibers], axis=2), tol_rank)
@@ -256,13 +253,14 @@ def _validated_split_bases(
             lambda p: NotDirectSum(f"W0 fibers leave the fine space at dual point {p}"),
         ),
     )
-    return sampling, BV0, BW0
+    return sampling, BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
 
 
 def oblique_projector(split: ObliqueSplit, tol_rank: float = TOL_RANK_REL) -> OperatorField:
     """Fiberwise projector onto W0's span along V0's span inside V1."""
-    sampling, BV0, BW0 = _validated_split_bases(split, tol_rank)
-    mats = _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
+    if not is_contained(split.v0, split.within, tol_rank):
+        raise NotContained("V0 generators leave the fine space fiberwise")
+    sampling, _, _, mats = _validated_split(split.v0, split.w0, split.within, tol_rank)
     return OperatorField(sampling, mats)
 
 
@@ -342,10 +340,18 @@ def oblique_riesz_wavelets(
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
     BW0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")
-    Z = orth_complement_in(Y, X, tol_rank)
-    P = oblique_projector(ObliqueSplit(X, BW0, Y), tol_rank)
-    sampling, FZ = fiber_tensor(Z)
-    return family_from_fibers(X.space, sampling, P.apply(FZ))
+    return _oblique_riesz_core(X, Y, BW0, tol_rank)
+
+
+def _oblique_riesz_core(X: Family, Y: Family, BW0: FiberBasisField, tol_rank: float):
+    """The Riesz construction on checked inputs (X and Y Riesz, X's span in
+    Y's, |X| < |Y|, W0 resolved): the complement fibers of X's in Y's,
+    projected onto W0 along V0 as they are, then one inverse transform."""
+    _, FX = fiber_tensor(X)
+    sampling, FY = fiber_tensor(Y)
+    FZ = complement_fibers(Y.space, FX, FY, tol_rank)
+    *_, P = _validated_split(X, BW0, Y, tol_rank)
+    return family_from_fibers(X.space, sampling, P @ FZ)
 
 
 def oblique_frame_wavelets(
@@ -366,13 +372,12 @@ def oblique_frame_wavelets(
     if not is_contained(X, Y, tol_rank):
         raise NotContained("X's orbit span must sit inside Y's")
     w0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")  # resolved once
-    sampling, BV0, BW0 = _validated_split_bases(ObliqueSplit(X, w0, Y), tol_rank)
+    sampling, BV0, BW0, P = _validated_split(X, w0, Y, tol_rank)
     _, FY = fiber_tensor(Y)
     a, b = len(BV0), len(BW0)
     # a valid split gives every fine fiber the rank a + b
     UY, _ = _linalg.orth_columns(FY, tol_rank)
     BV = _linalg.complement_in_span(BV0.fibers, UY[:, :, : a + b], b, tol_rank)
-    P = _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
     return family_from_fibers(X.space, sampling, P @ (_linalg.projector(BV) @ FY))
 
 
@@ -447,22 +452,19 @@ def biorthogonal_wavelets(
         tol_bio = default_bio_tol(X.space)
     for fam in (X, Xt, Y, Yt):
         riesz_bounds(fam, tol_rank)
-    ok, res = is_biorthogonal(X, Xt, tol_bio)
-    if not ok:
-        raise HypothesisFailure(f"X and Xt are not biorthogonal (residual {res:.3e})")
-    ok, res = is_biorthogonal(Y, Yt, tol_bio)
-    if not ok:
-        raise HypothesisFailure(f"Y and Yt are not biorthogonal (residual {res:.3e})")
-    if not is_contained(X, Y, tol_rank):
-        raise NotContained("X's orbit span must sit inside Y's")
-    if not is_contained(Xt, Yt, tol_rank):
-        raise NotContained("Xt's orbit span must sit inside Yt's")
+    for name, A, At in (("X", X, Xt), ("Y", Y, Yt)):
+        ok, res = is_biorthogonal(A, At, tol_bio)
+        if not ok:
+            raise HypothesisFailure(f"{name} and {name}t are not biorthogonal (residual {res:.3e})")
+    for A, B, a, b in ((X, Y, "X", "Y"), (Xt, Yt, "Xt", "Yt")):
+        if not is_contained(A, B, tol_rank):
+            raise NotContained(f"{a}'s orbit span must sit inside {b}'s")
     r, s = len(X), len(Y)
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
     W0 = _perp_intersection_field(Y, Xt, s - r, tol_rank)
     Wt0 = _perp_intersection_field(Yt, X, s - r, tol_rank)
-    gamma = oblique_riesz_wavelets(X, Y, W0, tol_rank)
+    gamma = _oblique_riesz_core(X, Y, W0, tol_rank)
     gamma_t = dual_family(gamma, Wt0, tol_rank)
     ok, pair_res = is_biorthogonal(gamma, gamma_t, tol_bio)
     if not ok:

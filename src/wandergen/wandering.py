@@ -5,6 +5,9 @@ equal the identity at every dual point.  Given nested wandering families X
 inside Y's orbit span, a complementary wandering family X' is constructed
 fiber by fiber: at each dual point the orthogonal complement of X's fiber
 span inside Y's is extracted with a deterministic pivoted factorization.
+
+``complement_wandering`` and ``bessel_dimension_audit`` check their
+hypotheses once, at entry; ``complement_fibers`` trusts its caller's checks.
 """
 
 from __future__ import annotations
@@ -56,16 +59,24 @@ class WanderingCertificate:
         return self.max_gram_residual <= self.tolerance
 
 
-def verify_wandering(M, tol_bio: float | None = None) -> WanderingCertificate:
-    """Measure how far the orbit Gram fibers sit from the identity."""
+def verify_wandering(M, tol_bio: float | None = None, tol_rank: float = TOL_RANK_REL) -> WanderingCertificate:
+    """Measure how far the orbit Gram fibers sit from the identity; ``complete``
+    reads each fiber's rank, at ``tol_rank``, from the eigenvalues the bounds use."""
     if tol_bio is None:
         tol_bio = default_bio_tol(M.space)
     if len(M) == 0:
         return WanderingCertificate(M, 0.0, complete=False, tolerance=tol_bio)
     residual = gram_fibers(M).identity_deviation()
-    _, F = fiber_tensor(M)
-    complete = bool(np.all(_linalg.matrix_rank(F) == M.space.channels))
-    return WanderingCertificate(M, residual, complete, tol_bio)
+    ranks = _linalg._rank(M.gram_eigenvalues[:, ::-1], tol_rank)
+    return WanderingCertificate(M, residual, bool(np.all(ranks == M.space.channels)), tol_bio)
+
+
+def _require_wandering(tol_bio: float | None, **families) -> None:
+    """Raise NotWandering for the first named family whose orbit is not orthonormal."""
+    for name, M in families.items():
+        residual = gram_fibers(M).identity_deviation() if len(M) else 0.0
+        if not residual <= (default_bio_tol(M.space) if tol_bio is None else tol_bio):
+            raise NotWandering(f"{name} is not wandering (residual {residual:.3e})")
 
 
 @dataclass(frozen=True)
@@ -99,10 +110,7 @@ def bessel_dimension_audit(M: Family, K: Family) -> BesselAudit:
     """
     if isinstance(M, SampledFamily) or isinstance(K, SampledFamily):
         raise ExactModeRequired("the dimension audit needs coefficient-domain families")
-    for fam, name in ((M, "M"), (K, "K")):
-        cert = verify_wandering(fam)
-        if not cert.valid:
-            raise NotWandering(f"{name} is not wandering (residual {cert.max_gram_residual:.3e})")
+    _require_wandering(None, M=M, K=K)
     if not is_contained(M, K):
         raise NotContained("M's orbit span must sit inside K's")
     total = 0.0
@@ -131,12 +139,7 @@ def complement_wandering(
 
     |X| = |Y| is legal and yields the empty family.
     """
-    cert_x = verify_wandering(X, tol_bio)
-    if not cert_x.valid:
-        raise NotWandering(f"X is not wandering (residual {cert_x.max_gram_residual:.3e})")
-    cert_y = verify_wandering(Y, tol_bio)
-    if not cert_y.valid:
-        raise NotWandering(f"Y is not wandering (residual {cert_y.max_gram_residual:.3e})")
+    _require_wandering(tol_bio, X=X, Y=Y)
     if not is_contained(X, Y, tol_rank):
         raise NotContained("X's orbit span must sit inside Y's")
     r, s = len(X), len(Y)

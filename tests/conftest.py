@@ -29,8 +29,9 @@ GROUP_POOL = [
 ]
 
 
-def random_space(rng, max_channels: int = 4, min_channels: int = 1) -> SystemSpace:
-    orders = GROUP_POOL[rng.integers(0, len(GROUP_POOL))]
+def random_space(rng, max_channels: int = 4, min_channels: int = 1, orders=None) -> SystemSpace:
+    """A random space; ``orders`` fixes the group instead of drawing it."""
+    orders = orders or GROUP_POOL[rng.integers(0, len(GROUP_POOL))]
     m = int(rng.integers(min_channels, max_channels + 1))
     return SystemSpace(FiniteAbelian(orders), m)
 
@@ -101,10 +102,10 @@ def random_robertson_instance(rng, min_channels: int = 2):
     return X, Y
 
 
-def random_oblique_instance(rng, tries: int = 50):
+def random_oblique_instance(rng, tries: int = 50, orders=None):
     """(X, Y, W0) Riesz families with V0 (+) W0 = V1 fiberwise, |X| < |Y|."""
     for _ in range(tries):
-        space = random_space(rng, min_channels=2)
+        space = random_space(rng, min_channels=2, orders=orders)
         s = int(rng.integers(2, min(space.channels, 3) + 1))
         r = int(rng.integers(1, s))
         Y = random_riesz_family(rng, space, s)
@@ -167,15 +168,15 @@ def random_frame_instance(rng, tries: int = 50):
     raise RuntimeError("could not draw a frame instance")
 
 
-def random_biortho_quadruple(rng, tries: int = 50):
+def random_biortho_quadruple(rng, tries: int = 50, orders=None):
     """(X, Xt, Y, Yt) biorthogonal Riesz pairs with skew dual spaces."""
     from wandergen.fibers import gram_normalization, is_biorthogonal
 
     for _ in range(tries):
-        orders = GROUP_POOL[rng.integers(0, len(GROUP_POOL))]
+        group = FiniteAbelian(orders or GROUP_POOL[rng.integers(0, len(GROUP_POOL))])
         s = int(rng.integers(2, 4))
         m = s + int(rng.integers(1, 3))
-        space = SystemSpace(FiniteAbelian(orders), m)
+        space = SystemSpace(group, m)
         Y = random_riesz_family(rng, space, s)
         sampling, FY = fiber_tensor(Y)
         points = len(sampling)

@@ -15,6 +15,14 @@ from wandergen import cli, oblique, oracle
 from wandergen.cli import _parse_member, main, render_json
 from wandergen.fibers import Family, SampledFamily
 from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
+from conftest import (
+    random_biortho_quadruple,
+    random_frame_instance,
+    random_oblique_instance,
+    random_riesz_family,
+    random_robertson_instance,
+    random_space,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -67,6 +75,15 @@ class TestAnalyze:
         assert report["bounds"]["riesz"] is None
         assert report["bounds"]["riesz_error"] == "NotRiesz"
         assert report["bounds"]["frame"]["lower"] == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tol_rank", ["1e-9", "1e-3"])
+    def test_complete_agrees_with_riesz_at_the_job_tolerance(self, tmp_path, tol_rank):
+        job = orthonormal_delta_job()
+        job["families"]["X"] = [[entry([0], 0, 1.0)], [entry([0], 1, 1e-6)]]
+        code, report, _ = run(tmp_path, job, extra=("--tol-rank", tol_rank))
+        assert code == 0
+        assert report["bounds"]["riesz_error"] == "NotRiesz"
+        assert report["checks"]["complete"] is False
 
     def test_shift_mode_flagged(self, tmp_path):
         job = {
@@ -410,6 +427,170 @@ class TestDualAndBiortho:
         assert report["residuals"]["union"] <= 1e-9
 
 
+def family_json(fam) -> list:
+    """Job members listing every dense coefficient of each member."""
+    elements = fam.space.group.elements()
+    return [[entry(list(elements[e]), c, z.real, z.imag) for (e, c), z in np.ndenumerate(v.dense())]
+            for v in fam.members]
+
+
+def families_job(command, **families) -> dict:
+    space = next(iter(families.values())).space
+    return {
+        "version": "wandergen/1",
+        "command": command,
+        "system": {"group": {"kind": "finite_abelian", "orders": list(space.group.orders)},
+                   "channels": space.channels},
+        "families": {name: family_json(fam) for name, fam in families.items()},
+    }
+
+
+class TestHypothesesCheckedOnce:
+    """Each job checks each hypothesis once, at the entry point: one
+    containment test of X in Y, one bound per input family, one inverse
+    transform per output family; analyze forms one eigendecomposition."""
+
+    COUNTED = (("fibers", "is_contained"), ("fibers", "riesz_bounds"), ("fibers", "frame_bounds"),
+               ("groups", "idft"), ("_linalg", "matrix_rank"))
+
+    # command: (draw of the input families, [(function, family names) run once], output families)
+    CASES = {
+        "oblique": (lambda rng: dict(zip(("X", "Y", "W0"), random_oblique_instance(rng))),
+                    [("is_contained", "X", "Y"), ("riesz_bounds", "X"), ("riesz_bounds", "Y")], 1),
+        "frame-oblique": (lambda rng: dict(zip(("X", "Y", "W0"), random_frame_instance(rng))),
+                          [("is_contained", "X", "Y"), ("frame_bounds", "X"), ("frame_bounds", "Y")], 1),
+        "biortho": (lambda rng: dict(zip(("X", "Xt", "Y", "Yt"), random_biortho_quadruple(rng))),
+                    [("is_contained", "X", "Y"), ("is_contained", "Xt", "Yt")]
+                    + [("riesz_bounds", name) for name in ("X", "Xt", "Y", "Yt")], 2),
+        "complement": (lambda rng: dict(zip(("X", "Y"), random_robertson_instance(rng))),
+                       [("is_contained", "X", "Y")], 1),
+        "analyze": (lambda rng: {"X": random_riesz_family(rng, random_space(rng), 2)},
+                    [("riesz_bounds", "X"), ("frame_bounds", "X")], 0),
+    }
+
+    def run_counted(self, monkeypatch, job):
+        """Run the job with the counted functions and eigvalsh wrapped; return
+        the parsed families by name and the (function, args) call log."""
+        parsed, calls = {}, []
+        parse = cli._parse_family
+        monkeypatch.setattr(cli, "_parse_family", lambda sp, fams, name: parsed.setdefault(name, parse(sp, fams, name)))
+        for module, name in self.COUNTED:
+            original = getattr(sys.modules[f"wandergen.{module}"], name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, args))
+                return _original(*args, **kwargs)
+
+            for module_name, loaded in list(sys.modules.items()):
+                if module_name.startswith("wandergen") and getattr(loaded, name, None) is original:
+                    monkeypatch.setattr(loaded, name, counting)
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(("eigvalsh", a)) or eigvalsh(*a, **k))
+        _, code = cli.run_job(job, cli.build_parser().parse_args(["--job", "-"]))
+        assert code == 0
+        return parsed, calls
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_each_hypothesis_checked_once(self, monkeypatch, command):
+        draw, once, outputs = self.CASES[command]
+        parsed, calls = self.run_counted(monkeypatch, families_job(command, **draw(np.random.default_rng(77))))
+
+        def count(function, *families):
+            return sum(name == function and all(a is b for a, b in zip(args, families)) for name, args in calls)
+
+        for function, *names in once:
+            assert count(function, *(parsed[n] for n in names)) == 1, (function, names)
+        assert count("idft") == outputs
+        if command == "complement":  # the wandering checks form no rank test of their own
+            assert count("matrix_rank") == 2
+        if command == "analyze":  # bounds, residual and completeness share one spectrum
+            assert (count("eigvalsh"), count("matrix_rank")) == (1, 0)
+
+    def test_shift_mode_analyze_forms_one_spectrum(self, monkeypatch):
+        job = {
+            "version": "wandergen/1",
+            "command": "analyze",
+            "system": {"group": {"kind": "integer_shift", "grid": 16}, "channels": 2},
+            "families": {"X": [[{"element": 0, "channel": 0, "re": 1.0}, {"element": 1, "channel": 1, "re": 0.5}],
+                               [{"element": 0, "channel": 1, "re": 1.0}]]},
+        }
+        _, calls = self.run_counted(monkeypatch, job)
+        assert [name for name, _ in calls].count("eigvalsh") == 1
+
+
+def unit(channel, value=1.0):
+    """A one-entry member: value at the identity, in one channel."""
+    return [entry([0], channel, value)]
+
+
+class TestMultiFaultPrecedence:
+    """Jobs with several failed hypotheses report the first one in the order
+    the constructions have always checked them, with the same message."""
+
+    NOT_INSIDE = ("NotContained", "X's orbit span must sit inside Y's")
+    OVERLAP = ("NotDirectSum", "V0 and W0 fibers overlap at dual point 0")
+    SINGULAR = "Gram fiber at dual point {} is singular (min eigenvalue 0.000e+00)"
+    TWO_POINTS = [entry([0], 1, 1.0), entry([1], 1, 1.0)]  # vanishes at dual point 1
+    # name: (command, channels, families, (error code, message))
+    CASES = {
+        "oblique-singular-x-outside-y-equal-sizes": (
+            "oblique", 2, {"X": [unit(0), unit(0, 2.0)], "Y": [unit(1)], "W0": [unit(1)]},
+            ("NotRiesz", SINGULAR.format(0))),
+        "oblique-singular-y-x-outside": (
+            "oblique", 2, {"X": [unit(1)], "Y": [TWO_POINTS, unit(0)], "W0": [unit(1)]},
+            ("NotRiesz", SINGULAR.format(1))),
+        "oblique-x-outside-equal-sizes": (
+            "oblique", 2, {"X": [unit(0)], "Y": [unit(1)], "W0": [unit(1)]}, NOT_INSIDE),
+        "oblique-equal-sizes-noninvariant-w0": (
+            "oblique", 2, {"X": [unit(0), unit(1)], "Y": [unit(0), unit(1)],
+                           "W0": [[entry([0], 1, 1.0), entry([1], 1, 0.5)]]},
+            ("SizesEqual", "need |X| < |Y|, got 2 >= 2")),
+        "oblique-w0-overlaps-and-leaves": (
+            "oblique", 3, {"X": [unit(0)], "Y": [unit(0), unit(1)], "W0": [unit(0), unit(2)]}, OVERLAP),
+        "frame-oblique-rank-jump-x-outside": (
+            "frame-oblique", 2, {"X": [[entry([0], 0, 1.0), entry([1], 0, 1.0)]], "Y": [unit(1)], "W0": [unit(1)]},
+            ("RankJump", "fiber rank varies across sampling: 0..1")),
+        "frame-oblique-x-outside-w0-leaves": (
+            "frame-oblique", 3, {"X": [unit(0)], "Y": [unit(1)], "W0": [unit(2)]}, NOT_INSIDE),
+        "frame-oblique-w0-overlaps-and-leaves": (
+            "frame-oblique", 3, {"X": [unit(0)], "Y": [unit(0), unit(1)], "W0": [unit(0), unit(2)]}, OVERLAP),
+        "biortho-x-skew-x-outside": (
+            "biortho", 2, {"X": [unit(0, 2.0)], "Xt": [unit(0)], "Y": [unit(1)], "Yt": [unit(1)]},
+            ("HypothesisFailure", "X and Xt are not biorthogonal (residual 1.000e+00)")),
+        "biortho-y-skew-xt-outside": (
+            "biortho", 2, {"X": [unit(0)], "Xt": [unit(0)], "Y": [unit(0), unit(1)], "Yt": [unit(0), unit(1, 3.0)]},
+            ("HypothesisFailure", "Y and Yt are not biorthogonal (residual 2.000e+00)")),
+        "biortho-xt-outside-equal-sizes": (
+            "biortho", 3, {"X": [unit(0), unit(1)], "Xt": [unit(0) + unit(2), unit(1)],
+                           "Y": [unit(0), unit(1)], "Yt": [unit(0), unit(1)]},
+            ("NotContained", "Xt's orbit span must sit inside Yt's")),
+        "complement-x-and-y-not-wandering": (
+            "complement", 2, {"X": [unit(0, 2.0)], "Y": [unit(0, 3.0)]},
+            ("NotWandering", "X is not wandering (residual 3.000e+00)")),
+        "complement-y-not-wandering-x-outside": (
+            "complement", 2, {"X": [unit(0)], "Y": [unit(1, 3.0)]},
+            ("NotWandering", "Y is not wandering (residual 8.000e+00)")),
+        "complement-x-outside-too-large": (
+            "complement", 2, {"X": [unit(0), unit(1)], "Y": [unit(1)]}, NOT_INSIDE),
+        "analyze-zero-family": (
+            "analyze", 2, {"X": [unit(0, 0.0)]}, ("EmptyFamily", "family spans only the zero subspace")),
+    }
+    DENSE_W0 = {"oblique-equal-sizes-noninvariant-w0"}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_first_failed_hypothesis_reported(self, tmp_path, case):
+        command, channels, families, (code, message) = self.CASES[case]
+        job = {
+            "version": "wandergen/1",
+            "command": command,
+            "system": {"group": {"kind": "finite_abelian", "orders": [2]}, "channels": channels},
+            "families": families,
+            "options": {"w0_dense": case in self.DENSE_W0},
+        }
+        exit_code, report, _ = run(tmp_path, job)
+        assert (exit_code, report["error"]) == (2, {"code": code, "message": message})
+
+
 class TestOracleCheck:
     def test_agreement(self, tmp_path):
         job = orthonormal_delta_job()
@@ -601,6 +782,25 @@ class TestMalformedInputs:
         code, report, _ = run(tmp_path, job)
         assert code == 1
         assert report["error"] == {"code": "SchemaError", "message": "tol_rank must be finite"}
+
+    @pytest.mark.parametrize("name", ["tol_rank", "tol_bio"])
+    @pytest.mark.parametrize("value,reason", [
+        (-1.0, "positive"), (0.0, "positive"), (float("nan"), "finite"), (float("-inf"), "finite"),
+    ])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, name, value, reason):
+        error = {"code": "SchemaError", "message": f"{name} must be {reason}"}
+        singular = orthonormal_delta_job()
+        singular["families"]["X"] = [[entry([0], 0, 1.0)], [entry([0], 0, 1.0)]]
+        singular_path = tmp_path / "singular.json"
+        singular_path.write_text(json.dumps(singular))
+        singular["options"][name] = value
+        code, report, _ = run(tmp_path, singular, "options.json")
+        assert (code, report["error"]) == (1, error)
+        flag = "--" + name.replace("_", "-")
+        for path in (singular_path, os.path.join(GOLDEN, "complement_z2.json")):
+            out = tmp_path / "flag.report"
+            assert main(["--job", str(path), f"{flag}={value!r}", "--out", str(out)]) == 1
+            assert json.loads(out.read_text())["error"] == error
 
     def test_representation_cell_beyond_float_range(self, tmp_path):
         cell = [[{"re": 10**400, "im": 0.0}]]

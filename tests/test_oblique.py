@@ -122,6 +122,12 @@ class TestObliqueProjector:
         with pytest.raises(wg.NotDirectSum):
             wg.oblique_projector(wg.ObliqueSplit(X, X, Y))
 
+    def test_v0_outside_v1_rejected(self):
+        sp = space([2], 2)
+        X, Y = wg.Family(sp, (wg.delta(sp, 0, 0),)), wg.Family(sp, (wg.delta(sp, 0, 1),))
+        with pytest.raises(wg.NotContained, match="^V0 generators leave the fine space fiberwise$"):
+            wg.oblique_projector(wg.ObliqueSplit(X, Y, Y))
+
     def test_commutes_with_dense_translations(self):
         rng = np.random.default_rng(55)
         X, Y, W0 = random_oblique_instance(rng)
@@ -403,6 +409,44 @@ class TestBiorthogonalWavelets:
         skew = wg.Family(sp, (X.members[0] * 2.0,))
         with pytest.raises(wg.HypothesisFailure):
             wg.biorthogonal_wavelets(skew, X, Y, Y)
+
+
+class TestWaveletsAgainstDenseOracle:
+    """Gamma's dense orbit is the dense oblique projector onto W0 along V0
+    applied to the dense orbit of the orthogonal complement of V0 in V1,
+    on random instances over product groups."""
+
+    ORDERS = [(4, 3), (2, 2), (2, 4), (2, 2, 3)]
+
+    @staticmethod
+    def expected_orbit(X, Y, w0_columns):
+        Z = oracle.dense_family_matrix(wg.orth_complement_in(Y, X))
+        return oracle.dense_oblique_projector(oracle.dense_family_matrix(X), w0_columns) @ Z
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    def test_oblique_riesz_wavelets(self, orders):
+        rng = np.random.default_rng([75, *orders])
+        for _ in range(3):
+            X, Y, W0 = random_oblique_instance(rng, orders=orders)
+            gamma = wg.oblique_riesz_wavelets(X, Y, W0)
+            expected = self.expected_orbit(X, Y, oracle.dense_family_matrix(W0))
+            np.testing.assert_allclose(oracle.dense_family_matrix(gamma), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("orders", ORDERS, ids=str)
+    def test_biorthogonal_wavelets(self, orders):
+        rng = np.random.default_rng([76, *orders])
+        for _ in range(3):
+            X, Xt, Y, Yt = random_biortho_quadruple(rng, orders=orders)
+            pair = wg.biorthogonal_wavelets(X, Xt, Y, Yt)
+            # W0 = V1 intersect Vt0-perp, densely: the part of V1's basis that
+            # Vt0's basis does not see
+            BY = oracle.dense_orth_basis(oracle.dense_family_matrix(Y))
+            BXt = oracle.dense_orth_basis(oracle.dense_family_matrix(Xt))
+            _, sv, Vh = np.linalg.svd(BXt.conj().T @ BY)
+            w0 = BY @ Vh[np.sum(sv > 1e-9):].conj().T
+            assert w0.shape[1] == Y.space.group.order * (len(Y) - len(X))
+            expected = self.expected_orbit(X, Y, w0)
+            np.testing.assert_allclose(oracle.dense_family_matrix(pair.gamma), expected, rtol=0, atol=1e-12)
 
 
 class TestDenseW0ResolvedOnce:

@@ -33,6 +33,17 @@ class TestVerifyWandering:
         cert = wg.verify_wandering(wg.Family(sp, (wg.delta(sp, 0, 0),)))
         assert cert.valid and not cert.complete
 
+    def test_complete_at_the_callers_rank_tolerance(self):
+        # Gram eigenvalues 1 and 1e-12 at both points: not Riesz at the
+        # default cutoff, so not complete either; complete below 1e-12
+        sp = space([2], 2)
+        fam = wg.Family(sp, (wg.delta(sp, 0, 0), 1e-6 * wg.delta(sp, 0, 1)))
+        with pytest.raises(wg.NotRiesz):
+            wg.riesz_bounds(fam)
+        assert not wg.verify_wandering(fam).complete
+        assert not wg.verify_wandering(fam, tol_rank=1e-3).complete
+        assert wg.verify_wandering(fam, tol_rank=1e-13).complete
+
     def test_orthonormalized_random_family(self):
         rng = np.random.default_rng(40)
         fam = random_riesz_family(rng, space([4], 3), 2)

@@ -3,7 +3,9 @@
 Run from the repository root:  python tools/make_golden.py
 
 Reports are byte-exact for a fixed seed on a fixed BLAS/LAPACK build; after
-a numerics-stack upgrade, regenerate and review the diff.
+a numerics-stack upgrade, regenerate and review the diff.  Each written
+report is listed as "unchanged", "changed" or "new" against the bytes it
+replaced.
 """
 
 from __future__ import annotations
@@ -123,10 +125,13 @@ def write(name: str, job: dict) -> None:
     with open(job_path, "w", encoding="utf-8") as handle:
         handle.write(render_json(job))
     report_path = os.path.join(GOLDEN, f"{name}.report.json")
+    old = open(report_path, "rb").read() if os.path.exists(report_path) else None
     code = main(["--job", job_path, "--seed", "0", "--out", report_path])
     if code != 0:
         raise SystemExit(f"golden job {name} exited {code}")
-    print(f"wrote {job_path} and {report_path}")
+    with open(report_path, "rb") as handle:
+        status = "new" if old is None else "unchanged" if handle.read() == old else "changed"
+    print(f"wrote {job_path} and {report_path}: report {status}")
 
 
 if __name__ == "__main__":
