@@ -16,6 +16,19 @@ holds a read-only copy of them afterwards. ``direct_sum`` and
 block-diagonal sum of representations is one, and the left-translation
 matrices of a Cayley table form one exactly when the table is associative,
 which ``regular_representation`` checks in integers.
+
+The homomorphism property is first proven on generators when the
+constructor proved the table associative (order <= 24). With
+e(a, b) = rho(a) rho(b) - rho(ab) and Delta(s, x) = rho(s) rho(x) - rho(sx),
+a = s a' gives e(a, b) = rho(s) e(a', b) - Delta(s, a') rho(b) + Delta(s, a'b),
+so over words of length <= D in ``generators()``
+||e(a, b)||_2 <= (2 + delta) D (1 + delta)^(D-1) eps, where
+(1 + delta)^2 = 1 + d (u + tau) bounds ||rho(g)||_2^2 by the unitarity
+residual u, eps is the largest Frobenius norm of a generator's residual
+plus d tau, and tau = 4 (d + 2) machine-eps bounds the entrywise rounding
+of a d x d complex product. The identity and generator rows must pass the
+full check as it computes them; then word bound + tau <= 1e-10 proves every
+entry the full |G|^2 check would compute. Otherwise that check runs.
 """
 
 from __future__ import annotations
@@ -60,7 +73,7 @@ class FiniteGroup:
     associativity.
     """
 
-    __slots__ = ("table", "order", "identity", "inverse_table", "name", "_classes")
+    __slots__ = ("table", "order", "identity", "inverse_table", "name", "_classes", "_gens", "_depth")
 
     def __init__(self, table, name: str = "G"):
         table = tuple(tuple(int(x) for x in row) for row in table)
@@ -98,7 +111,7 @@ class FiniteGroup:
         self.identity = identity
         self.inverse_table = tuple(inverse)
         self.name = name
-        self._classes = None
+        self._classes = self._gens = self._depth = None
 
     def compose(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -130,16 +143,27 @@ class FiniteGroup:
 
     def generators(self) -> tuple[int, ...]:
         """Greedy minimal generating set, deterministic by element index."""
-        gens: list[int] = []
-        closure = {self.identity}
-        for g in range(self.order):
-            if g in closure:
-                continue
-            gens.append(g)
-            closure = self._closure(gens)
-            if len(closure) == self.order:
-                break
-        return tuple(gens)
+        if self._gens is None:
+            gens: list[int] = []
+            closure = {self.identity}
+            for g in range(self.order):
+                if g in closure:
+                    continue
+                gens.append(g)
+                closure = self._closure(gens)
+                if len(closure) == self.order:
+                    break
+            self._gens = tuple(gens)
+        return self._gens
+
+    def _word_depth(self) -> int:
+        """Longest word needed in ``generators()``: levels of a -> table[s][a] past the identity."""
+        if self._depth is None:
+            seen, level, self._depth = {self.identity}, {self.identity}, 0
+            while level := {self.table[s][a] for a in level for s in self.generators()} - seen:
+                seen |= level
+                self._depth += 1
+        return self._depth
 
     def _closure(self, gens) -> set:
         closure = {self.identity}
@@ -279,17 +303,44 @@ class Representation:
         if np.max(np.abs(mats[self.group.identity] - eye)) > 1e-10:
             raise ValueError("matrix at the identity is not the identity")
         adj = mats.conj().transpose(0, 2, 1)
-        if np.max(np.abs(adj @ mats - eye)) > 1e-10:
+        unitarity = np.max(np.abs(adj @ mats - eye))
+        if unitarity > 1e-10:
             raise ValueError("representation matrices are not unitary")
-        for a in self.group.elements():
-            prod = mats[a] @ mats
-            target = mats[[self.group.compose(a, b) for b in self.group.elements()]]
-            if np.max(np.abs(prod - target)) > 1e-10:
-                raise ValueError(f"homomorphism property fails at element {a}")
+        if not _word_bound(self.group, mats, unitarity) <= 1e-10:
+            _check_homomorphism(self.group, mats)
 
     @property
     def dim(self) -> int:
         return int(self.matrices.shape[1])
+
+
+def _homomorphism_residual(group: FiniteGroup, mats: np.ndarray, a: int) -> np.ndarray:
+    """rho(a) rho(b) - rho(ab) for every b, as the full check computes it."""
+    return mats[a] @ mats - mats[list(group.table[a])]
+
+
+def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
+    """The full check: every row a, raising for the first that fails."""
+    for a in group.elements():
+        if np.max(np.abs(_homomorphism_residual(group, mats, a))) > 1e-10:
+            raise ValueError(f"homomorphism property fails at element {a}")
+
+
+def _word_bound(group: FiniteGroup, mats: np.ndarray, unitarity: float) -> float:
+    """Bound on every entry the full check computes, or inf (module docstring)."""
+    if group.order > _ASSOC_CHECK_LIMIT:
+        return np.inf
+    frob2 = 0.0  # largest squared Frobenius norm of a generator residual
+    for a in (group.identity, *group.generators()):
+        row = np.abs(_homomorphism_residual(group, mats, a))
+        if not np.max(row) <= 1e-10:
+            return np.inf
+        if a != group.identity:
+            frob2 = max(frob2, np.max(np.sum(row * row, axis=(1, 2))))
+    d = mats.shape[1]
+    tau = 4 * (d + 2) * np.finfo(np.float64).eps
+    depth, grow = group._word_depth(), np.sqrt(1 + d * (unitarity + tau))
+    return (1 + grow) * depth * grow ** (depth - 1) * (np.sqrt(frob2) + d * tau) + tau
 
 
 def _proven(group: FiniteGroup, mats: np.ndarray) -> Representation:
@@ -363,7 +414,7 @@ def character(rho: Representation) -> ClassFunction:
     for cls in rho.group.conjugacy_classes():
         vals = traces[list(cls)]
         if np.max(np.abs(vals - vals[0])) > 1e-10:
-            raise ValueError("trace is not constant on a conjugacy class")
+            raise HypothesisFailure("trace is not constant on a conjugacy class")
         values.append(complex(vals[0]))
     return ClassFunction(rho.group, tuple(values))
 
@@ -466,10 +517,9 @@ def are_equivalent(
         rng = np.random.default_rng(seed)
         R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         T = np.mean(sigma.matrices @ R @ rho.matrices[inv], axis=0)
-        s = np.linalg.svd(T, compute_uv=False)
+        W, s, Vh = np.linalg.svd(T)
         if s[-1] <= 0 or s[0] / s[-1] > cond_limit:
             continue
-        W, _, Vh = np.linalg.svd(T)
         U = W @ Vh
         residual = _intertwining_residual(U, rho, sigma)
         if residual <= tol:

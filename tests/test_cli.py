@@ -834,6 +834,25 @@ class TestMalformedInputs:
         assert report["command"] == "cancel"
         assert report["error"] == {"code": "SchemaError", "message": f"representation 'rho' invalid: {reason}"}
 
+    def test_trace_off_a_class_exits_2(self, tmp_path):
+        # accepted (homomorphism residual 9e-11), but the trace spreads by 2.7e-10 on a class
+        phase = np.exp(4.5e-11j)
+
+        def matrix(z):
+            return [[{"re": z.real if a == b else 0.0, "im": z.imag if a == b else 0.0} for b in range(6)]
+                    for a in range(6)]
+
+        rep = {"dim": 6, "matrices": [matrix(phase if g == 1 else 1.0 + 0j) for g in range(6)]}
+        job = {
+            "version": "wandergen/1",
+            "command": "cancel",
+            "system": {"group": {"kind": "builtin", "name": "S3"}},
+            "representations": {name: rep for name in ("rho", "sigma1", "sigma2", "sigma3")},
+        }
+        code, report, _ = run(tmp_path, job)
+        assert code == 2
+        assert report["error"] == {"code": "HypothesisFailure", "message": "trace is not constant on a conjugacy class"}
+
     def test_missing_file(self, tmp_path):
         out = tmp_path / "r"
         code = main(["--job", str(tmp_path / "missing.json"), "--out", str(out)])

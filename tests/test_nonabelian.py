@@ -257,6 +257,195 @@ class TestProvenRepresentations:
             assert np.array_equal(rep.matrices, kron_regular(group, 2))
 
 
+def loop_verdict(make):
+    """None when ``make()`` returns, else the message of its ValueError."""
+    try:
+        make()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def loop_maximum(group, mats):
+    """The largest entry the full homomorphism check computes."""
+    return max(np.max(np.abs(na._homomorphism_residual(group, mats, a))) for a in group.elements())
+
+
+class TestGeneratorProof:
+    """The homomorphism property proven from the generators' rows."""
+
+    GROUPS = {
+        "S3": na.symmetric_3,
+        "D4": na.dihedral_4,
+        "Q8": na.quaternion_8,
+        "S3xZ4": lambda: na.direct_product(na.symmetric_3(), na.cyclic_group(4)),
+    }
+
+    @pytest.fixture
+    def full_check_calls(self, monkeypatch):
+        calls = []
+        full = na._check_homomorphism
+
+        def counted(group, mats):
+            calls.append(group.order)
+            full(group, mats)
+
+        monkeypatch.setattr(na, "_check_homomorphism", counted)
+        return calls
+
+    @pytest.fixture
+    def no_full_check(self, monkeypatch):
+        def refuse(group, mats):
+            raise AssertionError("full homomorphism check reached")
+
+        monkeypatch.setattr(na, "_check_homomorphism", refuse)
+
+    def test_word_depth(self):
+        expected = {"S3": ((1, 2), 3), "D4": ((1, 2), 4), "Q8": ((1, 2, 4), 2), "S3xZ4": ((1, 4, 8), 6)}
+        for name, make in self.GROUPS.items():
+            group = make()
+            gens = group.generators()
+            # products of at most k generators, this time multiplied on the right
+            reached, k = {group.identity}, 0
+            while len(reached) < group.order:
+                reached |= {group.compose(a, s) for a in reached for s in gens}
+                k += 1
+            assert (gens, group._word_depth()) == expected[name]
+            assert k == group._word_depth()
+            assert group.generators() is gens  # kept on the group
+        assert na.cyclic_group(1)._word_depth() == 0
+        assert na.cyclic_group(24)._word_depth() == 23
+
+    @pytest.mark.parametrize("name", list(GROUPS))
+    def test_valid_inputs_never_reach_full_check(self, name, no_full_check):
+        rng = np.random.default_rng(91)
+        group = self.GROUPS[name]()
+        for multiplicity in (1, 2):
+            exact = kron_regular(group, multiplicity)
+            Q = haar_unitary(rng, exact.shape[1])
+            for mats in (exact, Q @ exact @ Q.conj().T):
+                rep = na.Representation(group, mats)
+                assert np.array_equal(rep.matrices, mats)
+
+    def test_large_group_runs_full_check(self, full_check_calls):
+        group = na.cyclic_group(25)
+        mats = kron_regular(group, 1)
+        na.Representation(group, mats)
+        assert full_check_calls == [25]
+        unitarity = np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(25)))
+        assert na._word_bound(group, mats, unitarity) == np.inf
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    @pytest.mark.parametrize("where", ["generator", "deep"])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_perturbation_at_tolerance(self, name, where, side):
+        """A phase on one element puts the full check's maximum just inside
+        (side -1) or just outside (side 1) 1e-10; the constructor's verdict
+        and message are the full check's."""
+        group = self.GROUPS[name]()
+        if where == "generator":
+            x = group.generators()[0]
+        else:
+            levels = {group.identity}
+            while len(levels) < group.order:
+                deep = {group.compose(s, a) for a in levels for s in group.generators()} - levels
+                levels |= deep
+            x = min(deep)
+        rng = np.random.default_rng(92)
+        exact = kron_regular(group, 1)
+        Q = haar_unitary(rng, group.order)
+        conjugated = Q @ exact @ Q.conj().T
+
+        def perturbed(theta):
+            mats = conjugated.copy()
+            mats[x] *= np.exp(1j * theta)
+            return mats
+
+        slope = loop_maximum(group, perturbed(1e-10)) / 1e-10
+        mats = perturbed(1e-10 * (1 + side * 1e-3) / slope)
+        assert (loop_maximum(group, mats) > 1e-10) == (side > 0)
+        got = loop_verdict(lambda: na.Representation(group, mats))
+        assert got == loop_verdict(lambda: na._check_homomorphism(group, mats))
+        assert (got is None) == (side < 0)
+
+    @staticmethod
+    def word_built(rng, group, mats, noise):
+        """rho(s) exp(i noise H_s) on the generators, extended along
+        breadth-first words, so that the error grows with the word length."""
+        d, gens = mats.shape[1], group.generators()
+        out = np.empty_like(mats)
+        out[group.identity] = np.eye(d)
+        for s in gens:
+            H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            w, V = np.linalg.eigh(H + H.conj().T)
+            out[s] = mats[s] @ (V * np.exp(1j * noise * w)) @ V.conj().T
+        seen, level = {group.identity, *gens}, list(gens)
+        while level:
+            nxt = []
+            for a in level:
+                for s in gens:
+                    b = group.compose(s, a)
+                    if b not in seen:
+                        seen.add(b)
+                        out[b] = out[s] @ out[a]
+                        nxt.append(b)
+            level = nxt
+        return out
+
+    @staticmethod
+    def drifting_character(n, c):
+        """A one-dimensional near-character of Z_n: rho(1) rho(b) - rho(1 + b)
+        has modulus about c for every b, but the phase errors add up along
+        words, so some rho(a) rho(b) - rho(ab) reaches about n c."""
+        steps = np.where(np.arange(n) < n // 2, c, -c)
+        steps[0] = 0.0
+        phi1 = (2 * np.pi + steps[1:].sum()) / n
+        drift = np.concatenate(([0.0, 0.0], np.cumsum(steps[1:n - 1])))
+        return np.exp(1j * (np.arange(n) * phi1 - drift)).reshape(n, 1, 1)
+
+    def test_bound_nearly_attained_on_long_words(self):
+        for n in (12, 24):
+            group = na.cyclic_group(n)
+            for c in (1e-14, 1e-13, 1e-12, 2e-12, 3e-12):
+                mats = self.drifting_character(n, c)
+                unitarity = np.max(np.abs(mats.conj() * mats - 1.0))
+                bound = na._word_bound(group, mats, unitarity)
+                assert bound / 4 < loop_maximum(group, mats) <= bound
+                assert loop_maximum(group, mats) > 10 * np.max(np.abs(na._homomorphism_residual(group, mats, 1)))
+        # past the proof (bound above 1e-10) the full check still accepts
+        group, mats = na.cyclic_group(24), self.drifting_character(24, 3e-12)
+        assert na._word_bound(group, mats, 0.0) > 1e-10 >= loop_maximum(group, mats)
+        assert loop_verdict(lambda: na.Representation(group, mats)) is None
+
+    def test_bound_dominates_full_check(self):
+        """On random near-representations the full check's maximum never
+        exceeds the bound the generator proof uses."""
+        rng = np.random.default_rng(93)
+        groups = dict(self.GROUPS, Z12=lambda: na.cyclic_group(12))
+        accepted = refused = 0
+        for name, make in groups.items():
+            group = make()
+            for multiplicity in (1, 2):
+                exact = kron_regular(group, multiplicity)
+                d = exact.shape[1]
+                for noise in (1e-15, 1e-14, 1e-13, 1e-12, 3e-12, 1e-11):
+                    Q = haar_unitary(rng, d)
+                    E = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+                    noisy = Q @ exact @ Q.conj().T + noise * E
+                    noisy[group.identity] = np.eye(d)
+                    words = self.word_built(rng, group, Q @ exact @ Q.conj().T, noise)
+                    for mats in (noisy, words):
+                        unitarity = np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(d)))
+                        bound = na._word_bound(group, mats, unitarity)
+                        if bound == np.inf:  # a row the full check computes failed
+                            assert loop_maximum(group, mats) > 1e-10
+                            continue
+                        assert loop_maximum(group, mats) <= bound
+                        accepted += bound <= 1e-10
+                        refused += bound > 1e-10
+        assert accepted > 40 and refused > 40
+
+
 class TestCharacter:
     def test_trivial_all_ones(self):
         group, triv, _, _ = s3_irreps()
@@ -273,6 +462,13 @@ class TestCharacter:
             assert na.character_inner(na.character(a), na.character(a)) == pytest.approx(1.0, abs=1e-12)
         assert na.character_inner(na.character(triv), na.character(sign)) == pytest.approx(0.0, abs=1e-12)
         assert na.character_inner(na.character(std), na.character(sign)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_trace_off_a_class_is_a_hypothesis_failure(self):
+        mats = np.tile(np.eye(6, dtype=np.complex128), (6, 1, 1))
+        mats[1] *= np.exp(4.5e-11j)  # homomorphism residual 9e-11, trace spread 2.7e-10
+        rep = na.Representation(na.symmetric_3(), mats)
+        with pytest.raises(wg.HypothesisFailure, match="^trace is not constant on a conjugacy class$"):
+            na.character(rep)
 
 
 class TestIntertwinerBasis:
@@ -322,6 +518,22 @@ class TestAreEquivalent:
         swap[1, 0] = 1.0
         swap[2, 1] = 1.0
         assert np.max(np.abs(swap @ a.matrices - b.matrices @ swap)) <= 1e-12
+
+    def test_one_svd_per_draw(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        _, triv, _, std = s3_irreps()
+        a, b = na.direct_sum(std, triv), na.direct_sum(triv, std)
+        expected = na.are_equivalent(a, b)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        wit = na.are_equivalent(a, b)
+        assert calls == [True] * (wit.seed + 1)
+        assert np.array_equal(wit.matrix, expected.matrix) and wit.seed == expected.seed
 
     def test_distinct_characters_none(self):
         _, triv, sign, _ = s3_irreps()

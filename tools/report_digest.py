@@ -1,12 +1,17 @@
-"""Print one line per CLI job of the benchmark schedule: name, exit code and
-the SHA-256 of the report text.
+"""Print one line per job of the benchmark schedule: name, exit code and
+the SHA-256 of the job's output.
 
 Run from the repository root:  python tools/report_digest.py [--seeds 1 2]
 
-Every CLI job of ``benchmarks/gen.pool`` (all workloads, the round and the
-small set, for each seed) runs through ``cli.run_job`` in this process; the
-non-abelian jobs that call the library directly are not CLI jobs and are
-skipped.  Diff the output of two checkouts to list the reports that differ:
+Every job of ``benchmarks/gen.pool`` (all workloads, the round and the
+small set, for each seed) runs in this process.  A CLI job runs through
+``cli.run_job`` and its report text is digested.  A non-abelian job calls
+the library as ``benchmarks/worker.py`` does: ``cancel`` builds its four
+representations and prints the digest of the witness matrix bytes, then
+the witness seed and residual; ``wandering_complement_general`` prints the
+digest of the returned array's bytes.  A library error prints exit code 2
+and its error code instead.  Diff the output of two checkouts to list the
+outputs that differ:
 
     diff <(python A/tools/report_digest.py) <(python B/tools/report_digest.py)
 
@@ -29,24 +34,48 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
 import gen  # noqa: E402  (numpy only; reads nothing from the library)
-from wandergen import cli  # noqa: E402
+import numpy as np  # noqa: E402
+from wandergen import cli, nonabelian  # noqa: E402
+from wandergen.errors import WandergenError  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def nonabelian_digest(job: dict) -> tuple[int, str]:
+    """(exit code, digest) of a non-abelian job, run as the benchmark runs it."""
+    group = nonabelian.FiniteGroup(job["table"])
+    try:
+        if job["kind"] == "cancel":
+            reps = {k: nonabelian.Representation(group, gen.array_from_json(v)) for k, v in job["reps"].items()}
+            witness = nonabelian.cancel(reps["rho"], reps["sigma1"], reps["sigma2"], reps["sigma3"])
+            matrix = np.ascontiguousarray(witness.matrix).tobytes()
+            return 0, f"{_sha(matrix)} seed={witness.seed} residual={witness.residual!r}"
+        X, Y = (gen.array_from_json(job[k]) for k in ("X", "Y"))
+        columns = nonabelian.wandering_complement_general(X, Y, group, job["mult"])
+        return 0, _sha(np.ascontiguousarray(columns).tobytes())
+    except WandergenError as exc:
+        return 2, exc.code
 
 
 def digests(seeds: list[int]):
-    """(name, exit code, hex digest) of every CLI job, in schedule order."""
+    """(name, exit code, digest) of every job, in schedule order."""
     args = cli.build_parser().parse_args(["--job", "-"])
     for seed in seeds:
         for workload in gen.WORKLOADS:
             for small in (False, True):
                 for name, text, _ in gen.pool(workload, seed, small):
                     job = json.loads(text)
-                    if "kind" in job:
-                        continue
                     try:
-                        report, code = cli.run_job(job, args)
+                        if "kind" in job:
+                            code, digest = nonabelian_digest(job)
+                        else:
+                            report, code = cli.run_job(job, args)
+                            digest = _sha(report.encode())
                     except Exception as exc:  # report the failure instead of a digest
-                        report, code = f"{type(exc).__name__}: {exc}", "raised"
-                    yield f"{workload}/{seed}/{name}", code, hashlib.sha256(report.encode()).hexdigest()
+                        code, digest = "raised", _sha(f"{type(exc).__name__}: {exc}".encode())
+                    yield f"{workload}/{seed}/{name}", code, digest
 
 
 def main(argv=None) -> int:
