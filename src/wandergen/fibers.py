@@ -43,7 +43,6 @@ __all__ = [
     "SampledFamily",
     "FiberField",
     "Bounds",
-    "fiber_tensor",
     "union_family",
     "gram_normalization",
     "gram_fibers",
@@ -60,7 +59,27 @@ __all__ = [
 ]
 
 
-class _Orbit:
+class _FiberHolder:
+    """A system space and its fiber tensor values[point, channel, member],
+    one row per point of the space's dual sampling.  Holders given their
+    fibers check that shape when built; those that compute them override
+    ``__post_init__``."""
+
+    @property
+    def sampling(self) -> DualSampling:
+        return dual_sampling(self.space)
+
+    def __len__(self) -> int:
+        return int(self.fibers.shape[2])
+
+    def __post_init__(self):
+        points, channels = len(self.sampling), self.space.channels
+        shape = np.shape(self.fibers)
+        if len(shape) != 3 or shape[:2] != (points, channels):
+            raise ValueError(f"expected ({points}, {channels}, k) fibers, got {shape}")
+
+
+class _Orbit(_FiberHolder):
     """Gram fibers ``gram`` (points, members, members) and their ascending
     eigenvalues ``gram_eigenvalues`` (points, members), each computed once,
     on first use, and read-only: every bound and certificate shares them."""
@@ -104,10 +123,6 @@ class Family(_Orbit):
         return iter(self.members)
 
     @cached_property
-    def sampling(self) -> DualSampling:
-        return dual_sampling(self.space)
-
-    @cached_property
     def fibers(self) -> np.ndarray:
         if self.members and self.space.exact:
             values = dft(self.space.group, np.stack([v.dense() for v in self.members], axis=2))
@@ -134,12 +149,8 @@ class SampledFamily(_Orbit):
     """
 
     space: SystemSpace
-    sampling: DualSampling
     fibers: np.ndarray  # (points, channels, members)
     note: str = "fiber-sampled; coefficient-domain realization requires interpolation"
-
-    def __len__(self) -> int:
-        return int(self.fibers.shape[2])
 
 
 @dataclass(frozen=True)
@@ -180,20 +191,9 @@ class Bounds:
             raise ValueError(f"bounds must satisfy 0 < lower <= upper, got {self}")
 
 
-def fiber_tensor(X) -> tuple[DualSampling, np.ndarray]:
-    """The sampling and the fibers values[point, channel, member] of a Family,
-    SampledFamily, dense basis or per-point basis field."""
-    return X.sampling, X.fibers
-
-
-def union_family(A, B):
-    """A's generators followed by B's: joined members when both are
-    coefficient Families, stacked fibers otherwise."""
-    if isinstance(A, Family) and isinstance(B, Family):
-        return A.joined(B)
-    sampling, FA = fiber_tensor(A)
-    _, FB = fiber_tensor(B)
-    return SampledFamily(A.space, sampling, np.concatenate([FA, FB], axis=2))
+def union_family(A, B) -> SampledFamily:
+    """A's generators followed by B's, as their stacked fibers."""
+    return SampledFamily(A.space, np.concatenate([A.fibers, B.fibers], axis=2))
 
 
 def gram_normalization(space: SystemSpace) -> float:
@@ -226,10 +226,8 @@ def mixed_gramian(X, Xt) -> FiberField:
         raise SizeMismatch("mixed Gramian needs a shared system space")
     if len(X) != len(Xt):
         raise SizeMismatch(f"family sizes differ: {len(X)} vs {len(Xt)}")
-    sampling, F = fiber_tensor(X)
-    _, Ft = fiber_tensor(Xt)
-    mats = _gram_tensor(F, Ft, gram_normalization(X.space))
-    return FiberField(sampling, mats)
+    mats = _gram_tensor(X.fibers, Xt.fibers, gram_normalization(X.space))
+    return FiberField(X.sampling, mats)
 
 
 def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
@@ -287,26 +285,22 @@ def is_contained(X, Y, tol_rank: float = TOL_RANK_REL) -> bool:
     """Pointwise column-space containment of X's fibers in Y's."""
     if X.space != Y.space:
         raise SizeMismatch("containment needs a shared system space")
-    _, FX = fiber_tensor(X)
-    _, FY = fiber_tensor(Y)
-    ry = _linalg.matrix_rank(FY, tol_rank)
-    joint = _linalg.matrix_rank(np.concatenate([FY, FX], axis=2), tol_rank)
+    ry = _linalg.matrix_rank(Y.fibers, tol_rank)
+    joint = _linalg.matrix_rank(np.concatenate([Y.fibers, X.fibers], axis=2), tol_rank)
     return bool(np.all(joint == ry))
 
 
 def fiber_span_angle(X, Y, tol_rank: float = TOL_RANK_REL) -> float:
     """Max over dual points of the largest principal angle between fiber spans."""
-    _, FX = fiber_tensor(X)
-    _, FY = fiber_tensor(Y)
-    return _linalg.max_principal_angle(FX, FY, tol_rank)
+    return _linalg.max_principal_angle(X.fibers, Y.fibers, tol_rank)
 
 
-def family_from_fibers(space: SystemSpace, sampling: DualSampling, F: np.ndarray):
+def family_from_fibers(space: SystemSpace, F: np.ndarray):
     """Materialize fibers as a Family (exact mode) or SampledFamily (shift mode)."""
     if space.exact:  # one inverse transform, then one view per member
         coeffs = idft(space.group, F)
         return Family(space, tuple(from_dense(space, coeffs[:, :, j]) for j in range(F.shape[2])))
-    return SampledFamily(space, sampling, np.asarray(F, dtype=np.complex128))
+    return SampledFamily(space, np.asarray(F, dtype=np.complex128))
 
 
 def orthonormalize(X, tol_rank: float = TOL_RANK_REL):
@@ -317,12 +311,10 @@ def orthonormalize(X, tol_rank: float = TOL_RANK_REL):
     its orbit is orthonormal.
     """
     riesz_bounds(X, tol_rank)  # raises NotRiesz on singular fibers
-    sampling, F = fiber_tensor(X)
     w, U = np.linalg.eigh(X.gram)
     inv_sqrt = (U * (w[:, None, :] ** -0.5)) @ U.conj().transpose(0, 2, 1)
     # with G_ij = N sum_c xhat_i conj(xhat_j), whitening uses conj(G)^{-1/2}
-    FZ = F @ inv_sqrt.conj()
-    return family_from_fibers(X.space, sampling, FZ)
+    return family_from_fibers(X.space, X.fibers @ inv_sqrt.conj())
 
 
 def synthesize(X, a) -> GroupVector:

@@ -5,9 +5,11 @@ Groups are ingested as Cayley tables over indices 0..n-1, with built-in
 constructors for cyclic groups, direct products, the symmetric group on
 three letters, the dihedral group of the square, and the quaternion group.
 Equivalence of representations is detected through characters (valid for
-finite groups) but always witnessed by an explicit unitary intertwiner: a
-generic element of the intertwiner space is drawn by group-averaging a
-seeded Gaussian matrix, and its unitary polar factor is returned.
+finite groups).  ``are_equivalent`` witnesses it by an explicit unitary
+intertwiner: a generic element of the intertwiner space is drawn by
+group-averaging a seeded Gaussian matrix, and its unitary polar factor is
+returned.  ``cancel`` decides its two hypotheses by characters alone and
+builds a witness only for its conclusion.
 
 A ``Representation`` is validated once, when it is built from outside
 matrices (identity, unitarity and the homomorphism property, to 1e-10), and
@@ -300,11 +302,11 @@ class Representation:
         if d == 0:
             return
         eye = np.eye(d)
-        if np.max(np.abs(mats[self.group.identity] - eye)) > 1e-10:
+        if not np.max(np.abs(mats[self.group.identity] - eye)) <= 1e-10:
             raise ValueError("matrix at the identity is not the identity")
         adj = mats.conj().transpose(0, 2, 1)
         unitarity = np.max(np.abs(adj @ mats - eye))
-        if unitarity > 1e-10:
+        if not unitarity <= 1e-10:
             raise ValueError("representation matrices are not unitary")
         if not _word_bound(self.group, mats, unitarity) <= 1e-10:
             _check_homomorphism(self.group, mats)
@@ -322,7 +324,7 @@ def _homomorphism_residual(group: FiniteGroup, mats: np.ndarray, a: int) -> np.n
 def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
     """The full check: every row a, raising for the first that fails."""
     for a in group.elements():
-        if np.max(np.abs(_homomorphism_residual(group, mats, a))) > 1e-10:
+        if not np.max(np.abs(_homomorphism_residual(group, mats, a))) <= 1e-10:
             raise ValueError(f"homomorphism property fails at element {a}")
 
 
@@ -487,6 +489,11 @@ def intertwiner_basis(
     return basis
 
 
+def _characters_agree(rho: Representation, sigma: Representation, tol: float) -> bool:
+    """Equal dimensions and characters: for finite groups, equivalence itself."""
+    return rho.dim == sigma.dim and character(rho).agrees(character(sigma), tol)
+
+
 def are_equivalent(
     rho: Representation,
     sigma: Representation,
@@ -502,9 +509,7 @@ def are_equivalent(
     it); the witness is its unitary polar factor, which still intertwines.
     Seeds are retried while the draw is ill-conditioned.
     """
-    if rho.dim != sigma.dim:
-        return None
-    if not character(rho).agrees(character(sigma), tol):
+    if not _characters_agree(rho, sigma, tol):
         return None
     d = rho.dim
     if d == 0:
@@ -552,14 +557,15 @@ def cancel(
     """Cancellation witness: sigma2 ~ sigma3 given rho ~ sigma1 + sigma2 and
     rho ~ sigma1 + sigma3, for rho a finite multiple of the regular
     representation (which makes its commutant finite and cancellation valid).
+    The hypotheses are decided by characters; only sigma2 ~ sigma3 is witnessed.
     """
     if _is_regular_multiple(rho, tol) is None:
         raise HypothesisFailure(
             "rho is not a finite multiple of the regular representation"
         )
-    if are_equivalent(rho, direct_sum(sigma1, sigma2), tol=tol) is None:
+    if not _characters_agree(rho, direct_sum(sigma1, sigma2), tol):
         raise HypothesisFailure("rho is not equivalent to sigma1 + sigma2")
-    if are_equivalent(rho, direct_sum(sigma1, sigma3), tol=tol) is None:
+    if not _characters_agree(rho, direct_sum(sigma1, sigma3), tol):
         raise HypothesisFailure("rho is not equivalent to sigma1 + sigma3")
     witness = are_equivalent(sigma2, sigma3, tol=tol)
     if witness is None:

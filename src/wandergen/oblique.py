@@ -3,8 +3,10 @@
 Subspaces enter in one of three presentations: an orbit generator family
 (invariance holds by construction), a dense basis of the exact-mode
 ambient space (accepted so the non-invariant branch is exercisable), or a
-precomputed per-point fiber basis field.  All projectors and generator
-outputs are produced point by point over the dual sampling.
+precomputed per-point fiber basis field.  Each is a system space and a
+fiber tensor values[point, channel, column] over that space's dual
+sampling, read as ``.fibers``.  All projectors and generator outputs are
+produced point by point over those dual points.
 
 The Riesz construction follows the proof shape: orthonormal generators of
 the orthogonal complement V of the coarse space inside the fine one, then
@@ -41,10 +43,10 @@ from .fibers import (
     Family,
     FiberField,
     SampledFamily,
+    _FiberHolder,
     default_bio_tol,
     dense_fourier_matrix,
     family_from_fibers,
-    fiber_tensor,
     frame_bounds,
     gram_normalization,
     is_biorthogonal,
@@ -52,7 +54,7 @@ from .fibers import (
     riesz_bounds,
     union_family,
 )
-from .groups import DualSampling, SystemSpace, dft, dual_sampling
+from .groups import DualSampling, SystemSpace, dft
 from .wandering import complement_fibers
 
 __all__ = [
@@ -75,7 +77,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DenseBasis:
+class DenseBasis(_FiberHolder):
     """Dense coefficient columns spanning a subspace of the exact ambient space;
     ``fibers`` (values[point, channel, column]) is computed once, read-only."""
 
@@ -92,10 +94,6 @@ class DenseBasis:
         object.__setattr__(self, "columns", cols)
 
     @cached_property
-    def sampling(self) -> DualSampling:
-        return dual_sampling(self.space)
-
-    @cached_property
     def fibers(self) -> np.ndarray:
         group = self.space.group
         values = dft(group, self.columns.reshape(group.order, self.space.channels, -1))
@@ -104,15 +102,11 @@ class DenseBasis:
 
 
 @dataclass(frozen=True)
-class FiberBasisField:
+class FiberBasisField(_FiberHolder):
     """Per-dual-point orthonormal bases of a fiber subspace field."""
 
     space: SystemSpace
-    sampling: DualSampling
     fibers: np.ndarray  # (points, channels, dim)
-
-    def __len__(self) -> int:
-        return int(self.fibers.shape[2])
 
 
 @dataclass(frozen=True)
@@ -188,11 +182,10 @@ def _fiber_basis(
         varying = "invariant subspace has varying fiber dimension"
     else:
         varying = "family has varying fiber rank"
-    sampling, F = fiber_tensor(W)
-    U, r = _linalg.orth_columns(F, tol_rank)
+    U, r = _linalg.orth_columns(W.fibers, tol_rank)
     if r.min() != r.max():
         raise NotDirectSum(f"{varying} on this sampling")
-    return FiberBasisField(W.space, sampling, U[:, :, : r[0]])
+    return FiberBasisField(W.space, U[:, :, : r[0]])
 
 
 def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool = False) -> bool:
@@ -201,8 +194,7 @@ def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool
     With ``require_ambient`` the joint span must also fill all channels,
     i.e. the fiberwise sum reconstructs the whole space.
     """
-    _, FA = fiber_tensor(A)
-    _, FB = fiber_tensor(B)
+    FA, FB = A.fibers, B.fibers
     joint = _linalg.matrix_rank(np.concatenate([FA, FB], axis=2), tol_rank)
     ok = joint == _linalg.matrix_rank(FA, tol_rank) + _linalg.matrix_rank(FB, tol_rank)
     if require_ambient:
@@ -221,18 +213,16 @@ def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
         riesz_bounds(X, tol_rank)
         if not is_contained(X, Y, tol_rank):
             raise NotContained("X's orbit span must sit inside Y's")
-    sampling, FY = fiber_tensor(Y)
-    _, FX = fiber_tensor(X)
-    return family_from_fibers(Y.space, sampling, complement_fibers(Y.space, FX, FY, tol_rank))
+    return family_from_fibers(Y.space, complement_fibers(Y.space, X.fibers, Y.fibers, tol_rank))
 
 
-def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[DualSampling, FiberBasisField, FiberBasisField, np.ndarray]:
+def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, FiberBasisField, np.ndarray]:
     """Resolve and validate a split whose V0 is known to sit inside V1 (trivial
-    intersection, joint spanning of the fine space's fibers); returns the
-    sampling, both fiber bases and the projectors onto W0 along V0."""
+    intersection, joint spanning of the fine space's fibers); returns both
+    fiber bases and the projectors onto W0 along V0."""
     BV0 = _fiber_basis(v0, tol_rank)
     BW0 = _fiber_basis(w0, tol_rank)
-    sampling, F1 = fiber_tensor(v1)
+    F1 = v1.fibers
     r1 = _linalg.matrix_rank(F1, tol_rank)
     joint = _linalg.matrix_rank(np.concatenate([BV0.fibers, BW0.fibers], axis=2), tol_rank)
     w0_in_v1 = _linalg.matrix_rank(np.concatenate([F1, BW0.fibers], axis=2), tol_rank)
@@ -253,15 +243,15 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[DualSampling, FiberBa
             lambda p: NotDirectSum(f"W0 fibers leave the fine space at dual point {p}"),
         ),
     )
-    return sampling, BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
+    return BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
 
 
 def oblique_projector(split: ObliqueSplit, tol_rank: float = TOL_RANK_REL) -> OperatorField:
     """Fiberwise projector onto W0's span along V0's span inside V1."""
     if not is_contained(split.v0, split.within, tol_rank):
         raise NotContained("V0 generators leave the fine space fiberwise")
-    sampling, _, _, mats = _validated_split(split.v0, split.w0, split.within, tol_rank)
-    return OperatorField(sampling, mats)
+    *_, mats = _validated_split(split.v0, split.w0, split.within, tol_rank)
+    return OperatorField(split.within.sampling, mats)
 
 
 @dataclass(frozen=True)
@@ -283,9 +273,7 @@ def restricted_projection_pair(
     """Lemma-style inverse pair for X = M (+) N = M' (+) N, fiber by fiber."""
     if len(M) != len(Mp):
         raise SizeMismatch(f"complement sizes differ: {len(M)} vs {len(Mp)}")
-    sampling, FM = fiber_tensor(M)
-    _, FMp = fiber_tensor(Mp)
-    _, FN = fiber_tensor(N)
+    FM, FMp, FN = M.fibers, Mp.fibers, N.fibers
     k = len(M)
     UN, rn = _linalg.orth_columns(FN, tol_rank)
     BN = _linalg.leading_columns(UN, rn)
@@ -316,7 +304,7 @@ def restricted_projection_pair(
     q1 = np.linalg.pinv(FMp) @ (Q @ FM)
     eye = np.eye(k)
     residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
-    return ProjectionPair(FiberField(sampling, p1), FiberField(sampling, q1), residual)
+    return ProjectionPair(FiberField(M.sampling, p1), FiberField(M.sampling, q1), residual)
 
 
 def oblique_riesz_wavelets(
@@ -347,11 +335,9 @@ def _oblique_riesz_core(X: Family, Y: Family, BW0: FiberBasisField, tol_rank: fl
     """The Riesz construction on checked inputs (X and Y Riesz, X's span in
     Y's, |X| < |Y|, W0 resolved): the complement fibers of X's in Y's,
     projected onto W0 along V0 as they are, then one inverse transform."""
-    _, FX = fiber_tensor(X)
-    sampling, FY = fiber_tensor(Y)
-    FZ = complement_fibers(Y.space, FX, FY, tol_rank)
+    FZ = complement_fibers(Y.space, X.fibers, Y.fibers, tol_rank)
     *_, P = _validated_split(X, BW0, Y, tol_rank)
-    return family_from_fibers(X.space, sampling, P @ FZ)
+    return family_from_fibers(X.space, P @ FZ)
 
 
 def oblique_frame_wavelets(
@@ -372,13 +358,12 @@ def oblique_frame_wavelets(
     if not is_contained(X, Y, tol_rank):
         raise NotContained("X's orbit span must sit inside Y's")
     w0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")  # resolved once
-    sampling, BV0, BW0, P = _validated_split(X, w0, Y, tol_rank)
-    _, FY = fiber_tensor(Y)
+    BV0, BW0, P = _validated_split(X, w0, Y, tol_rank)
     a, b = len(BV0), len(BW0)
     # a valid split gives every fine fiber the rank a + b
-    UY, _ = _linalg.orth_columns(FY, tol_rank)
+    UY, _ = _linalg.orth_columns(Y.fibers, tol_rank)
     BV = _linalg.complement_in_span(BV0.fibers, UY[:, :, : a + b], b, tol_rank)
-    return family_from_fibers(X.space, sampling, P @ (_linalg.projector(BV) @ FY))
+    return family_from_fibers(X.space, P @ (_linalg.projector(BV) @ Y.fibers))
 
 
 def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
@@ -392,24 +377,22 @@ def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
     """
     riesz_bounds(gamma, tol_rank)
     BWt = _fiber_basis(w0_tilde, tol_rank)
-    sampling, FG = fiber_tensor(gamma)
     k = len(gamma)
     if len(BWt) != k:  # one dimension at every point, so the first point fails
         raise NotDirectSum(f"dual subspace has fiber dimension {len(BWt)} != {k} at dual point 0")
     Bt = BWt.fibers
-    pairing = gram_normalization(gamma.space) * FG.transpose(0, 2, 1) @ Bt.conj()
+    pairing = gram_normalization(gamma.space) * gamma.fibers.transpose(0, 2, 1) @ Bt.conj()
     s = np.linalg.svd(pairing, compute_uv=False)
     # the stacked inverse raises on any singular matrix, so check every point first
     singular = np.flatnonzero(s[:, -1] <= tol_rank * np.maximum(s[:, 0], 1.0))
     if singular.size:
         raise SingularPairing(f"fiber pairing singular at dual point {singular[0]}")
-    return family_from_fibers(gamma.space, sampling, Bt @ np.linalg.inv(pairing).conj())
+    return family_from_fibers(gamma.space, Bt @ np.linalg.inv(pairing).conj())
 
 
 def _perp_intersection_field(big, perp_of, expected_dim: int, tol_rank: float) -> FiberBasisField:
     """Fiber bases of (span big) intersect (span perp_of)^perp."""
-    field = _fiber_basis(big, tol_rank)
-    B = field.fibers
+    B = _fiber_basis(big, tol_rank).fibers
     A = _fiber_basis(perp_of, tol_rank).fibers
     V, r = _linalg.null_space_columns(A.conj().transpose(0, 2, 1) @ B, tol_rank)
     found = V.shape[2] - r
@@ -419,7 +402,7 @@ def _perp_intersection_field(big, perp_of, expected_dim: int, tol_rank: float) -
         raise NotDirectSum(
             f"intersection dimension {found[p]} != expected {expected_dim} at dual point {p}"
         )
-    return FiberBasisField(field.space, field.sampling, B @ V[:, :, V.shape[2] - expected_dim:])
+    return FiberBasisField(big.space, B @ V[:, :, V.shape[2] - expected_dim:])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .fibers import (
     SampledFamily,
     default_bio_tol,
     family_from_fibers,
-    fiber_tensor,
     gram_fibers,
     gram_normalization,
     is_contained,
@@ -145,11 +144,9 @@ def complement_wandering(
     r, s = len(X), len(Y)
     if r > s:
         raise NotContained(f"|X| = {r} exceeds |Y| = {s}; no complement exists")
-    sampling, FX = fiber_tensor(X)
-    _, FY = fiber_tensor(Y)
     align = isinstance(X.space.group, IntegerShift)
-    fibers = complement_fibers(X.space, FX, FY, tol_rank, align)
-    return family_from_fibers(X.space, sampling, fibers)
+    fibers = complement_fibers(X.space, X.fibers, Y.fibers, tol_rank, align)
+    return family_from_fibers(X.space, fibers)
 
 
 def complement_fibers(space, FX, FY, tol_rank: float, align: bool = False) -> np.ndarray:

@@ -14,7 +14,6 @@ from wandergen.errors import NotRiesz
 from wandergen.fibers import (
     Family,
     family_from_fibers,
-    fiber_tensor,
     is_contained,
     orthonormalize,
     riesz_bounds,
@@ -70,8 +69,7 @@ def random_orthonormal_family(rng, space: SystemSpace, k: int) -> Family:
 
 def combine_fiberwise(base: Family, coeff_stack: np.ndarray):
     """Members whose fibers are pointwise combinations (base fibers) @ C[p]."""
-    sampling, F = fiber_tensor(base)
-    return family_from_fibers(base.space, sampling, F @ coeff_stack)
+    return family_from_fibers(base.space, base.fibers @ coeff_stack)
 
 
 def random_isometry_stack(rng, points: int, s: int, r: int) -> np.ndarray:
@@ -88,7 +86,7 @@ def random_coeff_stack(rng, points: int, s: int, r: int) -> np.ndarray:
 
 def random_wandering_subfamily(rng, Yon: Family, r: int) -> Family:
     """Wandering family of size r inside the span of an orthonormal family."""
-    sampling, _ = fiber_tensor(Yon)
+    sampling = Yon.sampling
     return combine_fiberwise(Yon, random_isometry_stack(rng, len(sampling), len(Yon), r))
 
 
@@ -109,7 +107,7 @@ def random_oblique_instance(rng, tries: int = 50, orders=None):
         s = int(rng.integers(2, min(space.channels, 3) + 1))
         r = int(rng.integers(1, s))
         Y = random_riesz_family(rng, space, s)
-        points = len(fiber_tensor(Y)[0])
+        points = len(Y.sampling)
         X = combine_fiberwise(Y, random_coeff_stack(rng, points, s, r))
         W0 = combine_fiberwise(Y, random_coeff_stack(rng, points, s, s - r))
         if not (well_conditioned(X) and well_conditioned(W0)):
@@ -154,7 +152,7 @@ def random_frame_instance(rng, tries: int = 50):
         rank_y = int(rng.integers(2, min(space.channels, 3) + 1))
         s = rank_y + int(rng.integers(1, 3))
         base = random_riesz_family(rng, space, rank_y)
-        points = len(fiber_tensor(base)[0])
+        points = len(base.sampling)
         # constant mixing keeps the honest redundancy structure visible
         mix = rng.standard_normal((rank_y, s)) + 1j * rng.standard_normal((rank_y, s))
         Y = combine_fiberwise(base, np.broadcast_to(mix, (points, rank_y, s)).copy())
@@ -178,7 +176,7 @@ def random_biortho_quadruple(rng, tries: int = 50, orders=None):
         m = s + int(rng.integers(1, 3))
         space = SystemSpace(group, m)
         Y = random_riesz_family(rng, space, s)
-        sampling, FY = fiber_tensor(Y)
+        sampling, FY = Y.sampling, Y.fibers
         points = len(sampling)
         N = gram_normalization(space)
         G = N * np.einsum("pci,pcj->pij", FY, FY.conj())
@@ -190,7 +188,7 @@ def random_biortho_quadruple(rng, tries: int = 50, orders=None):
             E = rng.standard_normal((m, s)) + 1j * rng.standard_normal((m, s))
             junk[p] = E - BY @ (BY.conj().T @ E)
         FYt = dual + 0.4 * junk
-        Yt = family_from_fibers(space, sampling, FYt)
+        Yt = family_from_fibers(space, FYt)
         r = int(rng.integers(1, s))
         M = random_coeff_stack(rng, points, s, r)
         X = combine_fiberwise(Y, M)
@@ -218,12 +216,12 @@ def random_projection_triple(rng, tries: int = 50):
         a = int(rng.integers(1, m - q + 1))  # dim M = dim M'
         M = random_riesz_family(rng, space, a)
         N = random_riesz_family(rng, space, q) if q else Family(space, ())
-        sampling, FM = fiber_tensor(M)
+        sampling, FM = M.sampling, M.fibers
         points = len(sampling)
-        FN = fiber_tensor(N)[1] if q else np.zeros((points, m, 0), dtype=np.complex128)
+        FN = N.fibers if q else np.zeros((points, m, 0), dtype=np.complex128)
         joint = np.concatenate([FM, FN], axis=2)
         # M' drawn inside col(M) + col(N) so the two sums agree as subspaces
-        Mp = family_from_fibers(space, sampling, joint @ random_coeff_stack(rng, points, a + q, a))
+        Mp = family_from_fibers(space, joint @ random_coeff_stack(rng, points, a + q, a))
         if not well_conditioned(Mp, lo=1e-3, hi=1e4):
             continue
         if q and not (direct_sum_check(M, N) and direct_sum_check(Mp, N)):

@@ -6,7 +6,8 @@ import pytest
 
 import wandergen as wg
 from wandergen import oracle
-from wandergen.fibers import family_from_fibers, fiber_span_angle, fiber_tensor, gram_normalization
+from wandergen import fibers
+from wandergen.fibers import family_from_fibers, fiber_span_angle, gram_normalization, union_family
 from conftest import (
     combine_fiberwise,
     random_coeff_stack,
@@ -141,7 +142,7 @@ class TestMixedGramian:
         X = random_riesz_family(rng, sp, 2)
         G = wg.gram_fibers(X)
         # canonical dual inside the span: fibers X @ conj(inv(G))
-        sampling, F = fiber_tensor(X)
+        sampling, F = X.sampling, X.fibers
         dual = combine_fiberwise(X, np.linalg.inv(G.matrices).conj())
         check = wg.is_biorthogonal(X, dual)
         assert check.ok and check.residual <= 1e-9
@@ -212,7 +213,7 @@ class TestOrthonormalize:
         sp = space([2])
         x = np.sqrt(3) / 2 * wg.delta(sp, 0) + 0.5 * wg.delta(sp, 1)
         out = wg.orthonormalize(wg.Family(sp, (x,)))
-        _, F = fiber_tensor(out)
+        F = out.fibers
         np.testing.assert_allclose(
             np.abs(F) * np.sqrt(gram_normalization(sp)), 1.0, atol=1e-12
         )
@@ -296,7 +297,6 @@ class TestFamilyFibers:
         fam = random_family(rng, space([4], 2), 2)
         F = fam.fibers
         assert fam.fibers is F
-        assert fiber_tensor(fam)[1] is F
         with pytest.raises(ValueError):
             F[0, 0, 0] = 1.0
 
@@ -304,6 +304,53 @@ class TestFamilyFibers:
         fam = wg.Family(space([3], 2), ())
         assert fam.fibers.shape == (3, 2, 0)
         assert len(fam.sampling) == 3
+
+
+class TestFiberHolders:
+    """Every holder is a system space and a fiber tensor over its dual points."""
+
+    def test_sampling_is_the_spaces(self):
+        rng = np.random.default_rng(63)
+        sp = space([4], 2)
+        X = random_family(rng, sp, 2)
+        columns = np.stack([v.dense().reshape(-1) for v in X.members], axis=1)
+        shift = wg.SystemSpace(wg.IntegerShift(16), 1)
+        holders = [
+            X,
+            wg.SampledFamily(sp, X.fibers),
+            wg.DenseBasis(sp, columns),
+            wg.FiberBasisField(sp, X.fibers),
+            wg.Family(shift, (wg.delta(shift, 0),)),
+            union_family(X, X),
+        ]
+        for holder in holders:
+            assert holder.sampling is wg.dual_sampling(holder.space)
+
+    @pytest.mark.parametrize("holder", [wg.SampledFamily, wg.FiberBasisField])
+    def test_fibers_must_match_the_space(self, holder):
+        sp = space([8], 2)
+        with pytest.raises(ValueError, match=r"^expected \(8, 2, k\) fibers, got \(4, 2, 1\)$"):
+            holder(sp, np.zeros((4, 2, 1), dtype=np.complex128))
+        with pytest.raises(ValueError, match=r"^expected \(8, 2, k\) fibers, got \(8, 3, 1\)$"):
+            holder(sp, np.zeros((8, 3, 1), dtype=np.complex128))
+        with pytest.raises(ValueError, match=r"^expected \(8, 2, k\) fibers, got \(8, 2\)$"):
+            holder(sp, np.zeros((8, 2), dtype=np.complex128))
+        assert len(holder(sp, np.zeros((8, 2, 3), dtype=np.complex128))) == 3
+
+    @pytest.mark.parametrize("orders", [(256,), (1024,), (32, 32)], ids=["Z256", "Z1024", "Z32xZ32"])
+    def test_union_stacks_cached_fibers(self, orders, monkeypatch):
+        rng = np.random.default_rng(sum(orders) + 1)
+        sp = space(orders, 4)
+        X, Y = random_family(rng, sp, 2), random_family(rng, sp, 3)
+        joined = X.joined(Y)
+        joined.gram, X.fibers, Y.fibers  # every transform before the union
+        calls = []
+        dft = fibers.dft
+        monkeypatch.setattr(fibers, "dft", lambda *args: calls.append(args) or dft(*args))
+        union = union_family(X, Y)
+        assert np.array_equal(union.fibers, joined.fibers)
+        assert np.array_equal(union.gram, joined.gram)
+        assert calls == []
 
 
 class TestSampledMode:
@@ -348,7 +395,7 @@ class TestBatchedTransforms:
         per_member = np.stack([wg.fourier(v).values for v in X.members], axis=2)
         assert np.array_equal(X.fibers, per_member)
         F = X.fibers @ random_coeff_stack(rng, len(X.sampling), 3, 2)
-        Z = family_from_fibers(sp, X.sampling, F)
+        Z = family_from_fibers(sp, F)
         for j, z in enumerate(Z.members):
             expected = wg.inverse_fourier(wg.groups.FiberSamples(X.sampling, F[:, :, j]), sp)
             assert np.array_equal(z.dense(), expected.dense())

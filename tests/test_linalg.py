@@ -18,7 +18,7 @@ import wandergen as wg
 from wandergen import _linalg
 from wandergen.defaults import TOL_RANK_REL
 from wandergen.errors import NotContained
-from wandergen.fibers import dense_fourier_matrix, fiber_tensor
+from wandergen.fibers import dense_fourier_matrix
 from wandergen.oblique import OperatorField
 from conftest import combine_fiberwise, random_projection_triple, random_riesz_family
 
@@ -318,9 +318,7 @@ def test_complement_bases_span_the_difference():
 
 
 def ref_projection_pair(M, Mp, N, rel=TOL_RANK_REL):
-    _, FM = fiber_tensor(M)
-    _, FMp = fiber_tensor(Mp)
-    _, FN = fiber_tensor(N)
+    FM, FMp, FN = M.fibers, Mp.fibers, N.fibers
     UN, rn = _linalg.orth_columns(FN, rel)
     BN = UN * (np.arange(UN.shape[2]) < rn[:, None])[:, None, :]
     P = _linalg.oblique_projector_matrix(_linalg.orth_columns(FM, rel)[0], BN, rel)

@@ -221,6 +221,21 @@ class TestRepresentationChecks:
         with pytest.raises(ValueError, match="^homomorphism property fails at element 1$"):
             na.Representation(na.cyclic_group(3), mats)
 
+    def test_nan_matrices_rejected(self):
+        group = na.symmetric_3()
+        with pytest.raises(ValueError, match="^matrix at the identity is not the identity$"):
+            na.Representation(group, np.full((6, 2, 2), np.nan))
+        _, perm = s3_permutation_matrices()
+        perm[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="^representation matrices are not unitary$"):
+            na.Representation(group, perm)
+
+    def test_nan_row_fails_the_loop_check(self):
+        mats = np.ones((3, 1, 1), dtype=np.complex128)
+        mats[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="^homomorphism property fails at element 0$"):
+            na._check_homomorphism(na.cyclic_group(3), mats)
+
     def test_matrices_read_only_copy(self):
         _, perm = s3_permutation_matrices()
         rep = na.Representation(na.symmetric_3(), perm)
@@ -586,6 +601,27 @@ class TestCancel:
         Q1, Q2 = haar_unitary(rng, 6), haar_unitary(rng, 6)
         wit = na.cancel(lam, z, compress(lam, Q1), compress(lam, Q2))
         assert wit.residual <= 1e-9
+
+    def test_only_the_conclusion_is_witnessed(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        group = na.symmetric_3()
+        lam = na.regular_representation(group, 1)
+        z = na.Representation(group, np.zeros((6, 0, 0), dtype=np.complex128))
+        sigma2, sigma3 = compress(lam, haar_unitary(rng, 6)), compress(lam, haar_unitary(rng, 6))
+        calls = []
+        are_equivalent = na.are_equivalent
+        monkeypatch.setattr(na, "are_equivalent", lambda *a, **k: calls.append(a) or are_equivalent(*a, **k))
+        wit = na.cancel(lam, z, sigma2, sigma3)
+        assert len(calls) == 1 and calls[0][0] is sigma2 and calls[0][1] is sigma3
+        assert wit.residual <= 1e-9
+
+    def test_hypothesis_messages_in_order(self):
+        group, triv, sign, std = s3_irreps()
+        lam = na.regular_representation(group, 1)
+        with pytest.raises(wg.HypothesisFailure, match=r"^rho is not equivalent to sigma1 \+ sigma2$"):
+            na.cancel(lam, std, triv, na.direct_sum(triv, sign))
+        with pytest.raises(wg.HypothesisFailure, match=r"^rho is not equivalent to sigma1 \+ sigma3$"):
+            na.cancel(lam, na.direct_sum(triv, sign), na.direct_sum(std, std), triv)
 
     def test_s3_standard_complements(self):
         rng = np.random.default_rng(83)

@@ -5,7 +5,7 @@ import pytest
 
 import wandergen as wg
 from wandergen import oracle
-from wandergen.fibers import fiber_span_angle, fiber_tensor, gram_normalization
+from wandergen.fibers import fiber_span_angle, gram_normalization
 from wandergen.oblique import _fiber_basis
 from conftest import (
     combine_fiberwise,
@@ -91,8 +91,7 @@ class TestObliqueProjector:
         V = wg.orth_complement_in(Y, X)
         P = wg.oblique_projector(wg.ObliqueSplit(X, V, Y))
         assert P.idempotency_residual() <= 1e-10
-        _, FV = fiber_tensor(V)
-        _, FX = fiber_tensor(X)
+        FV, FX = V.fibers, X.fibers
         for p in range(FV.shape[0]):
             BV = np.linalg.svd(FV[p], full_matrices=False)[0]
             BX = np.linalg.svd(FX[p], full_matrices=False)[0]
@@ -342,8 +341,8 @@ class TestDirectSumCheck:
         pair = wg.biorthogonal_wavelets(X, Xt, Y, Yt)
         # Wt0 (here: span of gamma_tilde) (+) W0-perp = H, i.e. the pairing
         # of gamma with gamma_tilde is nonsingular and dims match
-        sampling, FG = fiber_tensor(pair.gamma)
-        _, FGt = fiber_tensor(pair.gamma_tilde)
+        sampling, FG = pair.gamma.sampling, pair.gamma.fibers
+        FGt = pair.gamma_tilde.fibers
         N = gram_normalization(X.space)
         for p in range(len(sampling)):
             pairing = N * FG[p].T @ FGt[p].conj()
@@ -376,8 +375,7 @@ class TestBiorthogonalWavelets:
         assert wg.riesz_bounds(X.joined(pair.gamma)).lower > 0
         assert wg.riesz_bounds(Xt.joined(pair.gamma_tilde)).lower > 0
         # wavelets land in the right subspaces
-        _, FG = fiber_tensor(pair.gamma)
-        _, FXt = fiber_tensor(Xt)
+        FG, FXt = pair.gamma.fibers, Xt.fibers
         inner = np.einsum("pci,pcj->pij", FXt.conj(), FG)
         assert np.max(np.abs(inner)) <= 1e-9
 

@@ -7,7 +7,7 @@ import pytest
 
 import wandergen as wg
 from wandergen import _linalg, oracle
-from wandergen.fibers import fiber_span_angle, fiber_tensor
+from wandergen.fibers import fiber_span_angle
 from conftest import (
     random_orthonormal_family,
     random_riesz_family,
@@ -209,7 +209,7 @@ class TestShiftModeComplement:
         assert isinstance(out, wg.SampledFamily)
         assert len(out) == 1
         # fiberwise: orthogonal to X, inside Y's span (all channels), unit norm
-        _, FX = fiber_tensor(X)
+        FX = X.fibers
         F = out.fibers
         inner = np.einsum("pc,pc->p", FX[:, :, 0].conj(), F[:, :, 0])
         assert np.max(np.abs(inner)) <= 1e-9
