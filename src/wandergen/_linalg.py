@@ -2,8 +2,10 @@
 
 Every helper takes stacked matrices of shape (..., n, k), one per dual
 point, and decides each matrix's rank with the cutoff
-rel * max(sigma_max, 1).  Pivoted QR and principal angles are numpy
-kernels batched over the stack, so the library needs numpy only.
+rel * max(sigma_max, 1).  Helpers that read a subspace take its thin SVD
+factors (U, s), so one factorization serves every decision on a stack.
+Pivoted QR and principal angles are numpy kernels batched over the stack,
+so the library needs numpy only.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ def matrix_rank(M: np.ndarray, rel: float = TOL_RANK_REL) -> np.ndarray:
     return _rank(np.linalg.svd(M, compute_uv=False), rel)
 
 
+def thin_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin SVD factors of a stack (..., n, k): U (..., n, min(n, k)) and s (..., min(n, k))."""
+    U, s, _ = np.linalg.svd(np.asarray(M, dtype=np.complex128), full_matrices=False)
+    return U, s
+
+
 def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, np.ndarray]:
     """Column-space bases of a stack (..., n, k) via SVD (deterministic).
 
@@ -33,7 +41,7 @@ def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, 
     ranks r: the first r columns of each U are an orthonormal basis of that
     matrix's column space.
     """
-    U, s, _ = np.linalg.svd(np.asarray(M, dtype=np.complex128), full_matrices=False)
+    U, s = thin_svd(M)
     return U, _rank(s, rel)
 
 
@@ -147,22 +155,23 @@ def _pivoted_qr(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def complement_in_span(
-    F_small: np.ndarray,
-    F_big: np.ndarray,
+    small: tuple[np.ndarray, np.ndarray],
+    big: tuple[np.ndarray, np.ndarray],
     dim: int,
     rel: float = TOL_RANK_REL,
 ) -> np.ndarray:
-    """Per-point orthonormal bases of (span F_big) minus (span F_small).
+    """Per-point orthonormal bases of (span big) minus (span small).
 
-    Takes stacks (points, n, k) and returns (points, n, dim).  The
-    difference of the two orthogonal projectors is (numerically) the
-    projector onto the complement; its range is extracted with a
-    column-pivoted QR (``_pivoted_qr``) so the basis choice is
-    deterministic.  At each point the complement dimension is checked
-    before the QR's detected rank, and the first failing point raises.
+    Takes the thin SVD factors (U, s) of two stacks (points, n, k) and
+    returns (points, n, dim).  The difference of the two orthogonal
+    projectors is (numerically) the projector onto the complement; its
+    range is extracted with a column-pivoted QR (``_pivoted_qr``) so the
+    basis choice is deterministic.  At each point the complement dimension
+    is checked before the QR's detected rank, and the first failing point
+    raises.
     """
-    U_small, r_small = orth_columns(F_small, rel)
-    U_big, r_big = orth_columns(F_big, rel)
+    (U_small, s_small), (U_big, s_big) = small, big
+    r_small, r_big = _rank(s_small, rel), _rank(s_big, rel)
     found = r_big - r_small
     dimension = (
         found != dim,
@@ -170,7 +179,7 @@ def complement_in_span(
     )
     if dim == 0:
         raise_at_first_failure(dimension)
-        return np.zeros(F_big.shape[:-1] + (0,), dtype=np.complex128)
+        return np.zeros(U_big.shape[:-1] + (0,), dtype=np.complex128)
     D = projector(leading_columns(U_big, r_big)) - projector(leading_columns(U_small, r_small))
     Q, R, _ = _pivoted_qr(D)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
@@ -213,9 +222,10 @@ def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
     return out
 
 
-def max_principal_angle(A: np.ndarray, B: np.ndarray, rel: float = TOL_RANK_REL) -> float:
+def max_principal_angle(A: tuple, B: tuple, rel: float = TOL_RANK_REL) -> float:
     """Largest canonical angle between the column spans of two matrices, or
-    the largest over a stack of pairs (..., n, k).
+    the largest over a stack of pairs (..., n, k), given their thin SVD
+    factors (U, s).
 
     Spans of unequal dimension report pi/2 (maximally apart); two empty
     spans agree at angle 0.  Pairs of equal rank r are grouped by r, and
@@ -224,10 +234,9 @@ def max_principal_angle(A: np.ndarray, B: np.ndarray, rel: float = TOL_RANK_REL)
     QA^H QB, the sines as those of QB - QA QA^H QB, and arcsin wherever the
     cosine squared is >= 0.5.
     """
-    UA, ra = orth_columns(A, rel)
-    UB, rb = orth_columns(B, rel)
+    (UA, sa), (UB, sb) = A, B
     UA, UB = UA.reshape((-1,) + UA.shape[-2:]), UB.reshape((-1,) + UB.shape[-2:])
-    ra, rb = np.ravel(ra), np.ravel(rb)
+    ra, rb = np.ravel(_rank(sa, rel)), np.ravel(_rank(sb, rel))
     if np.any(ra != rb):
         return math.pi / 2
     worst = 0.0

@@ -9,6 +9,10 @@ The Gram normalization constant is pinned so that an orbit-orthonormal
 family yields the identity fiber at every point (|G| in exact mode, 1 in
 shift mode); "is this family wandering?" is then a single matrix
 comparison.
+
+Each fiber holder factors its fiber stack once (``svd``), for every rank
+and basis decision on those fibers; a joint stack of concatenated fibers
+is factored on its own.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ class _FiberHolder:
     """A system space and its fiber tensor values[point, channel, member],
     one row per point of the space's dual sampling.  Holders given their
     fibers check that shape when built; those that compute them override
-    ``__post_init__``."""
+    ``__post_init__``.  Three caches, each computed once, on first use, and
+    read-only, serve every decision on these fibers: the Gram fibers ``gram``
+    (points, members, members), their ascending eigenvalues
+    ``gram_eigenvalues`` and the thin SVD factors ``svd`` = (U, s)."""
 
     @property
     def sampling(self) -> DualSampling:
@@ -78,12 +85,6 @@ class _FiberHolder:
         if len(shape) != 3 or shape[:2] != (points, channels):
             raise ValueError(f"expected ({points}, {channels}, k) fibers, got {shape}")
 
-
-class _Orbit(_FiberHolder):
-    """Gram fibers ``gram`` (points, members, members) and their ascending
-    eigenvalues ``gram_eigenvalues`` (points, members), each computed once,
-    on first use, and read-only: every bound and certificate shares them."""
-
     @cached_property
     def gram(self) -> np.ndarray:
         G = _gram_tensor(self.fibers, self.fibers, gram_normalization(self.space))
@@ -96,9 +97,15 @@ class _Orbit(_FiberHolder):
         evs.flags.writeable = False
         return evs
 
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        U, s = _linalg.thin_svd(self.fibers)
+        U.flags.writeable = s.flags.writeable = False
+        return U, s
+
 
 @dataclass(frozen=True)
-class Family(_Orbit):
+class Family(_FiberHolder):
     """Ordered finite list of generators sharing one system space.
 
     ``fibers`` holds the transformed members, values[point, channel,
@@ -140,7 +147,7 @@ class Family(_Orbit):
 
 
 @dataclass(frozen=True)
-class SampledFamily(_Orbit):
+class SampledFamily(_FiberHolder):
     """Fiber-sampled stand-in for a family when no coefficient realization exists.
 
     Shift-mode constructions return these: the fibers are trustworthy at the
@@ -285,14 +292,14 @@ def is_contained(X, Y, tol_rank: float = TOL_RANK_REL) -> bool:
     """Pointwise column-space containment of X's fibers in Y's."""
     if X.space != Y.space:
         raise SizeMismatch("containment needs a shared system space")
-    ry = _linalg.matrix_rank(Y.fibers, tol_rank)
+    ry = _linalg._rank(Y.svd[1], tol_rank)
     joint = _linalg.matrix_rank(np.concatenate([Y.fibers, X.fibers], axis=2), tol_rank)
     return bool(np.all(joint == ry))
 
 
 def fiber_span_angle(X, Y, tol_rank: float = TOL_RANK_REL) -> float:
     """Max over dual points of the largest principal angle between fiber spans."""
-    return _linalg.max_principal_angle(X.fibers, Y.fibers, tol_rank)
+    return _linalg.max_principal_angle(X.svd, Y.svd, tol_rank)
 
 
 def family_from_fibers(space: SystemSpace, F: np.ndarray):

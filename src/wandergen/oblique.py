@@ -182,10 +182,10 @@ def _fiber_basis(
         varying = "invariant subspace has varying fiber dimension"
     else:
         varying = "family has varying fiber rank"
-    U, r = _linalg.orth_columns(W.fibers, tol_rank)
+    r = _linalg._rank(W.svd[1], tol_rank)
     if r.min() != r.max():
         raise NotDirectSum(f"{varying} on this sampling")
-    return FiberBasisField(W.space, U[:, :, : r[0]])
+    return FiberBasisField(W.space, W.svd[0][:, :, : r[0]])
 
 
 def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool = False) -> bool:
@@ -194,11 +194,10 @@ def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool
     With ``require_ambient`` the joint span must also fill all channels,
     i.e. the fiberwise sum reconstructs the whole space.
     """
-    FA, FB = A.fibers, B.fibers
-    joint = _linalg.matrix_rank(np.concatenate([FA, FB], axis=2), tol_rank)
-    ok = joint == _linalg.matrix_rank(FA, tol_rank) + _linalg.matrix_rank(FB, tol_rank)
+    joint = _linalg.matrix_rank(np.concatenate([A.fibers, B.fibers], axis=2), tol_rank)
+    ok = joint == _linalg._rank(A.svd[1], tol_rank) + _linalg._rank(B.svd[1], tol_rank)
     if require_ambient:
-        ok &= joint == FA.shape[1]
+        ok &= joint == A.space.channels
     return bool(np.all(ok))
 
 
@@ -213,7 +212,7 @@ def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
         riesz_bounds(X, tol_rank)
         if not is_contained(X, Y, tol_rank):
             raise NotContained("X's orbit span must sit inside Y's")
-    return family_from_fibers(Y.space, complement_fibers(Y.space, X.fibers, Y.fibers, tol_rank))
+    return family_from_fibers(Y.space, complement_fibers(X, Y, tol_rank))
 
 
 def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, FiberBasisField, np.ndarray]:
@@ -222,10 +221,9 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, Fibe
     fiber bases and the projectors onto W0 along V0."""
     BV0 = _fiber_basis(v0, tol_rank)
     BW0 = _fiber_basis(w0, tol_rank)
-    F1 = v1.fibers
-    r1 = _linalg.matrix_rank(F1, tol_rank)
+    r1 = _linalg._rank(v1.svd[1], tol_rank)
     joint = _linalg.matrix_rank(np.concatenate([BV0.fibers, BW0.fibers], axis=2), tol_rank)
-    w0_in_v1 = _linalg.matrix_rank(np.concatenate([F1, BW0.fibers], axis=2), tol_rank)
+    w0_in_v1 = _linalg.matrix_rank(np.concatenate([v1.fibers, BW0.fibers], axis=2), tol_rank)
     _linalg.raise_at_first_failure(
         (
             joint != len(BV0) + len(BW0),
@@ -273,9 +271,10 @@ def restricted_projection_pair(
     """Lemma-style inverse pair for X = M (+) N = M' (+) N, fiber by fiber."""
     if len(M) != len(Mp):
         raise SizeMismatch(f"complement sizes differ: {len(M)} vs {len(Mp)}")
-    FM, FMp, FN = M.fibers, Mp.fibers, N.fibers
+    FM, FMp = M.fibers, Mp.fibers
     k = len(M)
-    UN, rn = _linalg.orth_columns(FN, tol_rank)
+    (UM, sM), (UMp, sMp), (UN, sN) = M.svd, Mp.svd, N.svd
+    rn = _linalg._rank(sN, tol_rank)
     BN = _linalg.leading_columns(UN, rn)
 
     def rank(*blocks):
@@ -283,7 +282,7 @@ def restricted_projection_pair(
 
     _linalg.raise_at_first_failure(
         (
-            (rank(FM) != k) | (rank(FMp) != k),
+            (_linalg._rank(sM, tol_rank) != k) | (_linalg._rank(sMp, tol_rank) != k),
             lambda p: NotDirectSum(f"generator fibers are dependent at dual point {p}"),
         ),
         (
@@ -296,8 +295,8 @@ def restricted_projection_pair(
         ),
     )
     # full column rank everywhere, so the SVD bases keep all k columns
-    P = _linalg.oblique_projector_matrix(_linalg.orth_columns(FM, tol_rank)[0], BN, tol_rank)
-    Q = _linalg.oblique_projector_matrix(_linalg.orth_columns(FMp, tol_rank)[0], BN, tol_rank)
+    P = _linalg.oblique_projector_matrix(UM, BN, tol_rank)
+    Q = _linalg.oblique_projector_matrix(UMp, BN, tol_rank)
     # FM and FMp have full column rank k, so their pseudo-inverses give the
     # least-squares solutions at every point at once
     p1 = np.linalg.pinv(FM) @ (P @ FMp)
@@ -335,7 +334,7 @@ def _oblique_riesz_core(X: Family, Y: Family, BW0: FiberBasisField, tol_rank: fl
     """The Riesz construction on checked inputs (X and Y Riesz, X's span in
     Y's, |X| < |Y|, W0 resolved): the complement fibers of X's in Y's,
     projected onto W0 along V0 as they are, then one inverse transform."""
-    FZ = complement_fibers(Y.space, X.fibers, Y.fibers, tol_rank)
+    FZ = complement_fibers(X, Y, tol_rank)
     *_, P = _validated_split(X, BW0, Y, tol_rank)
     return family_from_fibers(X.space, P @ FZ)
 
@@ -361,8 +360,7 @@ def oblique_frame_wavelets(
     BV0, BW0, P = _validated_split(X, w0, Y, tol_rank)
     a, b = len(BV0), len(BW0)
     # a valid split gives every fine fiber the rank a + b
-    UY, _ = _linalg.orth_columns(Y.fibers, tol_rank)
-    BV = _linalg.complement_in_span(BV0.fibers, UY[:, :, : a + b], b, tol_rank)
+    BV = _linalg.complement_in_span(BV0.svd, _linalg.thin_svd(Y.svd[0][:, :, : a + b]), b, tol_rank)
     return family_from_fibers(X.space, P @ (_linalg.projector(BV) @ Y.fibers))
 
 

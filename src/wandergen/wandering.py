@@ -145,21 +145,21 @@ def complement_wandering(
     if r > s:
         raise NotContained(f"|X| = {r} exceeds |Y| = {s}; no complement exists")
     align = isinstance(X.space.group, IntegerShift)
-    fibers = complement_fibers(X.space, X.fibers, Y.fibers, tol_rank, align)
-    return family_from_fibers(X.space, fibers)
+    return family_from_fibers(X.space, complement_fibers(X, Y, tol_rank, align))
 
 
-def complement_fibers(space, FX, FY, tol_rank: float, align: bool = False) -> np.ndarray:
-    """Fibers of an orbit-orthonormal family spanning span FY minus span FX.
+def complement_fibers(X, Y, tol_rank: float, align: bool = False) -> np.ndarray:
+    """Fibers of an orbit-orthonormal family spanning Y's fiber span minus X's.
 
     At each dual point a column-pivoted factorization picks the complement
-    basis.  Its columns are then phase-pinned (largest-magnitude entry real
-    positive), or with ``align`` rotated onto the previous point's basis for
-    a continuous shift-mode selection, and scaled by the Gram normalization.
+    basis from the two holders' cached SVD factors.  Its columns are then
+    phase-pinned (largest-magnitude entry real positive), or with ``align``
+    rotated onto the previous point's basis for a continuous shift-mode
+    selection, and scaled by the Gram normalization.
     """
-    d = FY.shape[2] - FX.shape[2]
+    d = len(Y) - len(X)
     if d <= 0:
-        return FY[:, :, :0]
-    bases = _linalg.complement_in_span(FX, FY, d, tol_rank)
+        return Y.fibers[:, :, :0]
+    bases = _linalg.complement_in_span(X.svd, Y.svd, d, tol_rank)
     bases = _linalg.procrustes_align(bases) if align else _linalg.phase_normalize_columns(bases)
-    return bases * (1.0 / math.sqrt(gram_normalization(space)))
+    return bases * (1.0 / math.sqrt(gram_normalization(Y.space)))

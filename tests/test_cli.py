@@ -1,5 +1,7 @@
 """CLI: job handling, deterministic reports, golden files, error codes."""
 
+import collections
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from wandergen import cli, oblique, oracle
 from wandergen.cli import _parse_member, main, render_json
-from wandergen.fibers import Family, SampledFamily
+from wandergen.fibers import Family, SampledFamily, family_from_fibers
 from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
 from conftest import (
     random_biortho_quadruple,
@@ -25,6 +27,7 @@ from conftest import (
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def run(tmp_path, job, name="job.json", extra=()):
@@ -501,8 +504,8 @@ class TestHypothesesCheckedOnce:
         for function, *names in once:
             assert count(function, *(parsed[n] for n in names)) == 1, (function, names)
         assert count("idft") == outputs
-        if command == "complement":  # the wandering checks form no rank test of their own
-            assert count("matrix_rank") == 2
+        if command == "complement":  # the wandering checks form no rank test of their own;
+            assert count("matrix_rank") == 1  # containment ranks its joint stack, Y's rank reads Y.svd
         if command == "analyze":  # bounds, residual and completeness share one spectrum
             assert (count("eigvalsh"), count("matrix_rank")) == (1, 0)
 
@@ -516,6 +519,53 @@ class TestHypothesesCheckedOnce:
         }
         _, calls = self.run_counted(monkeypatch, job)
         assert [name for name, _ in calls].count("eigvalsh") == 1
+
+
+class TestFibersFactoredOnce:
+    """Each job factors each fiber stack once: a fiber holder's cached thin
+    SVD serves every rank and basis decision on its fibers, so no stack
+    reaches ``np.linalg.svd`` twice within a job.  The jobs run on Z256 with
+    4 channels; all but the dense-W0 one are the benchmark's exact-fiber
+    jobs from ``benchmarks/gen.py``."""
+
+    CASES = ("complement", "oblique", "oblique-w0-dense", "frame-oblique", "biortho")
+
+    @staticmethod
+    def job(case: str) -> dict:
+        rng = np.random.default_rng(83)
+        if case == "oblique-w0-dense":
+            # V1 = channels 0, 1, 3 at every dual point, W0 = channel 3: an
+            # invariant subspace whose dense basis is every translate of e_3
+            space = SystemSpace(FiniteAbelian((256,)), 4)
+            E = np.eye(4)[:, [0, 1, 3]]
+            mix = lambda k: E @ (rng.standard_normal((256, 3, k)) + 1j * rng.standard_normal((256, 3, k))) / 16
+            job = families_job("oblique", X=family_from_fibers(space, mix(2)), Y=family_from_fibers(space, mix(3)))
+            job["families"]["W0"] = [[entry([g], 3, 1.0)] for g in range(256)]
+            return dict(job, options={"w0_dense": True})
+        spec = importlib.util.spec_from_file_location("gen", os.path.join(ROOT, "benchmarks", "gen.py"))
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        build = getattr(gen, case.replace("-", "_"))
+        job, expect = build(rng, gen.ExactField(rng, (256,)), 1, 2 if case == "frame-oblique" else 3)
+        assert expect["exit"] == 0
+        return json.loads(gen.dumps(job))  # the members are rendered JSON text
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_stack_factored_twice(self, monkeypatch, case):
+        job = self.job(case)
+        svd, stacks = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            stacks.append((a.shape, a.dtype.str, np.ascontiguousarray(a).tobytes()))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        _, code = cli.run_job(job, cli.build_parser().parse_args(["--job", "-"]))
+        assert code == 0
+        assert any(len(shape) == 3 and shape[0] == 256 for shape, _, _ in stacks)  # fiber stacks were factored
+        repeats = [shape for (shape, _, _), count in collections.Counter(stacks).items() if count > 1]
+        assert repeats == [], f"stacks factored more than once: {repeats}"
 
 
 def unit(channel, value=1.0):

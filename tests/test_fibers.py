@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import wandergen as wg
-from wandergen import oracle
-from wandergen import fibers
+from wandergen import _linalg, fibers, oblique, oracle
+from wandergen.defaults import TOL_RANK_REL
 from wandergen.fibers import family_from_fibers, fiber_span_angle, gram_normalization, union_family
 from conftest import (
     combine_fiberwise,
+    random_biortho_quadruple,
     random_coeff_stack,
     random_family,
+    random_oblique_instance,
     random_riesz_family,
     random_orthonormal_family,
     random_space,
@@ -351,6 +353,60 @@ class TestFiberHolders:
         assert np.array_equal(union.fibers, joined.fibers)
         assert np.array_equal(union.gram, joined.gram)
         assert calls == []
+
+
+class TestCachedFactors:
+    """Each holder's thin SVD factors ``svd`` = (U, s): computed once,
+    read-only, the one spectrum its rank decisions read, and never written
+    through the fiber bases sliced from U."""
+
+    def test_kept_and_read_only_for_every_holder(self):
+        rng = np.random.default_rng(64)
+        sp = space([8], 3)
+        X = random_family(rng, sp, 2)
+        columns = np.stack([v.dense().reshape(-1) for v in X.members], axis=1)
+        for holder in (X, wg.SampledFamily(sp, X.fibers), wg.DenseBasis(sp, columns), wg.FiberBasisField(sp, X.fibers)):
+            factors = holder.svd
+            assert holder.svd is factors
+            assert [a.shape for a in factors] == [(8, 3, 2), (8, 2)]
+            for a in factors:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+    @pytest.mark.parametrize("kind", ["random", "rank-deficient", "zero"])
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_one_spectrum_for_ranks_and_bases(self, kind, k):
+        rng = np.random.default_rng(66 + k)
+        sp = space([8], 4)
+        F = random_coeff_stack(rng, 8, 4, k)
+        if kind == "rank-deficient":  # rank 1 or 2, the other singular values at rounding level
+            F = random_coeff_stack(rng, 8, 4, k // 2) @ random_coeff_stack(rng, 8, k // 2, k)
+        elif kind == "zero":
+            F = np.zeros_like(F)
+        U, s = wg.SampledFamily(sp, F).svd
+        for rel in (TOL_RANK_REL, 1e-6):
+            expected = _linalg._rank(np.linalg.svd(F, compute_uv=False), rel)
+            assert np.array_equal(_linalg._rank(s, rel), expected)
+            assert np.array_equal(_linalg.matrix_rank(F, rel), expected)
+        assert np.array_equal(U, _linalg.orth_columns(F)[0])
+        assert set(_linalg._rank(s, TOL_RANK_REL)) == {{"random": min(k, 4), "rank-deficient": k // 2, "zero": 0}[kind]}
+
+    def test_constructions_never_write_into_cached_bases(self):
+        rng = np.random.default_rng(67)
+        X, Y, W0 = random_oblique_instance(rng)
+        Xb, Xtb, Yb, Ytb = random_biortho_quadruple(rng)
+        holders = (X, Y, W0, Xb, Xtb, Yb, Ytb)
+        before = [h.svd[0].copy() for h in holders]
+        basis = oblique._fiber_basis(W0, TOL_RANK_REL)
+        assert np.shares_memory(basis.fibers, W0.svd[0]) and not basis.fibers.flags.writeable
+        wg.oblique_riesz_wavelets(X, Y, W0)
+        wg.oblique_frame_wavelets(X, Y, W0)
+        wg.orth_complement_in(Y, X)
+        wg.biorthogonal_wavelets(Xb, Xtb, Yb, Ytb)
+        wg.dual_family(Yb, Ytb)
+        for h, U in zip(holders, before):
+            assert np.array_equal(h.svd[0], U)
 
 
 class TestSampledMode:

@@ -225,6 +225,10 @@ def ref_max_angle(sla, A, B):
     return float(sla.subspace_angles(UA, UB).max())
 
 
+def max_angle(A, B):
+    return _linalg.max_principal_angle(_linalg.thin_svd(A), _linalg.thin_svd(B))
+
+
 def test_max_principal_angle_stack_matches_per_pair(sla):
     rng = np.random.default_rng(600)
     points, n = 24, 5
@@ -237,12 +241,12 @@ def test_max_principal_angle_stack_matches_per_pair(sla):
     B[5] = A[5] @ complex_stack(rng, 1, 3, 3)[0]  # same span, other basis
     per_pair = [ref_max_angle(sla, A[p], B[p]) for p in range(points)]
     for p in range(points):
-        assert _linalg.max_principal_angle(A[p], B[p]) == pytest.approx(per_pair[p], abs=1e-15)
-    assert _linalg.max_principal_angle(A, B) == pytest.approx(max(per_pair), abs=1e-15)
-    assert _linalg.max_principal_angle(A[::4], B[::4]) == 0.0  # two empty spans
+        assert max_angle(A[p], B[p]) == pytest.approx(per_pair[p], abs=1e-15)
+    assert max_angle(A, B) == pytest.approx(max(per_pair), abs=1e-15)
+    assert max_angle(A[::4], B[::4]) == 0.0  # two empty spans
     B[7, :, 2] = 0.0  # rank 3 against rank 2
     assert ref_max_angle(sla, A[7], B[7]) == math.pi / 2
-    assert _linalg.max_principal_angle(A, B) == math.pi / 2
+    assert max_angle(A, B) == math.pi / 2
 
 
 def test_operator_field_dense_matches_block_diag(sla):
@@ -272,6 +276,10 @@ def complement_stack(cases, n=3):
     return small, big
 
 
+def complement(small, big, dim):
+    return _linalg.complement_in_span(_linalg.thin_svd(small), _linalg.thin_svd(big), dim)
+
+
 NESTED = ((0,), (0, 1))  # complement dimension 1, contained
 CROSSED = ((2,), (0, 1))  # dimension 1 by rank count, but not contained
 SAME = ((0,), (0,))  # dimension 0
@@ -280,34 +288,34 @@ SAME = ((0,), (0,))  # dimension 0
 def test_complement_rank_failure_before_later_dimension_failure():
     small, big = complement_stack([NESTED, CROSSED, NESTED, SAME])
     with pytest.raises(NotContained, match=r"complement projector rank 3 != expected 1;"):
-        _linalg.complement_in_span(small, big, 1)
+        complement(small, big, 1)
 
 
 def test_complement_dimension_failure_before_later_rank_failure():
     small, big = complement_stack([NESTED, SAME, CROSSED])
     with pytest.raises(NotContained, match=r"fiber complement dimension 0 != expected 1$"):
-        _linalg.complement_in_span(small, big, 1)
+        complement(small, big, 1)
 
 
 def test_complement_dimension_checked_before_rank_at_one_point():
     # both checks fail for dim 2: found 1, detected rank 3
     small, big = complement_stack([CROSSED, NESTED])
     with pytest.raises(NotContained, match=r"fiber complement dimension 1 != expected 2$"):
-        _linalg.complement_in_span(small, big, 2)
+        complement(small, big, 2)
 
 
 def test_complement_zero_dimension_returns_empty_bases():
     small, big = complement_stack([SAME, SAME])
-    out = _linalg.complement_in_span(small, big, 0)
+    out = complement(small, big, 0)
     assert out.shape == (2, 3, 0)
     small, big = complement_stack([SAME, NESTED])
     with pytest.raises(NotContained, match=r"fiber complement dimension 1 != expected 0$"):
-        _linalg.complement_in_span(small, big, 0)
+        complement(small, big, 0)
 
 
 def test_complement_bases_span_the_difference():
     small, big = complement_stack([NESTED, ((0,), (0, 2)), ((1,), (0, 1))])
-    out = _linalg.complement_in_span(small, big, 1)
+    out = complement(small, big, 1)
     expected = [1, 2, 0]
     for p, axis in enumerate(expected):
         np.testing.assert_allclose(np.abs(out[p, :, 0]), np.eye(3)[axis], atol=1e-15)
