@@ -42,7 +42,7 @@ import time
 
 import numpy as np
 
-from . import oblique, wandering
+from . import nonabelian, oblique, oracle, wandering
 from .defaults import DEFAULT_GRID, TOL_BIO_EXACT, TOL_BIO_SAMPLED, TOL_RANK_REL
 from .errors import WandergenError, WrongMode
 from .fibers import (
@@ -74,7 +74,11 @@ REPORT_COMMANDS = (
 )
 ALL_COMMANDS = REPORT_COMMANDS + ("bound-curve",)
 
-_BUILTIN_GROUPS = {"S3": "symmetric_3", "D4": "dihedral_4", "Q8": "quaternion_8"}  # in nonabelian
+_BUILTIN_GROUPS = {
+    "S3": nonabelian.symmetric_3,
+    "D4": nonabelian.dihedral_4,
+    "Q8": nonabelian.quaternion_8,
+}
 
 
 class SchemaError(Exception):
@@ -224,14 +228,13 @@ def _parse_system(job: dict, grid_override: int | None) -> SystemSpace:
 
 
 def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
-    from . import nonabelian
     system = _get(job, "system", dict, "system block")
     group = _get(system, "group", dict, "group spec")
     kind = _get(group, "kind", str, "group kind")
     if kind == "builtin":
         name = _get(group, "name", str, "builtin group name")
         if name in _BUILTIN_GROUPS:
-            return getattr(nonabelian, _BUILTIN_GROUPS[name])()
+            return _BUILTIN_GROUPS[name]()
         match = re.fullmatch(r"Z(\d+)", name)
         _expect(match is not None, f"unknown builtin group '{name}'")
         return nonabelian.cyclic_group(int(match.group(1)))
@@ -326,7 +329,6 @@ def _parse_family(space: SystemSpace, families: dict, name: str) -> Family:
 
 
 def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) -> nonabelian.Representation:
-    from . import nonabelian
     _expect(name in reps, f"missing representation '{name}'")
     block = reps[name]
     dim = _get(block, "dim", int, f"{name}.dim")
@@ -508,7 +510,6 @@ def _run_biortho(job, space, families, opts) -> dict:
 
 
 def _run_cancel(job, opts) -> dict:
-    from . import nonabelian
     group = _parse_finite_group(job)
     reps = _get(job, "representations", dict, "representations block")
     rho = _parse_representation(group, reps, "rho")
@@ -540,7 +541,6 @@ def _run_cancel(job, opts) -> dict:
 
 
 def _run_oracle_check(job, space, families, opts) -> dict:
-    from . import oracle
     X = _parse_family(space, families, "X")
     fiber = _bounds_with_errors(X, opts["tol_rank"], riesz_bounds, frame_bounds)
     dense = _bounds_with_errors(

@@ -1,8 +1,6 @@
 """The library runs on numpy alone: no module imports scipy, the package
 metadata requires only numpy, and a run of every CLI command leaves scipy
-unloaded.  scipy may still serve the tests as a reference implementation.
-The CLI imports the non-abelian and dense-oracle modules only for the jobs
-that use them."""
+unloaded.  scipy may still serve the tests as a reference implementation."""
 
 import ast
 import json
@@ -110,22 +108,3 @@ def test_every_cli_command_leaves_scipy_unloaded(tmp_path):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["codes"] == {name: 0 for name in jobs}
     assert result["scipy"] is False
-
-
-COLD = """
-import json, sys
-from wandergen.cli import main
-code = main(["--job", sys.argv[1], "--seed", "0", "--out", sys.argv[2]])
-print(json.dumps({"code": code, "loaded": [m for m in ("wandergen.nonabelian", "wandergen.oracle") if m in sys.modules]}))
-"""
-
-
-def test_golden_complement_job_loads_no_group_or_oracle_module(tmp_path):
-    out = tmp_path / "complement_z2.report.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", COLD, str(GOLDEN / "complement_z2.json"), str(out)],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert json.loads(run.stdout.strip().splitlines()[-1]) == {"code": 0, "loaded": []}
-    assert out.read_bytes() == (GOLDEN / "complement_z2.report.json").read_bytes()

@@ -67,14 +67,3 @@ def test_library_error_prints_its_code(digest_tool):
     # the trivial representation is no multiple of the regular one
     job["reps"]["rho"] = digest_tool.gen.array_json(np.tile(np.eye(12), (6, 1, 1)))
     assert digest_tool.nonabelian_digest(job) == (2, "HypothesisFailure")
-
-
-def test_workloads_filter_keeps_schedule_order(digest_tool, capsys):
-    assert digest_tool.main(["--seeds", "3", "--workloads", "dense-paths", "exact-fiber"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    everything = [" ".join(map(str, row)) for row in digest_tool.digests([3])]
-    # the named workloads only, as the full schedule runs them
-    assert lines == [line for line in everything if line.split("/")[0] in ("exact-fiber", "dense-paths")]
-    assert {line.split("/")[0] for line in lines} == {"exact-fiber", "dense-paths"}
-    with pytest.raises(SystemExit):
-        digest_tool.main(["--workloads", "no-such-workload"])

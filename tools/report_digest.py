@@ -1,13 +1,10 @@
 """Print one line per job of the benchmark schedule: name, exit code and
 the SHA-256 of the job's output.
 
-Run from the repository root:
+Run from the repository root:  python tools/report_digest.py [--seeds 1 2]
 
-    python tools/report_digest.py [--seeds 1 2] [--workloads exact-fiber ...]
-
-Every job of ``benchmarks/gen.pool`` (the round and the small set of each
-workload, all workloads unless ``--workloads`` names some, for each seed)
-runs in this process, in schedule order.  A CLI job runs through
+Every job of ``benchmarks/gen.pool`` (all workloads, the round and the
+small set, for each seed) runs in this process.  A CLI job runs through
 ``cli.run_job`` and its report text is digested.  A non-abelian job calls
 the library as ``benchmarks/worker.py`` does: ``cancel`` builds its four
 representations and prints the digest of the witness matrix bytes, then
@@ -62,12 +59,11 @@ def nonabelian_digest(job: dict) -> tuple[int, str]:
         return 2, exc.code
 
 
-def digests(seeds: list[int], workloads=tuple(gen.WORKLOADS)):
-    """(name, exit code, digest) of every job of the given workloads, in
-    schedule order whatever the order of ``workloads``."""
+def digests(seeds: list[int]):
+    """(name, exit code, digest) of every job, in schedule order."""
     args = cli.build_parser().parse_args(["--job", "-"])
     for seed in seeds:
-        for workload in (w for w in gen.WORKLOADS if w in workloads):
+        for workload in gen.WORKLOADS:
             for small in (False, True):
                 for name, text, _ in gen.pool(workload, seed, small):
                     job = json.loads(text)
@@ -85,9 +81,7 @@ def digests(seeds: list[int], workloads=tuple(gen.WORKLOADS)):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--workloads", nargs="+", choices=list(gen.WORKLOADS), default=list(gen.WORKLOADS))
-    options = parser.parse_args(argv)
-    for name, code, digest in digests(options.seeds, options.workloads):
+    for name, code, digest in digests(parser.parse_args(argv).seeds):
         print(name, code, digest)
     return 0
 
