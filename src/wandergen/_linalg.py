@@ -34,17 +34,6 @@ def thin_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, s
 
 
-def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, np.ndarray]:
-    """Column-space bases of a stack (..., n, k) via SVD (deterministic).
-
-    Returns the left singular vectors U, shape (..., n, min(n, k)), and the
-    ranks r: the first r columns of each U are an orthonormal basis of that
-    matrix's column space.
-    """
-    U, s = thin_svd(M)
-    return U, _rank(s, rel)
-
-
 def leading_columns(U: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Zero the columns of each basis U[p] (points, n, d) from index r[p] on.
 

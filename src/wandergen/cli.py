@@ -543,9 +543,14 @@ def _run_cancel(job, opts) -> dict:
 def _run_oracle_check(job, space, families, opts) -> dict:
     X = _parse_family(space, families, "X")
     fiber = _bounds_with_errors(X, opts["tol_rank"], riesz_bounds, frame_bounds)
-    dense = _bounds_with_errors(
-        X, opts["tol_rank"], oracle.dense_riesz_bounds, oracle.dense_frame_bounds
-    )
+    try:  # one orbit matrix and one SVD serve both dense bounds
+        spectrum = oracle.dense_gram_spectrum(X)
+    except WandergenError as exc:
+        dense = {"riesz": None, "riesz_error": exc.code, "frame": None, "frame_error": exc.code}
+    else:
+        dense = _bounds_with_errors(
+            spectrum, opts["tol_rank"], oracle._riesz_from_spectrum, oracle._frame_from_spectrum
+        )
     diffs = []
     for key in ("riesz", "frame"):
         if fiber[key] is not None and dense[key] is not None:

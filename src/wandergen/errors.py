@@ -71,7 +71,7 @@ class GenericityFailure(WandergenError):
 
 
 class SizeLimit(WandergenError):
-    """Dense oracle request exceeds the configured size cap."""
+    """Dense oracle request exceeds the size cap, or a Gram spectrum overflows float64."""
 
 
 class ExactModeRequired(WandergenError):

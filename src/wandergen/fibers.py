@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg
 from .defaults import TOL_BIO_EXACT, TOL_BIO_SAMPLED, TOL_RANK_REL
-from .errors import EmptyFamily, ExactModeRequired, NotRiesz, RankJump, SizeMismatch
+from .errors import EmptyFamily, ExactModeRequired, NotRiesz, RankJump, SizeLimit, SizeMismatch
 from .groups import (
     CoefficientArray,
     DualSampling,
@@ -94,6 +94,8 @@ class _FiberHolder:
     @cached_property
     def gram_eigenvalues(self) -> np.ndarray:
         evs = np.linalg.eigvalsh(self.gram)
+        if not np.all(np.isfinite(evs)):
+            raise SizeLimit("Gram fiber eigenvalues overflow float64")
         evs.flags.writeable = False
         return evs
 

@@ -1,11 +1,12 @@
 """Dense brute-force ground truth, independent of the fiberization path.
 
 Exact mode only: the full orbit matrix is one index gather from the stacked
-dense generators (the coefficient of g x at h is x(h - g)), and bounds,
-projectors, and spans are derived directly with dense linear algebra.
-Neither the transform nor ``translate`` is used.  Differential tests compare
-these answers against the fiberized ones; that comparison is this module's
-reason to exist.
+dense generators (the coefficient of g x at h is x(h - g)); one SVD of it
+gives the Gram spectrum both bounds read (``dense_gram_spectrum``), and
+projectors and spans come directly from dense linear algebra.  Neither the
+transform nor ``translate`` is used.  Differential tests compare these
+answers against the fiberized ones; that comparison is this module's reason
+to exist.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .groups import FiniteAbelian, SystemSpace
 
 __all__ = [
     "dense_family_matrix",
+    "dense_gram_spectrum",
     "dense_riesz_bounds",
     "dense_frame_bounds",
     "dense_projector",
@@ -77,31 +79,38 @@ def dense_family_matrix(X) -> np.ndarray:
     return cols.reshape(n * m, n * k)
 
 
-def _gram_spectrum(X) -> np.ndarray:
-    """Eigenvalues of the dense orbit Gram: squared singular values of the
-    orbit matrix, padded with the structural zeros a wide matrix hides."""
+def dense_gram_spectrum(X) -> np.ndarray:
+    """Eigenvalues of the dense orbit Gram, descending: squared singular values
+    of the orbit matrix, padded with the structural zeros a wide matrix hides."""
     M = dense_family_matrix(X)
     s = np.linalg.svd(M, compute_uv=False)
-    sq = np.zeros(M.shape[1])
-    sq[: s.size] = s**2
+    sq = np.pad(s**2, (0, M.shape[1] - s.size))
+    if not np.all(np.isfinite(sq)):
+        raise SizeLimit("dense Gram spectrum overflows float64")
     return sq
 
 
-def dense_riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
-    """Extreme eigenvalues of the dense orbit Gram."""
-    sq = _gram_spectrum(X)
+def _riesz_from_spectrum(sq: np.ndarray, tol_rank: float) -> Bounds:
     if sq[-1] <= tol_rank * max(sq[0], 1.0):
         raise NotRiesz(f"dense orbit matrix is rank deficient (min sigma^2 {sq[-1]:.3e})")
     return Bounds(float(sq[-1]), float(sq[0]), exact=True)
 
 
-def dense_frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
-    """Extreme nonzero eigenvalues of the dense orbit Gram."""
-    sq = _gram_spectrum(X)
+def _frame_from_spectrum(sq: np.ndarray, tol_rank: float) -> Bounds:
     keep = sq[sq > tol_rank * max(sq[0], 1.0)]
     if keep.size == 0:
         raise EmptyFamily("family spans only the zero subspace")
     return Bounds(float(keep.min()), float(keep.max()), exact=True)
+
+
+def dense_riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
+    """Extreme eigenvalues of the dense orbit Gram."""
+    return _riesz_from_spectrum(dense_gram_spectrum(X), tol_rank)
+
+
+def dense_frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
+    """Extreme nonzero eigenvalues of the dense orbit Gram."""
+    return _frame_from_spectrum(dense_gram_spectrum(X), tol_rank)
 
 
 def dense_orth_basis(columns: np.ndarray, tol_rank: float = TOL_RANK_REL) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from wandergen import _linalg
+from wandergen.defaults import TOL_RANK_REL
 from wandergen.errors import NotRiesz
 from wandergen.fibers import (
     Family,
@@ -26,6 +28,15 @@ GROUP_POOL = [
     (2,), (3,), (4,), (5,), (6,), (8,), (12,), (24,),
     (2, 2), (2, 3), (2, 4), (3, 3), (2, 2, 2), (2, 2, 3),
 ]
+
+
+def orth_columns(M: np.ndarray, rel: float = TOL_RANK_REL) -> tuple[np.ndarray, np.ndarray]:
+    """Reference column-space bases of a stack (..., n, k) via SVD: the left
+    singular vectors U, shape (..., n, min(n, k)), and the ranks r; the first
+    r columns of each U are an orthonormal basis of that matrix's column
+    space.  A fiber holder's cached ``svd`` factors must equal it."""
+    U, s = _linalg.thin_svd(M)
+    return U, _linalg._rank(s, rel)
 
 
 def random_space(rng, max_channels: int = 4, min_channels: int = 1, orders=None) -> SystemSpace:

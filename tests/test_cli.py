@@ -448,6 +448,14 @@ def families_job(command, **families) -> dict:
     }
 
 
+def benchmark_gen():
+    """The benchmark's job generator, ``benchmarks/gen.py``."""
+    spec = importlib.util.spec_from_file_location("gen", os.path.join(ROOT, "benchmarks", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
 class TestHypothesesCheckedOnce:
     """Each job checks each hypothesis once, at the entry point: one
     containment test of X in Y, one bound per input family, one inverse
@@ -542,9 +550,7 @@ class TestFibersFactoredOnce:
             job = families_job("oblique", X=family_from_fibers(space, mix(2)), Y=family_from_fibers(space, mix(3)))
             job["families"]["W0"] = [[entry([g], 3, 1.0)] for g in range(256)]
             return dict(job, options={"w0_dense": True})
-        spec = importlib.util.spec_from_file_location("gen", os.path.join(ROOT, "benchmarks", "gen.py"))
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
+        gen = benchmark_gen()
         build = getattr(gen, case.replace("-", "_"))
         job, expect = build(rng, gen.ExactField(rng, (256,)), 1, 2 if case == "frame-oblique" else 3)
         assert expect["exit"] == 0
@@ -642,12 +648,82 @@ class TestMultiFaultPrecedence:
 
 
 class TestOracleCheck:
+    REFUSED = {"riesz": None, "frame": None}
+
+    @staticmethod
+    def job(system, members):
+        return {"version": "wandergen/1", "command": "oracle-check", "system": system, "families": {"X": members}}
+
     def test_agreement(self, tmp_path):
         job = orthonormal_delta_job()
         job["command"] = "oracle-check"
         code, report, _ = run(tmp_path, job)
         assert code == 0
         assert report["oracle"]["max_bound_diff"] <= 1e-8
+
+    def test_rank_deficient_family_keeps_dense_frame_bounds(self, tmp_path):
+        # two copies of one delta: rank 1 at every dual point, Gram spectrum {2, 2, 0, 0}
+        job = self.job(z2_system(), [[entry([0], 0, 1.0)], [entry([0], 0, 1.0)]])
+        code, report, _ = run(tmp_path, job)
+        fiber, dense = report["oracle"]["fiber"], report["oracle"]["dense"]
+        assert code == 0
+        assert (fiber["riesz_error"], dense["riesz_error"]) == ("NotRiesz", "NotRiesz")
+        assert dense["riesz"] is None and dense["frame_error"] is None
+        assert (dense["frame"]["lower"], dense["frame"]["upper"]) == pytest.approx((2.0, 2.0), abs=1e-12)
+        assert report["oracle"]["max_bound_diff"] <= 1e-12
+
+    @pytest.mark.parametrize("case", ["size-limit", "shift-mode"])
+    def test_dense_side_refused(self, tmp_path, case):
+        if case == "size-limit":  # |G| * m * k = 1024 * 4 * 2 = 8192 exceeds the oracle cap 4096
+            system = {"group": {"kind": "finite_abelian", "orders": [1024]}, "channels": 4}
+            members, code_expected = [[entry([0], 0, 1.0)], [entry([0], 1, 1.0)]], "SizeLimit"
+        else:
+            system = {"group": {"kind": "integer_shift", "grid": 32}, "channels": 1}
+            members, code_expected = [[entry(0, 0, 1.0)]], "ExactModeRequired"
+        code, report, _ = run(tmp_path, self.job(system, members))
+        fiber, dense = report["oracle"]["fiber"], report["oracle"]["dense"]
+        assert code == 0
+        assert dense == dict(self.REFUSED, riesz_error=code_expected, frame_error=code_expected)
+        assert fiber["riesz"]["lower"] == pytest.approx(1.0, abs=1e-12)
+        assert fiber["frame"]["upper"] == pytest.approx(1.0, abs=1e-12)
+        assert report["oracle"]["max_bound_diff"] is None
+
+    @pytest.mark.parametrize("orders,k", [((8,), 1), ((16,), 2), ((32,), 4), ((64,), 2)])
+    def test_one_orbit_matrix_and_one_svd_per_job(self, monkeypatch, orders, k):
+        """Both dense bounds read one spectrum: one gathered orbit matrix, one
+        SVD of it.  The jobs are the benchmark's oracle-check jobs, 4 channels."""
+        gen, rng = benchmark_gen(), np.random.default_rng(91)
+        job = json.loads(gen.dumps(gen.oracle_check(rng, gen.ExactField(rng, orders), k)[0]))
+        gathered, factored = [], []
+        gather, svd = oracle.dense_family_matrix, np.linalg.svd
+        monkeypatch.setattr(oracle, "dense_family_matrix", lambda X: gathered.append(gather(X)) or gathered[-1])
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: factored.append(a) or svd(a, *args, **kw))
+        _, code = cli.run_job(job, cli.build_parser().parse_args(["--job", "-"]))
+        assert code == 0
+        assert len(gathered) == 1
+        assert sum(any(a is M for M in gathered) for a in factored) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFloat64Overflow:
+    """Coefficients near the float64 limit overflow the transform and the
+    squared singular values; that is a SizeLimit, never a verdict on the family."""
+
+    @staticmethod
+    def job(command):
+        system = {"group": {"kind": "finite_abelian", "orders": [4]}, "channels": 1}
+        return {"version": "wandergen/1", "command": command, "system": system,
+                "families": {"X": [[entry([e], 0, 1e308) for e in range(3)]]}}
+
+    def test_analyze(self, tmp_path):
+        code, report, _ = run(tmp_path, self.job("analyze"))
+        assert (code, report["error"]) == (2, {"code": "SizeLimit", "message": "Gram fiber eigenvalues overflow float64"})
+
+    def test_oracle_check(self, tmp_path):
+        code, report, _ = run(tmp_path, self.job("oracle-check"))
+        refused = dict(TestOracleCheck.REFUSED, riesz_error="SizeLimit", frame_error="SizeLimit")
+        assert code == 0
+        assert report["oracle"] == {"fiber": refused, "dense": refused, "max_bound_diff": None}
 
 
 class TestBoundCurve:

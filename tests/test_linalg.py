@@ -20,7 +20,7 @@ from wandergen.defaults import TOL_RANK_REL
 from wandergen.errors import NotContained
 from wandergen.fibers import dense_fourier_matrix
 from wandergen.oblique import OperatorField
-from conftest import combine_fiberwise, random_projection_triple, random_riesz_family
+from conftest import combine_fiberwise, orth_columns, random_projection_triple, random_riesz_family
 
 
 def ref_rank(M, rel=TOL_RANK_REL):
@@ -87,7 +87,7 @@ def test_matrix_rank_matches_per_point(n, k):
 @pytest.mark.parametrize("n,k", SHAPES)
 def test_orth_columns_match_per_point(n, k):
     M = mixed_stack(np.random.default_rng(100 + n * 10 + k), 12, n, k)
-    U, r = _linalg.orth_columns(M)
+    U, r = orth_columns(M)
     for p in range(12):
         np.testing.assert_array_equal(U[p, :, : r[p]], ref_orth(M[p]))
 
@@ -327,10 +327,10 @@ def test_complement_bases_span_the_difference():
 
 def ref_projection_pair(M, Mp, N, rel=TOL_RANK_REL):
     FM, FMp, FN = M.fibers, Mp.fibers, N.fibers
-    UN, rn = _linalg.orth_columns(FN, rel)
+    UN, rn = orth_columns(FN, rel)
     BN = UN * (np.arange(UN.shape[2]) < rn[:, None])[:, None, :]
-    P = _linalg.oblique_projector_matrix(_linalg.orth_columns(FM, rel)[0], BN, rel)
-    Q = _linalg.oblique_projector_matrix(_linalg.orth_columns(FMp, rel)[0], BN, rel)
+    P = _linalg.oblique_projector_matrix(orth_columns(FM, rel)[0], BN, rel)
+    Q = _linalg.oblique_projector_matrix(orth_columns(FMp, rel)[0], BN, rel)
     PFMp, QFM = P @ FMp, Q @ FM
     p1 = np.stack([np.linalg.lstsq(FM[p], PFMp[p], rcond=None)[0] for p in range(len(FM))])
     q1 = np.stack([np.linalg.lstsq(FMp[p], QFM[p], rcond=None)[0] for p in range(len(FM))])

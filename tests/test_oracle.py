@@ -143,6 +143,27 @@ class TestDenseBounds:
         assert abs(fiber.lower - dense.lower) <= 1e-8
         assert abs(fiber.upper - dense.upper) <= 1e-8
 
+    @pytest.mark.parametrize("orders,m,k", [((6,), 3, 2), ((4,), 1, 3), ((2, 3), 2, 2)])
+    def test_spectrum_is_the_padded_gram_spectrum(self, orders, m, k):
+        # (4,), m=1, k=3 is wide: 4 rows, 12 columns, 8 structural zeros
+        fam = random_family(np.random.default_rng(11), space(orders, m), k)
+        sq = oracle.dense_gram_spectrum(fam)
+        M = oracle.dense_family_matrix(fam)
+        assert sq.shape == (M.shape[1],) and np.all(np.diff(sq) <= 0)
+        np.testing.assert_allclose(sq, np.linalg.eigvalsh(M.conj().T @ M)[::-1], atol=1e-10)
+        assert np.count_nonzero(sq == 0.0) >= max(M.shape[1] - M.shape[0], 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_a_size_limit(self):
+        sp = space([4])
+        fam = wg.Family(sp, (wg.from_dense(sp, np.array([[1e308], [1e308], [1e308], [0.0]])),))
+        for bounds in (oracle.dense_gram_spectrum, oracle.dense_riesz_bounds, oracle.dense_frame_bounds):
+            with pytest.raises(wg.SizeLimit, match="dense Gram spectrum overflows float64"):
+                bounds(fam)
+        for bounds in (wg.riesz_bounds, wg.frame_bounds):
+            with pytest.raises(wg.SizeLimit, match="Gram fiber eigenvalues overflow float64"):
+                bounds(fam)
+
 
 class TestDenseProjectors:
     def test_full_span_is_identity(self):
