@@ -701,7 +701,7 @@ class TestOracleCheck:
         _, code = cli.run_job(job, cli.build_parser().parse_args(["--job", "-"]))
         assert code == 0
         assert len(gathered) == 1
-        assert sum(any(a is M for M in gathered) for a in factored) == 1
+        assert sum(a is gathered[0] for a in factored) == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
