@@ -1,9 +1,15 @@
 """Small dense linear-algebra helpers shared by the fiberwise constructions.
 
 Every helper takes stacked matrices of shape (..., n, k), one per dual
-point, and decides each matrix's rank with the cutoff
-rel * max(sigma_max, 1).  Helpers that read a subspace take its thin SVD
-factors (U, s), so one factorization serves every decision on a stack.
+point.  ``cutoff`` is the library's one rank rule: a singular value or Gram
+eigenvalue counts as zero at or below rel * max(largest in its row, 1), and
+every rank and singularity decision reads it.  Four other tests stay apart:
+``oracle.py``'s copies (the independent reference), the QR's detected rank
+in ``complement_in_span`` (a projector spectrum near {0, 1}), ``pinv``'s
+rcond (orthonormal columns, so sigma_max >= 1 and it agrees) and
+``are_equivalent``'s ``cond_limit`` (conditioning, not rank).  Helpers that
+read a subspace take its thin SVD factors (U, s), so one factorization
+serves every decision on a stack.
 Pivoted QR and principal angles are numpy kernels batched over the stack,
 so the library needs numpy only.
 """
@@ -18,12 +24,18 @@ from .defaults import TOL_RANK_REL
 from .errors import NotContained, SelectionObstruction
 
 
-def _rank(s: np.ndarray, rel: float) -> np.ndarray:
-    return np.sum(s > rel * np.maximum(s[..., :1], 1.0), axis=-1)
+def cutoff(values: np.ndarray, rel: float) -> np.ndarray:
+    """Zero cutoffs rel * max(largest value, 1), one per row of a stack (..., k)
+    of singular values or eigenvalues in either order; an empty row's is rel."""
+    return rel * np.maximum(np.max(values, axis=-1, initial=0.0), 1.0)
+
+
+def _rank(values: np.ndarray, rel: float) -> np.ndarray:
+    return np.sum(values > cutoff(values, rel)[..., None], axis=-1)
 
 
 def matrix_rank(M: np.ndarray, rel: float = TOL_RANK_REL) -> np.ndarray:
-    """Ranks of a stack (..., n, k), singular values below rel * max(sigma_max, 1)
+    """Ranks of a stack (..., n, k), singular values at or below ``cutoff``
     counted as zero."""
     return _rank(np.linalg.svd(M, compute_uv=False), rel)
 

@@ -1,7 +1,10 @@
 """Default numerical tolerances and size caps, overridable per call and via the CLI."""
 
-# Relative rank / singularity cutoff: a singular value (or Gram eigenvalue)
-# counts as zero below TOL_RANK_REL * max(largest value at that point, 1).
+# Relative rank / singularity cutoff, applied by _linalg.cutoff alone: a
+# singular value (or Gram eigenvalue) counts as zero at or below
+# TOL_RANK_REL * max(largest value at that point, 1).  The four tests kept
+# apart (oracle.py's copies, the QR's detected rank, pinv's rcond,
+# are_equivalent's cond_limit) are listed with their reasons in _linalg.
 TOL_RANK_REL = 1e-9
 
 # Biorthogonality / wandering residual tolerance.

@@ -88,6 +88,8 @@ class _FiberHolder:
     @cached_property
     def gram(self) -> np.ndarray:
         G = _gram_tensor(self.fibers, self.fibers, gram_normalization(self.space))
+        if not np.all(np.isfinite(G)):
+            raise SizeLimit("Gram fibers overflow float64")
         G.flags.writeable = False
         return G
 
@@ -247,9 +249,9 @@ def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     lower constant.
     """
     sampling, evs = gram_fibers(X).sampling, X.gram_eigenvalues
-    per_point_tol = tol_rank * np.maximum(evs[:, -1], 1.0)
-    if np.any(evs[:, 0] <= per_point_tol):
-        worst = int(np.argmin(evs[:, 0] - per_point_tol))
+    cut = _linalg.cutoff(evs, tol_rank)
+    if np.any(evs[:, 0] <= cut):
+        worst = int(np.argmin(evs[:, 0] - cut))
         raise NotRiesz(
             f"Gram fiber at dual point {worst} is singular "
             f"(min eigenvalue {evs[worst, 0]:.3e})"
@@ -265,8 +267,7 @@ def frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     smallest eigenvalue exceeding the rank tolerance anywhere.
     """
     sampling, evs = gram_fibers(X).sampling, X.gram_eigenvalues
-    tol = tol_rank * np.maximum(evs[:, -1], 1.0)[:, None]
-    keep = evs > tol
+    keep = evs > _linalg.cutoff(evs, tol_rank)[:, None]
     ranks = keep.sum(axis=1)
     if int(ranks.min()) != int(ranks.max()):
         raise RankJump(f"fiber rank varies across sampling: {int(ranks.min())}..{int(ranks.max())}")

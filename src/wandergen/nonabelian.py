@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .errors import GenericityFailure, HypothesisFailure
 from .groups import FiniteAbelian
 
@@ -472,9 +473,8 @@ def intertwiner_basis(
             for g in gens
         ]
         A = np.vstack(blocks)
-        _, s, Vh = np.linalg.svd(A)
-        rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-        kernel = Vh[rank:].conj()
+        V, rank = _linalg.null_space_columns(A, tol)
+        kernel = V[:, rank:].T
     else:
         kernel = np.eye(ds * dr, dtype=np.complex128)
     expected = round(float(np.real(character_inner(character(rho), character(sigma)))))

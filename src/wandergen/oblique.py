@@ -380,9 +380,8 @@ def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
         raise NotDirectSum(f"dual subspace has fiber dimension {len(BWt)} != {k} at dual point 0")
     Bt = BWt.fibers
     pairing = gram_normalization(gamma.space) * gamma.fibers.transpose(0, 2, 1) @ Bt.conj()
-    s = np.linalg.svd(pairing, compute_uv=False)
     # the stacked inverse raises on any singular matrix, so check every point first
-    singular = np.flatnonzero(s[:, -1] <= tol_rank * np.maximum(s[:, 0], 1.0))
+    singular = np.flatnonzero(_linalg.matrix_rank(pairing, tol_rank) < k)
     if singular.size:
         raise SingularPairing(f"fiber pairing singular at dual point {singular[0]}")
     return family_from_fibers(gamma.space, Bt @ np.linalg.inv(pairing).conj())

@@ -66,7 +66,7 @@ def verify_wandering(M, tol_bio: float | None = None, tol_rank: float = TOL_RANK
     if len(M) == 0:
         return WanderingCertificate(M, 0.0, complete=False, tolerance=tol_bio)
     residual = gram_fibers(M).identity_deviation()
-    ranks = _linalg._rank(M.gram_eigenvalues[:, ::-1], tol_rank)
+    ranks = _linalg._rank(M.gram_eigenvalues, tol_rank)
     return WanderingCertificate(M, residual, bool(np.all(ranks == M.space.channels)), tol_bio)
 
 

@@ -710,14 +710,20 @@ class TestFloat64Overflow:
     squared singular values; that is a SizeLimit, never a verdict on the family."""
 
     @staticmethod
-    def job(command):
+    def job(command, names=("X",)):
         system = {"group": {"kind": "finite_abelian", "orders": [4]}, "channels": 1}
+        family = [[entry([e], 0, 1e308) for e in range(3)]]
         return {"version": "wandergen/1", "command": command, "system": system,
-                "families": {"X": [[entry([e], 0, 1e308) for e in range(3)]]}}
+                "families": {name: family for name in names}}
 
     def test_analyze(self, tmp_path):
         code, report, _ = run(tmp_path, self.job("analyze"))
-        assert (code, report["error"]) == (2, {"code": "SizeLimit", "message": "Gram fiber eigenvalues overflow float64"})
+        assert (code, report["error"]) == (2, {"code": "SizeLimit", "message": "Gram fibers overflow float64"})
+
+    def test_complement(self, tmp_path):
+        # the wandering check reads the Gram fibers before any eigenvalue
+        code, report, _ = run(tmp_path, self.job("complement", ("X", "Y")))
+        assert (code, report["error"]) == (2, {"code": "SizeLimit", "message": "Gram fibers overflow float64"})
 
     def test_oracle_check(self, tmp_path):
         code, report, _ = run(tmp_path, self.job("oracle-check"))

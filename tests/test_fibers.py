@@ -57,6 +57,15 @@ class TestGramFibers:
         with pytest.raises(wg.EmptyFamily):
             wg.gram_fibers(wg.Family(space([2]), ()))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_gram_with_an_infinite_eigenvalue_is_a_size_limit(self):
+        # every Gram entry is 1e308, but the fiber's eigenvalue 2e308 is not
+        X = wg.SampledFamily(wg.SystemSpace(wg.IntegerShift(4), 1), np.full((4, 1, 2), 1e154, dtype=complex))
+        assert np.all(np.isfinite(wg.gram_fibers(X).matrices))
+        for bounds in (wg.riesz_bounds, wg.frame_bounds):
+            with pytest.raises(wg.SizeLimit, match="Gram fiber eigenvalues overflow float64"):
+                bounds(X)
+
 
 class TestRieszBounds:
     def test_orthonormal_orbit(self):
