@@ -203,6 +203,11 @@ def _tolerance(value, label: str) -> float:
     return value
 
 
+def _grid(value) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 2, "grid must be an integer >= 2")
+    return value
+
+
 def _parse_system(job: dict, grid_override: int | None) -> SystemSpace:
     system = _get(job, "system", dict, "system block")
     group = _get(system, "group", dict, "group spec")
@@ -215,10 +220,9 @@ def _parse_system(job: dict, grid_override: int | None) -> SystemSpace:
         )
         spec = FiniteAbelian(tuple(orders))
     elif kind == "integer_shift":
-        grid = group.get("grid", DEFAULT_GRID)
-        _expect(isinstance(grid, int) and not isinstance(grid, bool) and grid >= 2, "grid must be an integer >= 2")
-        if grid_override is not None:
-            grid = grid_override
+        grid = _grid(group.get("grid", DEFAULT_GRID))
+        if grid_override is not None:  # the --grid flag passes the same check
+            grid = _grid(grid_override)
         spec = IntegerShift(grid)
     else:
         raise SchemaError(f"group kind '{kind}' needs a system space (finite_abelian or integer_shift)")
@@ -294,7 +298,7 @@ def _parse_member(space: SystemSpace, entries, label: str) -> GroupVector:
         except OverflowError:  # an element or channel integer beyond int64
             bulk = None
         if bulk is not None:
-            return GroupVector._exact(space, *_scatter(space, *bulk))
+            return GroupVector._adopt(space, *_scatter((space.group.order, space.channels), *bulk))
     channels = space.channels
     orders = space.group.orders if space.exact else None
     checked = []

@@ -33,10 +33,9 @@ from .groups import (
     FiniteAbelian,
     GroupVector,
     SystemSpace,
+    _transform,
     character_table,
-    dft,
     dual_sampling,
-    fourier,
     from_dense,
     idft,
     translate,
@@ -113,8 +112,8 @@ class Family(_FiberHolder):
     """Ordered finite list of generators sharing one system space.
 
     ``fibers`` holds the transformed members, values[point, channel,
-    member]; it is computed once, on first use, and is read-only.  In exact
-    mode it is one transform of the stacked (|G|, channels, members) array.
+    member]; it is computed once, on first use, and is read-only: one
+    transform of the stacked members, in either mode (``groups._transform``).
     """
 
     space: SystemSpace
@@ -135,12 +134,7 @@ class Family(_FiberHolder):
 
     @cached_property
     def fibers(self) -> np.ndarray:
-        if self.members and self.space.exact:
-            values = dft(self.space.group, np.stack([v.dense() for v in self.members], axis=2))
-        elif self.members:
-            values = np.stack([fourier(v).values for v in self.members], axis=2)
-        else:
-            values = np.zeros((len(self.sampling), self.space.channels, 0), dtype=np.complex128)
+        values = _transform(self.space, self.members)
         values.flags.writeable = False
         return values
 

@@ -7,20 +7,24 @@ Two group models are supported:
   1/sqrt(|G|) normalization, computed by ``np.fft.fftn(norm="ortho")`` over
   the cyclic axes, so Parseval holds to machine precision.
 * ``IntegerShift`` -- the shift group Z.  The dual torus is sampled at the
-  ``grid_size``-th roots of unity (sampled mode); transforms are exact
-  trigonometric-polynomial evaluations at the grid points, with no
-  quadrature error.
+  ``grid_size``-th roots of unity (sampled mode).  By Poisson summation the
+  grid values are the unnormalized length-N DFT of the periodization mod N,
+  computed by ``np.fft.fft``: no quadrature error.
 
 Group elements are canonical integer tuples (finite case) or plain integers
 (shift case); there is no abstract element interface, which keeps
 serialization bit-exact.
 
-An exact-mode ``GroupVector`` stores a read-only dense (|G|, channels) array
-and a boolean support mask: the stored coefficients are the masked cells, so
-a parsed sparse member keeps its explicit zeros.  ``coeffs`` is a read-only
-mapping built from the arrays: canonical (element, channel) keys in element
-index, then channel order.  A shift-mode vector keeps a dict: its support is
-unbounded.
+A ``GroupVector`` stores a start, a read-only (window, channels) complex
+array and a boolean support mask: the stored coefficients are the masked
+cells, so a parsed sparse member keeps its explicit zeros.  An exact-mode
+window is the whole group, by element index, from start 0.  A shift-mode
+window runs from the smallest to the largest stored position; its start is
+a Python int, so positions beyond int64 work.  A window wider than the grid
+could never be transformed, so it raises ``SupportExceedsGrid`` before it
+is allocated.  ``coeffs`` is a read-only mapping built from the arrays, in
+window, then channel order.  Each family is transformed once, its members
+stacked (``_transform``).
 """
 
 from __future__ import annotations
@@ -56,8 +60,6 @@ __all__ = [
     "fourier",
     "inverse_fourier",
     "translate",
-    "modulate",
-    "convolve",
 ]
 
 
@@ -115,7 +117,8 @@ class IntegerShift:
     """The shift group Z, fiberized on a ``grid_size``-point torus grid.
 
     The grid must stay at least twice as wide as any vector support in play;
-    fiber evaluation for wider supports is rejected as alias-prone.
+    fiber evaluation for wider supports is rejected as alias-prone, and a
+    vector wider than the grid is not stored at all.
     """
 
     grid_size: int
@@ -167,7 +170,7 @@ class GroupVector:
     read-only mapping of the stored coefficients (see the module docstring).
     """
 
-    __slots__ = ("space", "_values", "_mask")  # _mask is None in shift mode
+    __slots__ = ("space", "_start", "_values", "_mask")
 
     def __init__(self, space: SystemSpace, coeffs: Mapping | Iterable = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -178,52 +181,60 @@ class GroupVector:
                 raise ValueError(f"channel {c} outside 0..{space.channels - 1}")
             key = (space.group.canonical(g), c)
             merged[key] = merged.get(key, 0j) + complex(value)
-        self.space, self._values, self._mask = space, merged, None
-        if space.exact:
-            flat = [space.group.index_of(g) * space.channels + c for g, c in merged]
-            self._values, self._mask = _scatter(space, flat, list(merged.values()))
+        group = space.group
+        if space.exact:  # the window is the whole group, rows in element index order
+            start, rows, width = 0, [group.index_of(g) for g, _ in merged], group.order
+        else:  # the window runs from the smallest to the largest stored position
+            start = min((g for g, _ in merged), default=0)
+            rows = [g - start for g, _ in merged]
+            width = max(rows, default=-1) + 1
+            _check_width(group, width, group.grid_size)
+        flat = [r * space.channels + c for r, (_, c) in zip(rows, merged)]
+        values, mask = _scatter((width, space.channels), flat, list(merged.values()))
+        self.space, self._start, self._values, self._mask = space, start, values, mask
 
     @classmethod
-    def _exact(cls, space: SystemSpace, values: np.ndarray, mask: np.ndarray) -> "GroupVector":
-        """Adopt (|G|, channels) arrays as is; zero outside ``mask``."""
+    def _adopt(cls, space: SystemSpace, values: np.ndarray, mask: np.ndarray, start: int = 0) -> "GroupVector":
+        """Adopt (window, channels) arrays as is, the window starting at
+        ``start`` (0 in exact mode); zero outside ``mask``."""
         v = cls.__new__(cls)
-        v.space, v._values, v._mask = space, values, mask
+        v.space, v._start, v._values, v._mask = space, start, values, mask
         values.flags.writeable = mask.flags.writeable = False
         return v
 
     @property
+    def _stop(self) -> int:
+        return self._start + len(self._values)
+
+    @property
     def coeffs(self) -> Mapping:
-        if self._mask is None:
-            return MappingProxyType(self._values)
-        # exact mode: built from the arrays on access, by element index, then channel
-        keys = itertools.product(self.space.group.elements(), range(self.space.channels))
-        items = zip(keys, self._values.reshape(-1).tolist())
+        # built from the arrays on access, by element index (exact) or position, then channel
+        space = self.space
+        rows = space.group.elements() if space.exact else range(self._start, self._stop)
+        items = zip(itertools.product(rows, range(space.channels)), self._values.reshape(-1).tolist())
         return MappingProxyType(dict(itertools.compress(items, self._mask.flat)))
 
     def norm(self) -> float:
         return math.sqrt(self.inner(self).real)
 
     def inner(self, other: "GroupVector") -> complex:
-        """<self, other>, conjugate-linear in ``other``."""
-        if self._mask is not None:
-            return complex(np.vdot(other.dense(), self._values))
-        a, b = self._values, other._values
-        if len(a) <= len(b):
-            return sum((v * b[k].conjugate() for k, v in a.items() if k in b), 0j)
-        return sum((a[k] * v.conjugate() for k, v in b.items() if k in a), 0j)
+        """<self, other>, conjugate-linear in ``other``: a sum over the
+        overlap of the two windows."""
+        lo = max(self._start, other._start)
+        hi = max(lo, min(self._stop, other._stop))  # hi = lo: no overlap
+        a = self._values[lo - self._start:hi - self._start]
+        b = other._values[lo - other._start:hi - other._start]
+        return complex(np.vdot(b, a))
 
     def support_window(self) -> tuple[int, int] | None:
         """(min, max) support indices for shift-mode vectors; None when empty."""
         if not isinstance(self.space.group, IntegerShift):
             raise ValueError("support_window is a shift-mode notion")
-        if not self._values:
-            return None
-        positions = [g for g, _ in self._values]
-        return min(positions), max(positions)
+        return (self._start, self._stop - 1) if len(self._values) else None
 
     def dense(self) -> np.ndarray:
         """The stored dense (|G|, channels) array, read-only; exact mode only."""
-        if self._mask is None:
+        if not self.space.exact:
             raise ExactModeRequired("dense coefficients exist only for finite groups")
         return self._values
 
@@ -232,43 +243,64 @@ class GroupVector:
         self.dense()
         return self._mask
 
+    def _padded(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Values and mask on the window [start, stop), which holds this one's."""
+        if (start, stop) == (self._start, self._stop):
+            return self._values, self._mask
+        values = np.zeros((stop - start, self.space.channels), dtype=np.complex128)
+        mask = np.zeros(values.shape, dtype=bool)
+        at = slice(self._start - start, self._stop - start)
+        values[at], mask[at] = self._values, self._mask
+        return values, mask
+
     def __add__(self, other: "GroupVector") -> "GroupVector":
         if other.space != self.space:
             raise ValueError("mismatched system spaces")
-        if self._mask is not None:
-            return GroupVector._exact(self.space, self._values + other._values, self._mask | other._mask)
-        merged = dict(self._values)
-        for k, v in other._values.items():
-            merged[k] = merged.get(k, 0j) + v
-        return GroupVector(self.space, merged)
+        # the union window of the nonempty ones; exact-mode windows are all the whole group
+        windows = [(v._start, v._stop) for v in (self, other) if len(v._values)] or [(0, 0)]
+        start, stop = min(lo for lo, _ in windows), max(hi for _, hi in windows)
+        if isinstance(self.space.group, IntegerShift):
+            _check_width(self.space.group, stop - start, self.space.group.grid_size)
+        (a, a_mask), (b, b_mask) = self._padded(start, stop), other._padded(start, stop)
+        return GroupVector._adopt(self.space, a + b, a_mask | b_mask, start)
 
     def __sub__(self, other: "GroupVector") -> "GroupVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "GroupVector":
-        s = complex(scalar)
-        if self._mask is not None:
-            return GroupVector._exact(self.space, s * self._values, self._mask)
-        return GroupVector(self.space, {k: s * v for k, v in self._values.items()})
+        return GroupVector._adopt(self.space, complex(scalar) * self._values, self._mask, self._start)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupVector) or other.space != self.space:
             return False
-        if self._mask is None:
-            return other._values == self._values
-        return np.array_equal(other._mask, self._mask) and np.array_equal(other._values, self._values)
+        return (
+            other._start == self._start
+            and np.array_equal(other._mask, self._mask)
+            and np.array_equal(other._values, self._values)
+        )
 
     def __repr__(self) -> str:
-        return f"GroupVector({len(self.coeffs)} coeffs over {self.space.group})"
+        return f"GroupVector({np.count_nonzero(self._mask)} coeffs over {self.space.group})"
 
 
-def _scatter(space: SystemSpace, flat, values) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-mode storage: ``values`` summed in input order at the flat
-    positions element index * channels + channel, each position stored."""
-    dense = np.zeros((space.group.order, space.channels), dtype=np.complex128)
-    mask = np.zeros(dense.shape, dtype=bool)
+def _check_width(group: IntegerShift, width: int, limit: int) -> None:
+    """Raise SupportExceedsGrid when a support ``width`` wide exceeds ``limit``:
+    the grid size to be stored, half of it to be transformed."""
+    if width > limit:
+        raise SupportExceedsGrid(
+            f"support width {width} needs a grid of at least {2 * width} points, "
+            f"got {group.grid_size}"
+        )
+
+
+def _scatter(shape: tuple[int, int], flat, values) -> tuple[np.ndarray, np.ndarray]:
+    """Vector storage of the given (window, channels) shape: ``values`` summed
+    in input order at the flat positions row * channels + channel, each
+    position stored."""
+    dense = np.zeros(shape, dtype=np.complex128)
+    mask = np.zeros(shape, dtype=bool)
     with np.errstate(all="ignore"):  # a sum may overflow, as Python floats do, without a warning
         np.add.at(dense.reshape(-1), flat, np.asarray(values, dtype=np.complex128))
     mask.reshape(-1)[flat] = True
@@ -290,7 +322,7 @@ def from_dense(space: SystemSpace, dense: np.ndarray) -> GroupVector:
     dense = np.asarray(dense, dtype=np.complex128).view()
     if dense.shape != (group.order, space.channels):
         raise ValueError(f"expected shape {(group.order, space.channels)}, got {dense.shape}")
-    return GroupVector._exact(space, dense, np.broadcast_to(np.True_, dense.shape))
+    return GroupVector._adopt(space, dense, np.broadcast_to(np.True_, dense.shape))
 
 
 @dataclass
@@ -398,45 +430,39 @@ class FiberSamples:
     values: np.ndarray
 
 
-def _check_grid_support(v: GroupVector) -> None:
-    group = v.space.group
-    window = v.support_window()
-    if window is None:
-        return
-    width = window[1] - window[0] + 1
-    if 2 * width > group.grid_size:
-        raise SupportExceedsGrid(
-            f"support width {width} needs a grid of at least {2 * width} points, "
-            f"got {group.grid_size}"
-        )
+def _transform(space: SystemSpace, members) -> np.ndarray:
+    """The members' fibers, stacked (points, channels, members).
+
+    Each member's window is scattered to rows (start + i) mod n of one
+    (n, channels, members) array, which is transformed once along its first
+    axis.  Exact mode: n = |G|, each window is the whole group and the
+    transform is ``dft``.  Shift mode: n is the grid size, the rows hold each
+    member's periodization mod n, and by Poisson summation its unnormalized
+    length-n DFT is the fiber at the grid points.  A shift-mode support wider
+    than half the grid is rejected as alias-prone.
+    """
+    group = space.group
+    n = group.order if space.exact else group.grid_size
+    stack = np.zeros((n, space.channels, len(members)), dtype=np.complex128)
+    for j, v in enumerate(members):
+        width = len(v._values)
+        if not space.exact:
+            _check_width(group, width, n // 2)
+        # the start is reduced mod n in integers; a window (width <= n) wraps at most once
+        at = v._start % n
+        head = min(width, n - at)
+        stack[at:at + head, :, j], stack[:width - head, :, j] = v._values[:head], v._values[head:]
+    return dft(group, stack) if space.exact else np.fft.fft(stack, axis=0)
 
 
 def fourier(v: GroupVector) -> FiberSamples:
     """Transform a vector to the dual sampling.
 
     Exact mode: vhat(gamma) = |G|^{-1/2} sum_g v(g) conj(gamma(g)) per
-    channel (unitary).  Shift mode: vhat(omega) = sum_n v(n) omega^{-n},
-    evaluated exactly at the grid points (no normalization).
+    channel (unitary).  Shift mode: vhat(omega) = sum_n v(n) omega^{-n}
+    at the grid points (no normalization).
     """
-    space = v.space
-    sampling = dual_sampling(space)
-    group = space.group
-    if isinstance(group, FiniteAbelian):
-        return FiberSamples(sampling, dft(group, v.dense()))
-    _check_grid_support(v)
-    values = np.zeros((group.grid_size, space.channels), dtype=np.complex128)
-    if v.coeffs:
-        supports = sorted({g for g, _ in v.coeffs})
-        coeff = np.zeros((len(supports), space.channels), dtype=np.complex128)
-        pos = {g: i for i, g in enumerate(supports)}
-        for (g, c), val in v.coeffs.items():
-            coeff[pos[g], c] = val
-        n = group.grid_size
-        # reduce t * g mod n in integers, so far-out supports keep accurate phases
-        exponents = np.outer(np.arange(n), [g % n for g in supports]) % n
-        phases = np.exp(-2j * np.pi * exponents / n)
-        values = phases @ coeff
-    return FiberSamples(sampling, values)
+    return FiberSamples(dual_sampling(v.space), _transform(v.space, (v,))[:, :, 0])
 
 
 def inverse_fourier(f: FiberSamples, space: SystemSpace) -> GroupVector:
@@ -454,29 +480,6 @@ def translate(g, v: GroupVector) -> GroupVector:
         shift, axes = group.canonical(g), tuple(range(len(group.orders)))
         moved = (np.roll(a.reshape(group.orders + (-1,)), shift, axes).reshape(a.shape)
                  for a in (v.dense(), v.support_mask()))
-        return GroupVector._exact(v.space, *moved)
-    return GroupVector(
-        v.space,
-        {(group.compose(g, e), c): val for (e, c), val in v.coeffs.items()},
-    )
-
-
-def modulate(g, f: FiberSamples) -> FiberSamples:
-    """Transform-side action of translation: multiply each fiber by gamma(g^-1).
-
-    With the forward transform summing v(h) conj(gamma(h)), translating by g
-    multiplies the fiber at gamma by conj(gamma(g)), i.e. by the character
-    value at the inverse element.
-    """
-    weights = np.array([p.evaluate(g) for p in f.sampling.points]).conj()
-    return FiberSamples(f.sampling, np.asarray(f.values) * weights[:, None])
-
-
-def convolve(group: GroupSpec, a: Mapping, b: Mapping) -> dict:
-    """(a * b)(g) = sum_m a(m) b(g m^{-1}) for finitely supported sequences."""
-    out: dict = {}
-    for ga, va in a.items():
-        for gb, vb in b.items():
-            key = group.compose(ga, gb)
-            out[key] = out.get(key, 0j) + complex(va) * complex(vb)
-    return out
+        return GroupVector._adopt(v.space, *moved)
+    # shift mode: the window moves; an empty vector keeps start 0
+    return GroupVector._adopt(v.space, v._values, v._mask, v._start + int(g) if len(v._values) else 0)

@@ -800,6 +800,58 @@ class TestBoundCurve:
         assert "analyze" in report["error"]["message"]
 
 
+class TestShiftSupportBound:
+    """A shift-mode member wider than its grid is refused when it is parsed,
+    one wider than half the grid when it is transformed, both with
+    SupportExceedsGrid and the message of the transform-time check.  A parse
+    failure ends every command with exit 2; ``oracle-check`` records a
+    transform failure in its report, as it records every bound failure."""
+
+    WIDER_THAN_GRID = [
+        ([0, 8], "support width 9 needs a grid of at least 18 points, got 8"),
+        ([-(10**30), 10**30], f"support width {2 * 10**30 + 1} needs a grid of at least {4 * 10**30 + 2} points, got 8"),
+    ]
+    WIDER_THAN_HALF = [
+        ([3, 7], "support width 5 needs a grid of at least 10 points, got 8"),
+        ([10**30, 10**30 + 7], "support width 8 needs a grid of at least 16 points, got 8"),
+    ]
+
+    @staticmethod
+    def job(command, positions, grid=8):
+        member = [{"element": n, "channel": 0, "re": 1.0} for n in positions]
+        return {
+            "version": "wandergen/1",
+            "command": command,
+            "system": {"group": {"kind": "integer_shift", "grid": grid}, "channels": 1},
+            "families": {"X": [[{"element": 0, "channel": 0, "re": 1.0}], member]},
+        }
+
+    @pytest.mark.parametrize("command", ["analyze", "bound-curve", "oracle-check"])
+    @pytest.mark.parametrize("positions,message", WIDER_THAN_GRID, ids=["near", "far-apart"])
+    def test_wider_than_grid_is_refused_at_parse(self, tmp_path, command, positions, message):
+        code, report, _ = run(tmp_path, self.job(command, positions))
+        assert (code, report["command"]) == (2, command)
+        assert report["error"] == {"code": "SupportExceedsGrid", "message": message}
+
+    @pytest.mark.parametrize("command", ["analyze", "bound-curve"])
+    @pytest.mark.parametrize("positions,message", WIDER_THAN_HALF, ids=["near", "far-out"])
+    def test_wider_than_half_fails_at_transform(self, tmp_path, command, positions, message):
+        code, report, _ = run(tmp_path, self.job(command, positions))
+        assert (code, report["command"]) == (2, command)
+        assert report["error"] == {"code": "SupportExceedsGrid", "message": message}
+
+    @pytest.mark.parametrize("positions", [p for p, _ in WIDER_THAN_HALF], ids=["near", "far-out"])
+    def test_oracle_check_records_the_transform_failure(self, tmp_path, positions):
+        code, report, _ = run(tmp_path, self.job("oracle-check", positions))
+        assert (code, report["status"]) == (0, "ok")
+        fiber = report["oracle"]["fiber"]
+        assert (fiber["riesz_error"], fiber["frame_error"]) == ("SupportExceedsGrid", "SupportExceedsGrid")
+
+    def test_half_grid_support_is_accepted(self, tmp_path):
+        code, report, _ = run(tmp_path, self.job("analyze", [4, 7]))
+        assert (code, report["status"]) == (0, "ok")
+
+
 def run_text(tmp_path, job, name="job.json"):
     job_path = tmp_path / name
     out_path = tmp_path / (name + ".out")
@@ -1028,6 +1080,20 @@ class TestFlags:
         job_path.write_text(json.dumps(job))
         assert main(["--job", str(job_path), "--grid", "24", "--out", str(out_path)]) == 0
         assert len(out_path.read_text().strip().splitlines()) == 24
+
+    @pytest.mark.parametrize("grid", [1, 0, -4])
+    def test_grid_override_is_schema_checked(self, tmp_path, grid):
+        job = {
+            "version": "wandergen/1",
+            "command": "bound-curve",
+            "system": {"group": {"kind": "integer_shift", "grid": 8}, "channels": 1},
+            "families": {"X": [[{"element": 0, "channel": 0, "re": 1.0}]]},
+        }
+        code, report, _ = run(tmp_path, job, extra=("--grid", str(grid)))
+        assert (code, report["command"]) == (1, "bound-curve")
+        assert report["error"] == {"code": "SchemaError", "message": "grid must be an integer >= 2"}
+        job["system"]["group"]["grid"] = grid  # the same report as a bad grid in the job
+        assert run(tmp_path, job, "in_job.json")[1] == report
 
     def test_timing_flag_adds_nondeterministic_field(self, tmp_path):
         code, report, _ = run(tmp_path, orthonormal_delta_job(), extra=("--timing",))

@@ -357,8 +357,8 @@ class TestFiberHolders:
         joined = X.joined(Y)
         joined.gram, X.fibers, Y.fibers  # every transform before the union
         calls = []
-        dft = fibers.dft
-        monkeypatch.setattr(fibers, "dft", lambda *args: calls.append(args) or dft(*args))
+        transform = fibers._transform
+        monkeypatch.setattr(fibers, "_transform", lambda *args: calls.append(args) or transform(*args))
         union = union_family(X, Y)
         assert np.array_equal(union.fibers, joined.fibers)
         assert np.array_equal(union.gram, joined.gram)

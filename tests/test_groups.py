@@ -1,7 +1,8 @@
-"""Group model: characters, transforms, translation, modulation, convolution."""
+"""Group model: characters, transforms, translation, vector storage."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,10 +119,24 @@ def character_sum(group, dense):
     return out / math.sqrt(group.order)
 
 
+def shift_character_sum(grid, start, taps):
+    """sum_n v(n) omega_t^{-n} at the grid points omega_t, term by term, for
+    taps v(start + i) = taps[i]: each position n is reduced mod the grid in
+    integers before its phase (t * n) mod grid is formed, and real and
+    imaginary parts are summed exactly by fsum."""
+    residues = np.array([(start + i) % grid for i in range(len(taps))], dtype=np.int64)
+    conj_chars = np.exp(-2j * np.pi * (np.arange(grid)[:, None] * residues % grid) / grid)
+    out = np.empty((grid, taps.shape[1]), dtype=np.complex128)
+    for c in range(taps.shape[1]):
+        for p, terms in enumerate(conj_chars * taps[:, c]):
+            out[p, c] = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return out
+
+
 class TestPhaseAccuracy:
     """Phases reduced mod n stay accurate as the group or the support grows;
-    a direct character sum (exact mode) or numpy's FFT (sampled mode) is the
-    independent reference."""
+    a direct character sum is the independent reference in both modes
+    (numpy's FFT is the implementation, so an FFT reference is not)."""
 
     @pytest.mark.parametrize("orders", [(1024,), (32, 32)])
     def test_exact_transform_matches_character_sum(self, orders):
@@ -153,6 +168,21 @@ class TestPhaseAccuracy:
         ref = np.fft.fft(np.eye(1, grid, g % grid).ravel())
         assert np.max(np.abs(out - ref)) <= 1e-14
 
+    @pytest.mark.parametrize("grid", [16, 256, 4096])
+    @pytest.mark.parametrize("start", [0, -7, 10**9 + 3, -(10**12), 10**30])
+    def test_shift_transform_matches_character_sum(self, grid, start):
+        rng = np.random.default_rng(grid)
+        width = min(grid // 2, 64)
+        taps = rng.standard_normal((width, 2)) + 1j * rng.standard_normal((width, 2))
+        sp = wg.SystemSpace(wg.IntegerShift(grid), 2)
+        v = wg.GroupVector(sp, {(start + i, c): taps[i, c] for i in range(width) for c in range(2)})
+        ref = shift_character_sum(grid, start, taps)
+        tol = 1e-14 * np.abs(taps).sum()
+        assert np.max(np.abs(wg.fourier(v).values - ref)) <= tol
+        family = wg.Family(sp, (v, wg.translate(-start, v)))  # one stacked transform
+        assert np.max(np.abs(family.fibers[:, :, 0] - ref)) <= tol
+        assert np.max(np.abs(family.fibers[:, :, 1] - shift_character_sum(grid, 0, taps))) <= tol
+
 
 class TestTranslate:
     def test_identity_element(self):
@@ -173,12 +203,22 @@ class TestTranslate:
         assert abs(wg.translate(g, v).norm() - v.norm()) <= 1e-12
 
 
+def modulate(g, f):
+    """Transform-side action of translation by g, applied inline: the fiber
+    at gamma times conj(gamma(g)), the character value at g^-1."""
+    weights = np.array([p.evaluate(g) for p in f.sampling.points]).conj()
+    return f.values * weights[:, None]
+
+
 class TestModulate:
+    """fourier(translate(g, v)) = fourier(v) * conj(gamma(g)) at every dual point."""
+
     def test_identity_element(self):
         rng = np.random.default_rng(5)
-        f = wg.fourier(random_vector(rng, space([6])))
-        out = wg.modulate((0,), f)
-        np.testing.assert_allclose(out.values, f.values, atol=1e-15)
+        v = random_vector(rng, space([6]))
+        out = wg.fourier(wg.translate((0,), v)).values
+        np.testing.assert_allclose(out, modulate((0,), wg.fourier(v)), atol=1e-15)
+        np.testing.assert_allclose(out, wg.fourier(v).values, atol=1e-15)
 
     def test_intertwining_with_translation(self):
         rng = np.random.default_rng(6)
@@ -186,48 +226,21 @@ class TestModulate:
         v = random_vector(rng, sp)
         for g in [(1,), (4,), (5,)]:
             lhs = wg.fourier(wg.translate(g, v)).values
-            rhs = wg.modulate(g, wg.fourier(v)).values
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+            assert np.max(np.abs(lhs - modulate(g, wg.fourier(v)))) <= 1e-12
+        shift = wg.SystemSpace(wg.IntegerShift(32), 2)
+        taps = rng.standard_normal((2, 5, 2)) @ [1, 1j]
+        v = wg.GroupVector(shift, {(n - 2, c): taps[c, n] for c in range(2) for n in range(5)})
+        for g in [1, -7, 10**9 + 3, -(10**12), 10**30]:
+            lhs = wg.fourier(wg.translate(g, v)).values
+            assert np.max(np.abs(lhs - modulate(g, wg.fourier(v)))) <= 1e-12
 
     def test_involution_on_z2(self):
         rng = np.random.default_rng(7)
-        f = wg.fourier(random_vector(rng, space([2])))
-        twice = wg.modulate((1,), wg.modulate((1,), f))
-        np.testing.assert_allclose(twice.values, f.values, atol=1e-14)
-
-
-class TestConvolve:
-    def test_delta_is_identity(self):
-        group = wg.FiniteAbelian((5,))
-        a = {(0,): 1.0 + 2j, (2,): -0.5, (4,): 3.0}
-        out = wg.convolve(group, a, {(0,): 1.0})
-        assert set(out) == set(a)
-        for k, v in a.items():
-            assert abs(out[k] - v) <= 1e-15
-
-    def test_delta_composition(self):
-        group = wg.FiniteAbelian((6,))
-        out = wg.convolve(group, {(2,): 1.0}, {(5,): 1.0})
-        assert set(out) == {(1,)}
-
-    def test_product_transforms_to_convolution(self):
-        # pointwise product of fiber functions maps, through the dual-side
-        # transform, to 1/sqrt(|G|) times the convolution of the transforms
-        rng = np.random.default_rng(8)
-        group = wg.FiniteAbelian((4,))
-        n = group.order
-        chars = character_table(group)
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-        def dual_transform(values):
-            coeffs = chars.conj().T @ values / np.sqrt(n)
-            return {g: coeffs[group.index_of(g)] for g in group.elements()}
-
-        lhs = dual_transform(f * h)
-        conv = wg.convolve(group, dual_transform(f), dual_transform(h))
-        for g in group.elements():
-            assert abs(lhs[g] - conv.get(g, 0j) / np.sqrt(n)) <= 1e-12
+        v = random_vector(rng, space([2]))
+        f = wg.fourier(wg.translate((1,), v))
+        np.testing.assert_allclose(modulate((1,), f), wg.fourier(v).values, atol=1e-14)
+        np.testing.assert_allclose(wg.fourier(wg.translate((1,), wg.translate((1,), v))).values,
+                                   wg.fourier(v).values, atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -252,8 +265,7 @@ def test_translate_modulate_round_trip_property(orders, seed):
     v = random_vector(rng, sp)
     g = tuple(int(rng.integers(0, n)) for n in sp.group.orders)
     lhs = wg.fourier(wg.translate(g, v)).values
-    rhs = wg.modulate(g, wg.fourier(v)).values
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    assert np.max(np.abs(lhs - modulate(g, wg.fourier(v)))) <= 1e-12
     back = wg.inverse_fourier(wg.fourier(v), sp)
     np.testing.assert_allclose(back.dense(), v.dense(), atol=1e-12)
 
@@ -370,3 +382,154 @@ class TestCaches:
     def test_dual_sampling_is_shared(self):
         group = wg.FiniteAbelian((6,))
         assert wg.dual_sampling(wg.SystemSpace(group, 1)) is wg.dual_sampling(wg.SystemSpace(group, 3))
+
+
+class DictVector:
+    """The dict model of a shift-mode vector: {(position, channel): value},
+    duplicates summed in input order from 0j, as GroupVector's dict storage
+    did.  ``grid`` bounds the support width a vector may have."""
+
+    def __init__(self, grid, items):
+        self.grid, self.coeffs = grid, {}
+        for key, value in items:
+            self.coeffs[key] = self.coeffs.get(key, 0j) + complex(value)
+        window = self.support_window()
+        if window is not None and window[1] - window[0] + 1 > grid:
+            raise wg.SupportExceedsGrid("wider than the grid")
+
+    def support_window(self):
+        positions = [g for g, _ in self.coeffs]
+        return (min(positions), max(positions)) if positions else None
+
+    def __add__(self, other):
+        merged = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            merged[k] = merged.get(k, 0j) + v
+        return DictVector(self.grid, merged.items())
+
+    def __mul__(self, scalar):
+        return DictVector(self.grid, [(k, complex(scalar) * v) for k, v in self.coeffs.items()])
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def translate(self, g):
+        return DictVector(self.grid, [((n + g, c), v) for (n, c), v in self.coeffs.items()])
+
+    def inner(self, other):
+        return sum((v * other.coeffs[k].conjugate() for k, v in self.coeffs.items() if k in other.coeffs), 0j)
+
+
+FAR = [0, -7, 10**9 + 3, -(10**12), 10**30, -(10**30), 2**70]
+VALUES = st.one_of(
+    st.just(0j), st.just(-0.0),  # stored explicit zeros
+    st.sampled_from([1.0, -2.5, 1j, 0.25 - 0.75j]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def shift_items(draw, channels, base):
+    """Entries near a base position, possibly duplicated, possibly wider than the grid."""
+    span = draw(st.sampled_from([1, 8, 32, 80]))
+    entry = st.tuples(st.tuples(st.integers(0, span - 1).map(lambda i: base + i),
+                                st.integers(0, channels - 1)), VALUES)
+    items = draw(st.lists(entry, max_size=12))
+    return items + draw(st.lists(st.sampled_from(items), max_size=4)) if items else items
+
+
+def outcome(build):
+    try:
+        return build()
+    except wg.SupportExceedsGrid:
+        return wg.SupportExceedsGrid
+
+
+class TestShiftStorageDifferential:
+    """Array-backed shift-mode vectors (start + window arrays + mask) against
+    the dict model of the storage they replaced."""
+
+    GRID, CHANNELS = 64, 2
+
+    def check(self, v, model, tol=0.0):
+        """v against its model: the same keys, values within ``tol`` (0: equal)."""
+        if model is wg.SupportExceedsGrid:
+            assert v is wg.SupportExceedsGrid
+            return
+        assert set(v.coeffs) == set(model.coeffs)
+        assert all(abs(v.coeffs[k] - model.coeffs[k]) <= tol for k in model.coeffs)
+        assert all(type(k[0]) is int and type(x) is complex for k, x in v.coeffs.items())
+        assert v.support_window() == model.support_window()
+        scale = 1.0 + sum(abs(x) for x in model.coeffs.values()) ** 2
+        assert abs(v.norm() ** 2 - model.inner(model).real) <= 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_dict_model(self, data):
+        sp = wg.SystemSpace(wg.IntegerShift(self.GRID), self.CHANNELS)
+        base = data.draw(st.sampled_from(FAR))  # the second vector near the first, or anywhere
+        bases = [base, data.draw(st.one_of(st.just(base), st.sampled_from(FAR)))]
+        items = [data.draw(shift_items(self.CHANNELS, b)) for b in bases]
+        if data.draw(st.booleans()):  # the same entries again: equal vectors
+            items[1] = list(items[0])
+        models = [outcome(lambda i=i: DictVector(self.GRID, i)) for i in items]
+        vectors = [outcome(lambda i=i: wg.GroupVector(sp, i)) for i in items]
+        for v, model in zip(vectors, models):
+            self.check(v, model)
+        if any(m is wg.SupportExceedsGrid for m in models):
+            return
+        (x, y), (mx, my) = vectors, models
+        scalar = data.draw(st.one_of(st.sampled_from([0.0, -1.0, 2j]), VALUES))
+        g = data.draw(st.one_of(st.integers(-100, 100), st.sampled_from(FAR)))
+        self.check(outcome(lambda: x + y), outcome(lambda: mx + my))
+        self.check(outcome(lambda: x - y), outcome(lambda: mx - my))
+        # numpy's complex product may round differently from Python's in the last bit
+        largest = max((abs(z) for z in mx.coeffs.values()), default=0.0)
+        self.check(scalar * x, mx * scalar, 1e-15 * abs(scalar) * largest)
+        self.check(wg.translate(g, x), mx.translate(g))
+        assert (x == y) == (mx == my)
+        assert (wg.translate(g, x) == wg.translate(g, y)) == (mx == my)
+        assert (wg.translate(g, x) == y) == (mx.translate(g) == my)
+        assert x == wg.GroupVector(sp, dict(x.coeffs)) == wg.translate(-g, wg.translate(g, x))
+        bound = 1e-12 * (1.0 + x.norm() * y.norm())
+        assert abs(x.inner(y) - mx.inner(my)) <= bound
+        assert abs(x.inner(wg.translate(g, y)) - mx.inner(my.translate(g))) <= bound
+
+    @pytest.mark.parametrize("a,b", [((3, 7), (0, 2)), ((0, 2), (3, 7)), ((-7, -1), (0, 5)),
+                                     ((10**30, 10**30 + 3), (10**30 - 20, 10**30))])
+    def test_sums_pad_both_to_the_union_window(self, a, b):
+        sp = wg.SystemSpace(wg.IntegerShift(self.GRID), 1)
+        items = [[((n, 0), complex(n % 5 + 1, -1)) for n in ends] for ends in (a, b)]
+        (x, y), (mx, my) = ([wg.GroupVector(sp, i) for i in items], [DictVector(self.GRID, i) for i in items])
+        for v, model in [(x + y, mx + my), (y + x, my + mx), (x - y, mx - my), (y - x, my - mx)]:
+            self.check(v, model)
+
+    def test_far_apart_sum_is_refused_before_allocating(self):
+        sp = wg.SystemSpace(wg.IntegerShift(8), 1)
+        a, b = wg.delta(sp, 0), wg.delta(sp, 10**30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(wg.SupportExceedsGrid, match=rf"^support width {10**30 + 1} needs a grid"):
+                a + b
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert a.inner(b) == 0j and b.support_window() == (10**30, 10**30)
+
+    def test_storage_bound_is_the_grid(self):
+        sp = wg.SystemSpace(wg.IntegerShift(8), 1)
+        message = "support width 9 needs a grid of at least 18 points, got 8"
+        with pytest.raises(wg.SupportExceedsGrid, match=f"^{message}$"):
+            wg.GroupVector(sp, {(0, 0): 1.0, (8, 0): 1.0})
+        X = wg.Family(sp, (wg.delta(sp, 0),))
+        with pytest.raises(wg.SupportExceedsGrid, match=f"^{message}$"):
+            wg.synthesize(X, {(0, 0): 1.0, (8, 0): 1.0})
+        wide = wg.synthesize(X, {(0, 0): 1.0, (7, 0): 1.0})  # stored: w <= N
+        assert wide.support_window() == (0, 7)
+        for transform in (wg.fourier, lambda v: wg.Family(sp, (v,)).fibers):
+            with pytest.raises(wg.SupportExceedsGrid, match="^support width 8 needs a grid of at least 16 points, got 8$"):
+                transform(wide)
