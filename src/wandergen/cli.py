@@ -43,12 +43,13 @@ import time
 import numpy as np
 
 from . import nonabelian, oblique, oracle, wandering
-from .defaults import DEFAULT_GRID, TOL_BIO_EXACT, TOL_BIO_SAMPLED, TOL_RANK_REL
+from .defaults import DEFAULT_GRID, TOL_BIO_EXACT, TOL_RANK_REL
 from .errors import WandergenError, WrongMode
 from .fibers import (
     Bounds,
     Family,
     SampledFamily,
+    default_bio_tol,
     fiber_span_angle,
     frame_bounds,
     gram_fibers,
@@ -162,9 +163,23 @@ def _render(value, emit) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _complex_json(z) -> dict:
-    z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
+def _finite(values) -> np.ndarray:
+    """``values`` as an array with -0.0 folded to 0.0; raises on a non-finite value."""
+    values = np.asarray(values) + 0.0
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value in report")
+    return values
+
+
+def _complex_array_json(values) -> _Raw:
+    """A complex array of any shape as nested lists of {"im", "re"} cells."""
+    values = _finite(np.asarray(values, dtype=np.complex128))
+    parts = zip(values.imag.ravel().tolist(), values.real.ravel().tolist())
+    text = ['{"im":%.17g,"re":%.17g}' % z for z in parts]  # %.17g is format_float's format
+    for axis in reversed(range(values.ndim)):  # join the innermost axis first
+        n = values.shape[axis]
+        text = ["[" + ",".join(text[i * n:(i + 1) * n]) + "]" for i in range(math.prod(values.shape[:axis]))]
+    return _Raw(text[0])
 
 
 def _bounds_json(b: Bounds) -> dict:
@@ -368,13 +383,7 @@ def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) 
 
 def _family_json(fam) -> list | dict:
     if isinstance(fam, SampledFamily):
-        # member-major (member, point, channel), one .tolist() per part
-        values = np.asarray(fam.fibers, dtype=np.complex128).transpose(2, 0, 1)
-        fibers = [
-            [[{"re": re, "im": im} for re, im in zip(re_row, im_row)]
-             for re_row, im_row in zip(re_member, im_member)]
-            for re_member, im_member in zip(values.real.tolist(), values.imag.tolist())
-        ]
+        fibers = _complex_array_json(np.transpose(fam.fibers, (2, 0, 1)))  # (member, point, channel)
         return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
     # coefficient Families are exact mode (shift constructions return
     # SampledFamily); each member renders straight from its arrays, stored
@@ -384,16 +393,10 @@ def _family_json(fam) -> list | dict:
     members = []
     for v in fam.members:
         element, channel = np.divmod(np.flatnonzero(v.support_mask()), fam.space.channels)
-        values = v.dense()[element, channel] + 0.0  # + 0.0 folds -0.0 in both parts
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite value in report")
+        values = _finite(v.dense()[element, channel])
         entries = zip(channel.tolist(), element.tolist(), values.imag.tolist(), values.real.tolist())
         members.append(_Raw("[" + ",".join([template % (c, labels[e], i, r) for c, e, i, r in entries]) + "]"))
     return members
-
-
-def _matrix_json(matrix: np.ndarray) -> list:
-    return [[_complex_json(z) for z in row] for row in np.asarray(matrix)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,21 +526,19 @@ def _run_cancel(job, opts) -> dict:
     witness = nonabelian.cancel(rho, sigma1, sigma2, sigma3)
     chi2 = nonabelian.character(sigma2)
     chi3 = nonabelian.character(sigma3)
-    unitarity = 0.0
-    if witness.matrix.size:
-        eye = np.eye(witness.matrix.shape[0])
-        unitarity = float(np.max(np.abs(witness.matrix.conj().T @ witness.matrix - eye)))
+    U = witness.matrix
+    unitarity = float(np.max(np.abs(U.conj().T @ U - np.eye(len(U))), initial=0.0))
     return {
         "witness": {
-            "matrix": _matrix_json(witness.matrix),
+            "matrix": _complex_array_json(U),
             "residual": float(witness.residual),
             "unitarity_residual": unitarity,
             "seed": witness.seed,
         },
         "characters": {
             "class_sizes": [len(c) for c in group.conjugacy_classes()],
-            "sigma2": [_complex_json(v) for v in chi2.values],
-            "sigma3": [_complex_json(v) for v in chi3.values],
+            "sigma2": _complex_array_json(chi2.values),
+            "sigma3": _complex_array_json(chi3.values),
         },
         "sizes": {"rho": rho.dim, "sigma1": sigma1.dim, "sigma2": sigma2.dim, "sigma3": sigma3.dim},
         "exact": True,
@@ -570,15 +571,16 @@ def _run_oracle_check(job, space, families, opts) -> dict:
     }
 
 
-def emit_bound_curve(X, tol_rank: float = TOL_RANK_REL) -> str:
+def emit_bound_curve(X) -> str:
     """Tab-separated rows of (dual angle, min eigenvalue, max eigenvalue).
 
     Shift-mode systems only; angles ascend over [0, 2*pi).
     """
     if X.space.exact:
         raise WrongMode("bound curves are for integer_shift systems; use analyze instead")
-    rows = zip(gram_fibers(X).sampling.points, X.gram_eigenvalues)
-    return "".join(f"{format_float(p.angle)}\t{format_float(evs[0])}\t{format_float(evs[-1])}\n" for p, evs in rows)
+    angles = [p.angle for p in gram_fibers(X).sampling.points]
+    rows = _finite(np.column_stack([angles, X.gram_eigenvalues[:, [0, -1]]])).tolist()
+    return "".join(["%.17g\t%.17g\t%.17g\n" % tuple(row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -641,18 +643,18 @@ def run_job(job: dict, args) -> tuple[str, int]:
     started = time.perf_counter()
     report = _base_report(command, opts)
     try:
+        space = None if command == "cancel" else _parse_system(job, args.grid)
+        if opts["tol_bio"] is None:  # cancel's finite groups are exact
+            opts["tol_bio"] = TOL_BIO_EXACT if space is None else default_bio_tol(space)
+        report["options"]["tol_bio"] = opts["tol_bio"]
         if command == "cancel":
             update = _run_cancel(job, opts)
         else:
-            space = _parse_system(job, args.grid)
-            if opts["tol_bio"] is None:
-                opts["tol_bio"] = TOL_BIO_EXACT if space.exact else TOL_BIO_SAMPLED
-            report["options"]["tol_bio"] = opts["tol_bio"]
             families = job.get("families", {})
             _expect(isinstance(families, dict), "families must be an object")
             if command == "bound-curve":
                 X = _parse_family(space, families, "X")
-                return emit_bound_curve(X, opts["tol_rank"]), 0
+                return emit_bound_curve(X), 0
             handler = {
                 "analyze": _run_analyze,
                 "complement": _run_complement,
@@ -669,8 +671,6 @@ def run_job(job: dict, args) -> tuple[str, int]:
         if args.timing:
             report["timing_ms"] = (time.perf_counter() - started) * 1000.0
         return render_json(report), 2
-    if opts["tol_bio"] is None:
-        report["options"]["tol_bio"] = TOL_BIO_EXACT
     report.update(update)
     if args.timing:
         report["timing_ms"] = (time.perf_counter() - started) * 1000.0

@@ -219,12 +219,12 @@ class GroupVector:
 
     def inner(self, other: "GroupVector") -> complex:
         """<self, other>, conjugate-linear in ``other``: a sum over the
-        overlap of the two windows."""
+        cells stored in both vectors."""
         lo = max(self._start, other._start)
         hi = max(lo, min(self._stop, other._stop))  # hi = lo: no overlap
-        a = self._values[lo - self._start:hi - self._start]
-        b = other._values[lo - other._start:hi - other._start]
-        return complex(np.vdot(b, a))
+        mine, theirs = slice(lo - self._start, hi - self._start), slice(lo - other._start, hi - other._start)
+        both = self._mask[mine] & other._mask[theirs]  # a cell stored in one only is no term, even as 0 * inf
+        return complex(np.vdot(other._values[theirs], np.where(both, self._values[mine], 0)))
 
     def support_window(self) -> tuple[int, int] | None:
         """(min, max) support indices for shift-mode vectors; None when empty."""
@@ -268,7 +268,9 @@ class GroupVector:
         return self + (-1.0) * other
 
     def __mul__(self, scalar) -> "GroupVector":
-        return GroupVector._adopt(self.space, complex(scalar) * self._values, self._mask, self._start)
+        # only stored cells are scaled: 0 * inf would put nan in the others
+        values = np.multiply(complex(scalar), self._values, where=self._mask, out=np.zeros_like(self._values))
+        return GroupVector._adopt(self.space, values, self._mask, self._start)
 
     __rmul__ = __mul__
 

@@ -83,36 +83,32 @@ class FiniteGroup:
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise ValueError("Cayley table must be square and nonempty")
-        idx = set(range(n))
-        for row in table:
-            if set(row) != idx:
-                raise ValueError("Cayley table rows must permute 0..n-1")
-        for j in range(n):
-            if {row[j] for row in table} != idx:
-                raise ValueError("Cayley table columns must permute 0..n-1")
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        try:
+            cells = np.array(table, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64 is outside 0..n-1 too
+            cells = np.full((n, n), -1)
+        elements = np.arange(n)
+        if not (np.sort(cells, axis=1) == elements).all():
+            raise ValueError("Cayley table rows must permute 0..n-1")
+        if not (np.sort(cells, axis=0) == elements[:, None]).all():
+            raise ValueError("Cayley table columns must permute 0..n-1")
+        identities = np.flatnonzero((cells == elements).all(axis=1) & (cells.T == elements).all(axis=1))
+        if identities.size == 0:
             raise ValueError("Cayley table has no two-sided identity")
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == identity and table[b][a] == identity:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
-                raise ValueError(f"element {a} has no inverse")
+        identity = int(identities[0])
+        # rows are permutations, so a has one right inverse; it must be a left one too
+        inverse = np.argmax(cells == identity, axis=1)
+        missing = np.flatnonzero(cells[inverse, elements] != identity)
+        if missing.size:
+            raise ValueError(f"element {missing[0]} has no inverse")
         if n <= _ASSOC_CHECK_LIMIT:
-            bad = _first_nonassociative(np.array(table, dtype=np.intp))
+            bad = _first_nonassociative(cells)
             if bad is not None:
                 raise ValueError("Cayley table is not associative at ({}, {}, {})".format(*bad))
         self.table = table
         self.order = n
         self.identity = identity
-        self.inverse_table = tuple(inverse)
+        self.inverse_table = tuple(inverse.tolist())
         self.name = name
         self._classes = self._gens = self._depth = None
 
@@ -153,34 +149,26 @@ class FiniteGroup:
                 if g in closure:
                     continue
                 gens.append(g)
-                closure = self._closure(gens)
+                closure, _ = self._search(gens)
                 if len(closure) == self.order:
                     break
             self._gens = tuple(gens)
         return self._gens
 
     def _word_depth(self) -> int:
-        """Longest word needed in ``generators()``: levels of a -> table[s][a] past the identity."""
+        """Longest word needed in ``generators()``."""
         if self._depth is None:
-            seen, level, self._depth = {self.identity}, {self.identity}, 0
-            while level := {self.table[s][a] for a in level for s in self.generators()} - seen:
-                seen |= level
-                self._depth += 1
+            self._depth = self._search(self.generators())[1]
         return self._depth
 
-    def _closure(self, gens) -> set:
-        closure = {self.identity}
-        frontier = list(closure)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.table[a][g]
-                    if b not in closure:
-                        closure.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return closure
+    def _search(self, gens) -> tuple[set, int]:
+        """Breadth-first search from the identity along a -> table[a][s]:
+        the subgroup ``gens`` generate, and the number of levels past the identity."""
+        seen, level, depth = {self.identity}, {self.identity}, 0
+        while level := {self.table[a][s] for a in level for s in gens} - seen:
+            seen |= level
+            depth += 1
+        return seen, depth
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -205,12 +193,10 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    na, nb = a.order, b.order
-    table = [
-        [(a.table[i // nb][j // nb]) * nb + b.table[i % nb][j % nb] for j in range(na * nb)]
-        for i in range(na * nb)
-    ]
-    return FiniteGroup(table, name=f"{a.name}x{b.name}")
+    """Pairs (x, y) at index x * |b| + y, multiplied componentwise."""
+    ta, tb = np.array(a.table), np.array(b.table)
+    table = ta[:, None, :, None] * b.order + tb[None, :, None, :]
+    return FiniteGroup(table.reshape(a.order * b.order, -1).tolist(), name=f"{a.name}x{b.name}")
 
 
 def from_abelian(spec: FiniteAbelian) -> FiniteGroup:
@@ -257,30 +243,12 @@ def dihedral_4() -> FiniteGroup:
 
 def quaternion_8() -> FiniteGroup:
     """Q8 with elements ordered 1, -1, i, -i, j, -j, k, -k."""
-    # unit products: units[a][b] = (sign, unit) for a*b with 0=1, 1=i, 2=j, 3=k
-    unit_mul = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-
-    def encode(sign: int, unit: int) -> int:
-        return unit * 2 + (0 if sign > 0 else 1)
-
-    def decode(x: int) -> tuple[int, int]:
-        return (1 if x % 2 == 0 else -1, x // 2)
-
-    table = []
-    for a in range(8):
-        row = []
-        sa, ua = decode(a)
-        for b in range(8):
-            sb, ub = decode(b)
-            sp, up = unit_mul[(ua, ub)]
-            row.append(encode(sa * sb * sp, up))
-        table.append(row)
-    return FiniteGroup(table, name="Q8")
+    # the unit quaternions as 2x2 complex matrices; their products are exact
+    one, i, j = np.eye(2), np.array([[1j, 0], [0, -1j]]), np.array([[0, 1], [-1, 0]])
+    units = np.array([sign * u for u in (one, i, j, i @ j) for sign in (1, -1)])
+    products = units[:, None] @ units[None]
+    table = (products[:, :, None] == units).all(axis=(-2, -1)).argmax(axis=-1)
+    return FiniteGroup(table.tolist(), name="Q8")
 
 
 @dataclass(frozen=True)

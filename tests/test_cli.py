@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from wandergen import cli, oblique, oracle
 from wandergen.cli import _parse_member, main, render_json
-from wandergen.fibers import Family, SampledFamily, family_from_fibers
+from wandergen.fibers import Family, SampledFamily, family_from_fibers, gram_fibers
 from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
 from conftest import (
     random_biortho_quadruple,
@@ -344,21 +344,38 @@ class TestSampledComplementCommand:
 
 
 class TestSampledFamilyRendering:
-    """Shift-mode family reports against a per-scalar rendering of the fibers."""
+    """Report arrays against a per-scalar rendering: shift-mode fibers,
+    bound-curve rows, a cancel witness and its characters."""
 
     @staticmethod
-    def per_scalar_family_json(original):
+    def complex_json(z):
+        z = complex(z)
+        return {"re": float(z.real), "im": float(z.imag)}
+
+    @classmethod
+    def array_json(cls, values):
+        values = np.asarray(values)
+        return cls.complex_json(values) if values.ndim == 0 else [cls.array_json(v) for v in values]
+
+    @classmethod
+    def per_scalar_family_json(cls, original):
         def family_json(fam):
             if not isinstance(fam, SampledFamily):
                 return original(fam)
             points, channels, members = fam.fibers.shape
             fibers = [
-                [[cli._complex_json(fam.fibers[p, c, j]) for c in range(channels)] for p in range(points)]
+                [[cls.complex_json(fam.fibers[p, c, j]) for c in range(channels)] for p in range(points)]
                 for j in range(members)
             ]
             return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
 
         return family_json
+
+    @staticmethod
+    def per_value_bound_curve(X):
+        f = cli.format_float
+        rows = zip(gram_fibers(X).sampling.points, X.gram_eigenvalues)
+        return "".join(f"{f(p.angle)}\t{f(evs[0])}\t{f(evs[-1])}\n" for p, evs in rows)
 
     @staticmethod
     def shift_job(command, channels, families):
@@ -393,6 +410,84 @@ class TestSampledFamilyRendering:
         code, _, slow = run(tmp_path, job, "slow.json")
         assert code == 0
         assert fast == slow
+
+    def test_bound_curve_identical_to_per_value(self, monkeypatch):
+        job = self.shift_job("bound-curve", 2, {
+            "X": [[entry(0, 0, 0.8), entry(1, 1, 0.36, -0.48)], [entry(-3, 1, 0.5), entry(2, 0, -0.25, 0.1)]],
+        })
+        args = cli.build_parser().parse_args(["--job", "-"])
+        fast = cli.run_job(job, args)
+        assert fast[1] == 0 and len(fast[0].splitlines()) == 16
+        monkeypatch.setattr(cli, "emit_bound_curve", self.per_value_bound_curve)
+        assert cli.run_job(job, args) == fast
+
+    def test_cancel_identical_to_per_scalar(self, tmp_path, monkeypatch):
+        job = json.load(open(os.path.join(GOLDEN, "cancel_s3.json")))
+        code, report, fast = run(tmp_path, job, "fast.json")
+        assert code == 0 and len(report["witness"]["matrix"]) == 4
+        monkeypatch.setattr(cli, "_complex_array_json", self.array_json)
+        code, _, slow = run(tmp_path, job, "slow.json")
+        assert code == 0
+        assert fast == slow
+
+    @pytest.mark.parametrize("shape", [(), (3,), (0,), (2, 3), (0, 0), (2, 0), (2, 0, 3), (2, 3, 4)])
+    def test_any_shape(self, shape):
+        rng = np.random.default_rng(len(shape))
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if values.size:
+            values.flat[0] = complex(-0.0, -0.0)
+        assert render_json(cli._complex_array_json(values)) == render_json(self.array_json(values))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, bad):
+        for z in (complex(bad, 0.0), complex(0.0, bad)):
+            with pytest.raises(ValueError, match="^non-finite value in report$"):
+                cli._complex_array_json([[1.0, z]])
+
+
+class TestCancelReports:
+    @staticmethod
+    def representation(mats):
+        return {"dim": mats.shape[1], "matrices": [
+            [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in m] for m in mats
+        ]}
+
+    def job(self, reps, group=None):
+        return {
+            "version": "wandergen/1",
+            "command": "cancel",
+            "system": {"group": group or {"kind": "builtin", "name": "S3"}},
+            "representations": {name: self.representation(m) for name, m in reps.items()},
+        }
+
+    def test_zero_dimensional_witness(self, tmp_path):
+        from wandergen import nonabelian
+
+        regular = nonabelian.regular_representation(nonabelian.symmetric_3()).matrices
+        empty = np.zeros((6, 0, 0))
+        job = self.job({"rho": regular, "sigma1": regular, "sigma2": empty, "sigma3": empty})
+        code, report, raw = run(tmp_path, job)
+        assert code == 0
+        assert b'"matrix":[]' in raw
+        assert report["witness"] == {"matrix": [], "residual": 0.0, "seed": None, "unitarity_residual": 0.0}
+        assert report["characters"]["sigma2"] == report["characters"]["sigma3"] == [{"im": 0, "re": 0}] * 3
+
+    def test_failing_cancel_reports_the_default_tol_bio(self, tmp_path):
+        trivial = np.ones((6, 1, 1))
+        job = self.job({name: trivial for name in ("rho", "sigma1", "sigma2", "sigma3")})
+        code, report, _ = run(tmp_path, job)
+        assert (code, report["error"]["code"]) == (2, "HypothesisFailure")
+        assert report["options"]["tol_bio"] == 1e-9  # as in a passing cancel report
+        job["options"] = {"tol_bio": 1e-7}
+        assert run(tmp_path, job)[1]["options"]["tol_bio"] == 1e-7
+
+    def test_entry_beyond_int64_is_a_schema_error(self, tmp_path):
+        job = self.job({}, group={"kind": "cayley", "table": [[0, 1], [1, 2**70]]})
+        code, report, _ = run(tmp_path, job)
+        assert code == 1
+        assert report["error"] == {
+            "code": "SchemaError", "message": "bad Cayley table: Cayley table rows must permute 0..n-1",
+        }
 
 
 class TestDualAndBiortho:
@@ -1065,6 +1160,20 @@ class TestEmptyFamilyHandling:
         assert code == 0
         assert report["sizes"]["Xprime"] == 0
         assert report["families"]["Xprime"] == []
+
+    def test_shift_complement_equal_sizes_has_no_fibers(self, tmp_path):
+        members = [[entry(0, 0, 1.0)], [entry(0, 1, 1.0)]]
+        job = {
+            "version": "wandergen/1",
+            "command": "complement",
+            "system": {"group": {"kind": "integer_shift", "grid": 8}, "channels": 2},
+            "families": {"X": members, "Y": members},
+        }
+        code, report, raw = run(tmp_path, job)
+        assert code == 0
+        assert report["sizes"]["Xprime"] == 0
+        assert report["families"]["Xprime"]["fiber_sampled"] is True
+        assert b'"fibers":[]' in raw
 
 
 class TestFlags:

@@ -289,6 +289,17 @@ class TestGroupVector:
         assert v.inner(w) == pytest.approx(1j)
         assert w.inner(v) == pytest.approx(-1j)
 
+    def test_non_finite_scalar_meets_only_stored_cells(self):
+        # inner sums over the cells stored in both vectors, and * scales
+        # stored cells only, so inf * 0 (nan) never enters a sum
+        with np.errstate(invalid="ignore"):
+            v = math.inf * wg.delta(space([4], 1), 0)
+            shift = wg.SystemSpace(wg.IntegerShift(16), 1)
+            w = math.inf * (wg.delta(shift, 0) + 0.0 * wg.delta(shift, 2))
+        assert v.inner(wg.delta(space([4], 1), 1)) == 0j
+        assert w.inner(wg.delta(shift, 1)) == 0j
+        assert not v.dense()[1:].any()
+
     def test_elements_canonicalized(self):
         sp = space([4], 1)
         assert wg.delta(sp, 5) == wg.delta(sp, 1)

@@ -111,6 +111,51 @@ class TestFiniteGroup:
             # Latin square whose only row-identity is not a column identity
             na.FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
+    # one table per check, in the order the checks run; each fails its own
+    # check and may fail later ones too, but passes every earlier one
+    TABLE_FAULTS = [
+        ([], "Cayley table must be square and nonempty"),
+        ([[0, 1], [1]], "Cayley table must be square and nonempty"),
+        ([[0, 1], [1, 2**70]], "Cayley table rows must permute 0..n-1"),
+        ([[0, 1], [1, -(2**70)]], "Cayley table rows must permute 0..n-1"),
+        ([[0, 1], [1, 1]], "Cayley table rows must permute 0..n-1"),
+        ([[0, 1], [0, 1]], "Cayley table columns must permute 0..n-1"),
+        ([[1, 0], [1, 0]], "Cayley table columns must permute 0..n-1"),
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "Cayley table has no two-sided identity"),
+        # 2 * 3 = 0 but 3 * 2 = 1; element 1 is its own inverse
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+         "element 2 has no inverse"),
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+         "Cayley table is not associative at (1, 1, 2)"),
+    ]
+
+    @pytest.mark.parametrize("table,message", TABLE_FAULTS, ids=range(len(TABLE_FAULTS)))
+    def test_table_fault_messages(self, table, message):
+        with pytest.raises(ValueError) as info:
+            na.FiniteGroup(table)
+        assert str(info.value) == message
+
+    def test_q8_table_is_the_unit_quaternion_law(self):
+        # elements 1, -1, i, -i, j, -j, k, -k; i j = k, j k = i, k i = j
+        assert na.quaternion_8().table == (
+            (0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 3, 2, 5, 4, 7, 6),
+            (2, 3, 1, 0, 6, 7, 5, 4), (3, 2, 0, 1, 7, 6, 4, 5),
+            (4, 5, 7, 6, 1, 0, 2, 3), (5, 4, 6, 7, 0, 1, 3, 2),
+            (6, 7, 4, 5, 3, 2, 1, 0), (7, 6, 5, 4, 2, 3, 0, 1),
+        )
+        assert na.quaternion_8().inverse_table == (0, 1, 3, 2, 5, 4, 7, 6)
+
+    def test_direct_product_is_componentwise(self):
+        for a, b in [(na.symmetric_3(), na.cyclic_group(4)), (na.quaternion_8(), na.symmetric_3())]:
+            group, nb = na.direct_product(a, b), b.order
+            assert group.name == f"{a.name}x{b.name}"
+            assert group.table == tuple(
+                tuple(a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb] for j in range(group.order))
+                for i in range(group.order)
+            )
+            assert all(type(x) is int for row in group.table for x in row)
+            assert all(type(x) is int for x in group.inverse_table)
+
     def test_non_associative_rejected(self):
         # a Latin square with two-sided identity that is not a group law
         table = [
@@ -137,7 +182,7 @@ class TestFiniteGroup:
     def test_generators_generate(self):
         for group in (na.symmetric_3(), na.dihedral_4(), na.quaternion_8()):
             gens = group.generators()
-            assert len(group._closure(gens)) == group.order
+            assert len(group._search(gens)[0]) == group.order
 
     def test_from_abelian_matches_indexing(self):
         spec = wg.FiniteAbelian((2, 3))
