@@ -58,7 +58,7 @@ from .fibers import (
     riesz_bounds,
     union_family,
 )
-from .groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace, _scatter
+from .groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace, _storage
 from .wandering import verify_wandering
 
 FORMAT_VERSION = "wandergen/1"
@@ -202,24 +202,28 @@ def _get(obj: dict, key: str, kind, message: str):
     return value
 
 
-def _finite_number(value, label: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), f"{label} must be a number")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float(number) -> float:
+    """A JSON number as a float; an integer beyond the float range is infinite."""
     try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    _expect(math.isfinite(value), f"{label} must be finite")
-    return value
+        return float(number)
+    except OverflowError:
+        return math.inf
 
 
 def _tolerance(value, label: str) -> float:
-    value = _finite_number(value, label)
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), f"{label} must be a number")
+    value = _float(value)
+    _expect(math.isfinite(value), f"{label} must be finite")
     _expect(value > 0.0, f"{label} must be positive")
     return value
 
 
 def _grid(value) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool) and value >= 2, "grid must be an integer >= 2")
+    _expect(_is_int(value) and value >= 2, "grid must be an integer >= 2")
     return value
 
 
@@ -230,7 +234,7 @@ def _parse_system(job: dict, grid_override: int | None) -> SystemSpace:
     if kind == "finite_abelian":
         orders = _get(group, "orders", list, "cyclic orders")
         _expect(
-            len(orders) > 0 and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in orders),
+            len(orders) > 0 and all(_is_int(n) and n >= 1 for n in orders),
             "orders must be integers >= 1",
         )
         spec = FiniteAbelian(tuple(orders))
@@ -255,7 +259,7 @@ def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
         if name in _BUILTIN_GROUPS:
             return _BUILTIN_GROUPS[name]()
         match = re.fullmatch(r"Z(\d+)", name)
-        _expect(match is not None, f"unknown builtin group '{name}'")
+        _expect(match is not None and int(match.group(1)) > 0, f"unknown builtin group '{name}'")
         return nonabelian.cyclic_group(int(match.group(1)))
     if kind == "cayley":
         table = _get(group, "table", list, "Cayley table")
@@ -266,75 +270,68 @@ def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
     raise SchemaError(f"group kind '{kind}' is not a finite group presentation")
 
 
-def _bulk_complex(cells: list) -> np.ndarray | None:
-    """Bulk checks on {re, im} objects (a missing part is 0): their complex values
-    if every cell is a dict and every part an exact, finite int or float, else None."""
-    if not set(map(type, cells)) <= {dict}:
-        return None
-    parts = [list(map(dict.get, cells, itertools.repeat(key), itertools.repeat(0.0))) for key in ("re", "im")]
-    if not set(map(type, parts[0])) | set(map(type, parts[1])) <= {int, float}:
-        return None
-    try:
-        parts = np.array(parts, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return np.ascontiguousarray(parts.T).view(np.complex128)[:, 0] if np.isfinite(parts).all() else None
+class _FirstFault:
+    """The first fault in a job list.  Checks run in a fixed order, each over
+    a column of the items before the first fault found so far, so a fault it
+    finds comes first.  ``message`` names a fault just after the items."""
 
+    def __init__(self, items: list, message: str | None = None):
+        self.items, self.n, self.message = items, len(items), message
 
-def _bulk_member(space: SystemSpace, entries: list):
-    """(flat positions, values) of an exact-mode member whose entries pass
-    every check, found with whole-column tests; None when any test fails."""
-    orders, channels = space.group.orders, space.channels
-    values = _bulk_complex(entries)
-    if values is None:
-        return None
-    elements = [e.get("element") for e in entries]
-    chans = [e.get("channel") for e in entries]
-    if set(map(type, elements)) != {list} or set(map(len, elements)) != {len(orders)}:
-        return None
-    coords = list(itertools.chain.from_iterable(elements))
-    if set(map(type, coords)) != {int} or set(map(type, chans)) != {int}:
-        return None
-    chans = np.array(chans, dtype=np.int64)
-    if chans.min() < 0 or chans.max() >= channels:
-        return None
-    index = np.array(coords, dtype=np.int64).reshape(len(entries), -1) % orders
-    return np.ravel_multi_index((*index.T, chans), orders + (channels,)), values
+    def head(self, column):  # the items before the first fault, not copied if all
+        return column[:self.n] if self.n < len(column) else column
+
+    def column(self, key: str, default=None) -> list:
+        return list(map(dict.get, self.head(self.items), itertools.repeat(key), itertools.repeat(default)))
+
+    def check(self, column: list, clean: bool, bad, message) -> list:
+        """Unless ``clean``, the first item for which ``bad`` holds is a fault,
+        named by ``message(index)``.  Returns the items before the first fault."""
+        i = len(column) if clean else next((i for i, x in enumerate(column) if bad(x)), len(column))
+        if i < len(column):
+            self.n, self.message = i, message(i)
+        return self.head(column)
+
+    def typed(self, column: list, types: tuple, message) -> list:
+        """``check`` that each item's type is one of ``types``; a bool is no int."""
+        clean = set(map(type, column)) <= set(types)
+        return self.check(column, clean, lambda x: isinstance(x, bool) or not isinstance(x, types), message)
+
+    def numbers(self, label) -> np.ndarray:
+        """The re, then im checks of {re, im} items: their complex values; ``label(i, key)`` names a part."""
+        parts = []
+        for key in ("re", "im"):
+            numbers = self.typed(self.column(key, 0.0), (int, float), lambda i: f"{label(i, key)} must be a number")
+            try:
+                floats = np.array(numbers, dtype=np.float64)
+            except OverflowError:  # an integer beyond the float range
+                floats = np.array(list(map(_float, numbers)), dtype=np.float64)
+            parts.append(self.check(floats, np.isfinite(floats).all(), lambda x: not math.isfinite(x),
+                                    lambda i: f"{label(i, key)} must be finite"))
+        return np.column_stack(list(map(self.head, parts))).view(np.complex128)[:, 0]
 
 
 def _parse_member(space: SystemSpace, entries, label: str) -> GroupVector:
-    """Exact-mode members are checked in bulk first.  Any other member takes
-    the per-entry pass, which checks each entry in a fixed order and reports
-    the first failing one.  Duplicates sum in input order."""
+    """One pass per check over all entries, in the order object, channel type, channel
+    range, re, im, element type, rank, to the first faulty entry; duplicates sum in input order."""
     _expect(isinstance(entries, list), f"family member {label} must be a list of entries")
-    if space.exact:
-        try:
-            bulk = _bulk_member(space, entries)
-        except OverflowError:  # an element or channel integer beyond int64
-            bulk = None
-        if bulk is not None:
-            return GroupVector._adopt(space, *_scatter((space.group.order, space.channels), *bulk))
-    channels = space.channels
-    orders = space.group.orders if space.exact else None
-    checked = []
-    for i, entry in enumerate(entries):
-        _expect(isinstance(entry, dict), f"{label}[{i}] must be an object")
-        element = entry.get("element")
-        channel = entry.get("channel")
-        _expect(isinstance(channel, int) and not isinstance(channel, bool), f"{label}[{i}].channel must be an integer")
-        _expect(0 <= channel < channels, f"{label}[{i}].channel outside 0..{channels - 1}")
-        re_part = _finite_number(entry.get("re", 0.0), f"{label}[{i}].re")
-        im_part = _finite_number(entry.get("im", 0.0), f"{label}[{i}].im")
-        if orders is None:
-            _expect(isinstance(element, int) and not isinstance(element, bool), f"{label}[{i}].element must be an integer")
-        else:
-            _expect(
-                isinstance(element, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in element),
-                f"{label}[{i}].element must be a list of integers",
-            )
-            _expect(len(element) == len(orders), f"{label}[{i}]: element rank {len(element)} != group rank {len(orders)}")
-        checked.append(((element, channel), complex(re_part, im_part)))
-    return GroupVector(space, checked)
+    faults, count = _FirstFault(entries), space.channels
+    faults.typed(entries, (dict,), lambda i: f"{label}[{i}] must be an object")
+    channels = faults.typed(faults.column("channel"), (int,), lambda i: f"{label}[{i}].channel must be an integer")
+    channels = faults.check(channels, all(0 <= c < count for c in set(channels)), lambda c: not 0 <= c < count,
+                            lambda i: f"{label}[{i}].channel outside 0..{count - 1}")
+    values = faults.numbers(lambda i, key: f"{label}[{i}].{key}")
+    if space.exact:  # a list, then its coordinates: one check with one message
+        rank, message = len(space.group.orders), lambda i: f"{label}[{i}].element must be a list of integers"
+        elements = faults.typed(faults.column("element"), (list,), message)
+        coords = list(itertools.chain.from_iterable(elements))  # of all elements, in order
+        elements = faults.check(elements, set(map(type, coords)) <= {int}, lambda e: not all(map(_is_int, e)), message)
+        faults.check(elements, set(map(len, elements)) <= {rank}, lambda e: len(e) != rank,
+                     lambda i: f"{label}[{i}]: element rank {len(elements[i])} != group rank {rank}")
+    else:
+        coords = faults.typed(faults.column("element"), (int,), lambda i: f"{label}[{i}].element must be an integer")
+    _expect(faults.message is None, faults.message)
+    return GroupVector._adopt(space, *_storage(space, coords, channels, values))
 
 
 def _parse_family(space: SystemSpace, families: dict, name: str) -> Family:
@@ -347,6 +344,19 @@ def _parse_family(space: SystemSpace, families: dict, name: str) -> Family:
     return Family(space, parsed)
 
 
+def _cells(matrices: list, dim: int, name: str) -> tuple[list, str | None]:
+    """The cells of ``matrices`` in order, up to the first shape fault, and its message."""
+    cells = []
+    for g, mat in enumerate(matrices):
+        if not (isinstance(mat, list) and len(mat) == dim):
+            return cells, f"{name}.matrices[{g}] must be {dim} rows"
+        for a, row in enumerate(mat):
+            if not (isinstance(row, list) and len(row) == dim):
+                return cells, f"{name}.matrices[{g}][{a}] must be {dim} entries"
+            cells += row
+    return cells, None
+
+
 def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) -> nonabelian.Representation:
     _expect(name in reps, f"missing representation '{name}'")
     block = reps[name]
@@ -354,25 +364,13 @@ def _parse_representation(group: nonabelian.FiniteGroup, reps: dict, name: str) 
     _expect(not isinstance(dim, bool) and dim >= 0, f"{name}.dim must be an integer >= 0")
     matrices = _get(block, "matrices", list, f"{name}.matrices")
     _expect(len(matrices) == group.order, f"{name} needs one matrix per group element")
-    mats = np.zeros((group.order, dim, dim), dtype=np.complex128)
-    bulk = None
-    if all(type(mat) is list and len(mat) == dim and all(type(row) is list and len(row) == dim for row in mat)
-           for mat in matrices):
-        bulk = _bulk_complex([cell for mat in matrices for row in mat for cell in row])
-    if bulk is not None:  # every cell passed in bulk; otherwise the loop reports the first fault
-        mats, matrices = bulk.reshape(mats.shape), ()
-    for g, mat in enumerate(matrices):
-        _expect(isinstance(mat, list) and len(mat) == dim, f"{name}.matrices[{g}] must be {dim} rows")
-        for a, row in enumerate(mat):
-            _expect(isinstance(row, list) and len(row) == dim, f"{name}.matrices[{g}][{a}] must be {dim} entries")
-            for b, cell in enumerate(row):
-                _expect(isinstance(cell, dict), f"{name}.matrices[{g}][{a}][{b}] must be {{re, im}}")
-                mats[g, a, b] = complex(
-                    _finite_number(cell.get("re", 0.0), f"{name} entry re"),
-                    _finite_number(cell.get("im", 0.0), f"{name} entry im"),
-                )
+    faults = _FirstFault(*_cells(matrices, dim, name))  # a faulty cell comes before the shape fault
+    faults.typed(faults.items, (dict,),
+                 lambda k: f"{name}.matrices[{k // dim**2}][{k // dim % dim}][{k % dim}] must be {{re, im}}")
+    values = faults.numbers(lambda k, key: f"{name} entry {key}")
+    _expect(faults.message is None, faults.message)
     try:
-        return nonabelian.Representation(group, mats)
+        return nonabelian.Representation(group, values.reshape(group.order, dim, dim))
     except ValueError as exc:
         raise SchemaError(f"representation '{name}' invalid: {exc}") from exc
 
@@ -616,7 +614,7 @@ def _parse_options(job: dict, args) -> dict:
     _expect(isinstance(options, dict), "options must be an object")
     seed = options.get("seed")
     if seed is not None:
-        _expect(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
+        _expect(_is_int(seed), "seed must be an integer")
     if args.seed is not None:
         seed = args.seed
     tol_rank = _tolerance(options.get("tol_rank", TOL_RANK_REL), "tol_rank")

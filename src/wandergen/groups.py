@@ -173,25 +173,15 @@ class GroupVector:
     __slots__ = ("space", "_start", "_values", "_mask")
 
     def __init__(self, space: SystemSpace, coeffs: Mapping | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        merged: dict = {}
-        for (g, c), value in items:
-            c = int(c)
+        items = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
+        channels = [int(c) for (_, c), _ in items]
+        for c in channels:
             if not 0 <= c < space.channels:
                 raise ValueError(f"channel {c} outside 0..{space.channels - 1}")
-            key = (space.group.canonical(g), c)
-            merged[key] = merged.get(key, 0j) + complex(value)
-        group = space.group
-        if space.exact:  # the window is the whole group, rows in element index order
-            start, rows, width = 0, [group.index_of(g) for g, _ in merged], group.order
-        else:  # the window runs from the smallest to the largest stored position
-            start = min((g for g, _ in merged), default=0)
-            rows = [g - start for g, _ in merged]
-            width = max(rows, default=-1) + 1
-            _check_width(group, width, group.grid_size)
-        flat = [r * space.channels + c for r, (_, c) in zip(rows, merged)]
-        values, mask = _scatter((width, space.channels), flat, list(merged.values()))
-        self.space, self._start, self._values, self._mask = space, start, values, mask
+        elements = (space.group.canonical(g) for (g, _), _ in items)
+        coords = list(itertools.chain.from_iterable(elements)) if space.exact else list(elements)
+        self.space = space
+        self._values, self._mask, self._start = _storage(space, coords, channels, [complex(x) for _, x in items])
 
     @classmethod
     def _adopt(cls, space: SystemSpace, values: np.ndarray, mask: np.ndarray, start: int = 0) -> "GroupVector":
@@ -297,17 +287,30 @@ def _check_width(group: IntegerShift, width: int, limit: int) -> None:
         )
 
 
-def _scatter(shape: tuple[int, int], flat, values) -> tuple[np.ndarray, np.ndarray]:
-    """Vector storage of the given (window, channels) shape: ``values`` summed
-    in input order at the flat positions row * channels + channel, each
-    position stored."""
-    dense = np.zeros(shape, dtype=np.complex128)
-    mask = np.zeros(shape, dtype=bool)
+def _storage(space: SystemSpace, coords: list, channels: list, values) -> tuple[np.ndarray, np.ndarray, int]:
+    """(values, mask, start) of a vector from its columns, duplicates summed in input order.
+    ``coords`` holds each element's integer coordinates in turn: reduced here (exact mode), or
+    a position (shift mode, where a window wider than the grid raises before it is allocated)."""
+    group = space.group
+    if space.exact:  # the window is the whole group, rows in element index order
+        start, width, orders = 0, group.order, group.orders
+        try:
+            coords = np.array(coords, dtype=np.int64)
+        except OverflowError:  # a coordinate beyond int64: reduce it in Python first
+            coords = np.array([x % orders[i % len(orders)] for i, x in enumerate(coords)], dtype=np.int64)
+        rows = np.ravel_multi_index(tuple(coords.reshape(-1, len(orders)).T), orders, mode="wrap")
+    else:  # the window runs from the smallest to the largest stored position
+        start = min(coords, default=0)
+        width = max(coords, default=start - 1) + 1 - start
+        _check_width(group, width, group.grid_size)
+        rows = np.array([g - start for g in coords], dtype=np.int64)
+    flat = rows * space.channels + np.array(channels, dtype=np.int64)
+    dense = np.zeros((width, space.channels), dtype=np.complex128)
     with np.errstate(all="ignore"):  # a sum may overflow, as Python floats do, without a warning
         np.add.at(dense.reshape(-1), flat, np.asarray(values, dtype=np.complex128))
-    mask.reshape(-1)[flat] = True
+    mask = (np.bincount(flat, minlength=dense.size) > 0).reshape(dense.shape)  # a cell some entry lands in
     dense.flags.writeable = mask.flags.writeable = False
-    return dense, mask
+    return dense, mask, start
 
 
 def delta(space: SystemSpace, element, channel: int = 0, value=1.0) -> GroupVector:

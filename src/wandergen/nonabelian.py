@@ -79,14 +79,13 @@ class FiniteGroup:
     __slots__ = ("table", "order", "identity", "inverse_table", "name", "_classes", "_gens", "_depth")
 
     def __init__(self, table, name: str = "G"):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(map(tuple, table))
+        if not all(isinstance(x, int) and not isinstance(x, bool) for row in table for x in row):
+            raise ValueError("Cayley table entries must be integers")
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
             raise ValueError("Cayley table must be square and nonempty")
-        try:
-            cells = np.array(table, dtype=np.int64)
-        except OverflowError:  # an entry beyond int64 is outside 0..n-1 too
-            cells = np.full((n, n), -1)
+        cells = np.array([[x if 0 <= x < n else -1 for x in row] for row in table])  # -1: outside 0..n-1
         elements = np.arange(n)
         if not (np.sort(cells, axis=1) == elements).all():
             raise ValueError("Cayley table rows must permute 0..n-1")

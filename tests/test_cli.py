@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from wandergen import cli, oblique, oracle
 from wandergen.cli import _parse_member, main, render_json
 from wandergen.fibers import Family, SampledFamily, family_from_fibers, gram_fibers
-from wandergen.groups import FiniteAbelian, GroupVector, SystemSpace
+from wandergen.errors import SupportExceedsGrid
+from wandergen.groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace
 from conftest import (
     random_biortho_quadruple,
     random_frame_instance,
@@ -480,6 +481,21 @@ class TestCancelReports:
         assert report["options"]["tol_bio"] == 1e-9  # as in a passing cancel report
         job["options"] = {"tol_bio": 1e-7}
         assert run(tmp_path, job)[1]["options"]["tol_bio"] == 1e-7
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1.5, "1", True, 1.0], ids=repr)
+    def test_non_integer_entry_is_a_schema_error(self, tmp_path, value):
+        # [[0, 1], [1, 0]] is Z2: "1", True and 1.0 spell an entry that int() takes as 1
+        job = self.job({}, group={"kind": "cayley", "table": [[0, 1], [value, 0]]})
+        code, report, _ = run(tmp_path, job)
+        assert (code, report["command"]) == (1, "cancel")
+        assert report["error"] == {
+            "code": "SchemaError", "message": "bad Cayley table: Cayley table entries must be integers",
+        }
+
+    def test_z0_is_an_unknown_builtin_group(self, tmp_path):
+        code, report, _ = run(tmp_path, self.job({}, group={"kind": "builtin", "name": "Z0"}))
+        assert (code, report["command"]) == (1, "cancel")
+        assert report["error"] == {"code": "SchemaError", "message": "unknown builtin group 'Z0'"}
 
     def test_entry_beyond_int64_is_a_schema_error(self, tmp_path):
         job = self.job({}, group={"kind": "cayley", "table": [[0, 1], [1, 2**70]]})
@@ -1255,28 +1271,29 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the bulk parser and the array renderer against the
+# differential tests: the one-pass parser and the array renderer against the
 # per-entry parser and the dict renderer they replace
+
+
+def reference_number(value, where):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise cli.SchemaError(f"{where} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise cli.SchemaError(f"{where} must be finite")
+    return value
 
 
 def reference_parse(space, entries, label):
     """Per-entry parser into one dict of (canonical element, channel) -> complex,
-    checks in the order entry type, channel, re, im, element."""
-
-    def number(value, where):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise cli.SchemaError(f"{where} must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise cli.SchemaError(f"{where} must be finite")
-        return value
-
+    checks in the order entry type, channel, re, im, element; then, in shift
+    mode, the support width."""
     if not isinstance(entries, list):
         raise cli.SchemaError(f"family member {label} must be a list of entries")
-    orders, channels = space.group.orders, space.channels
+    channels = space.channels
     coeffs = {}
     for i, entry in enumerate(entries):
         at = f"{label}[{i}]"
@@ -1287,15 +1304,27 @@ def reference_parse(space, entries, label):
             raise cli.SchemaError(f"{at}.channel must be an integer")
         if not 0 <= channel < channels:
             raise cli.SchemaError(f"{at}.channel outside 0..{channels - 1}")
-        re_part = number(entry.get("re", 0.0), f"{at}.re")
-        im_part = number(entry.get("im", 0.0), f"{at}.im")
+        re_part = reference_number(entry.get("re", 0.0), f"{at}.re")
+        im_part = reference_number(entry.get("im", 0.0), f"{at}.im")
         element = entry.get("element")
-        if not isinstance(element, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in element):
-            raise cli.SchemaError(f"{at}.element must be a list of integers")
-        if len(element) != len(orders):
-            raise cli.SchemaError(f"{at}: element rank {len(element)} != group rank {len(orders)}")
-        key = (tuple(x % n for x, n in zip(element, orders)), channel)
+        if not space.exact:
+            if not isinstance(element, int) or isinstance(element, bool):
+                raise cli.SchemaError(f"{at}.element must be an integer")
+            key = (element, channel)
+        else:
+            orders = space.group.orders
+            if not isinstance(element, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in element):
+                raise cli.SchemaError(f"{at}.element must be a list of integers")
+            if len(element) != len(orders):
+                raise cli.SchemaError(f"{at}: element rank {len(element)} != group rank {len(orders)}")
+            key = (tuple(x % n for x, n in zip(element, orders)), channel)
         coeffs[key] = coeffs.get(key, 0j) + complex(re_part, im_part)
+    if not space.exact and coeffs:
+        width = max(g for g, _ in coeffs) - min(g for g, _ in coeffs) + 1
+        if width > space.group.grid_size:
+            raise SupportExceedsGrid(
+                f"support width {width} needs a grid of at least {2 * width} points, got {space.group.grid_size}"
+            )
     return coeffs
 
 
@@ -1311,8 +1340,20 @@ def reference_member_json(space, coeffs):
 def parse_outcome(parse, space, entries):
     try:
         return "ok", parse(space, entries, "X[0]")
-    except cli.SchemaError as exc:
-        return "error", str(exc)
+    except (cli.SchemaError, SupportExceedsGrid) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def storage_outcome(parse, space, entries):
+    """``parse_outcome`` with the stored coefficients as (key, repr(value))
+    pairs in storage order: by element index (exact) or position, then channel."""
+    kind, parsed = parse_outcome(parse, space, entries)
+    if kind != "ok":
+        return kind, parsed
+    if isinstance(parsed, GroupVector):
+        return kind, [(key, repr(value)) for key, value in parsed.coeffs.items()]
+    order = (lambda key: (space.group.index_of(key[0]), key[1])) if space.exact else None
+    return kind, [(key, repr(parsed[key])) for key in sorted(parsed, key=order)]
 
 
 HUGE = [2**63, -(2**63) - 1, 2**70, -(10**30)]
@@ -1340,6 +1381,41 @@ def exact_members(draw):
                 entry[part] = draw(NUMBERS)
         entries.append(entry)
     return SystemSpace(FiniteAbelian(orders), channels), entries
+
+
+# faults a shift-mode entry can carry, each replacing one field (None: the whole entry)
+SHIFT_FAULTS = [
+    ("element", [0]), ("element", 0.5), ("element", True), ("element", None), ("element", "1"),
+    ("channel", -1), ("channel", 2**70), ("channel", False), ("re", "x"), ("re", float("nan")),
+    ("im", 10**400), ("im", None), (None, 3), (None, None),
+]
+
+
+@st.composite
+def shift_members(draw):
+    """Members near one or two far bases (two bases: a window wider than any
+    grid), with windows up to and past the grid, duplicates, and at most one fault."""
+    grid = draw(st.sampled_from([2, 8, 16]))
+    channels = draw(st.integers(min_value=1, max_value=3))
+    span = draw(st.sampled_from([1, grid // 2, grid, grid + 1, 2 * grid]))
+    bases = draw(st.lists(st.sampled_from([0, -3, 10**30, -(2**70)]), min_size=1, max_size=2))
+    entries = []
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        entry = {
+            "element": draw(st.sampled_from(bases)) + draw(st.integers(min_value=0, max_value=span - 1)),
+            "channel": draw(st.integers(min_value=0, max_value=channels - 1)),
+        }
+        for part in ("re", "im"):  # a missing part counts as 0
+            if draw(st.booleans()):
+                entry[part] = draw(NUMBERS)
+        entries.append(entry)
+    if entries:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=4))  # duplicates
+        if draw(st.booleans()):
+            at = draw(st.integers(min_value=0, max_value=len(entries) - 1))
+            field, value = draw(st.sampled_from(SHIFT_FAULTS))
+            entries[at] = value if field is None else dict(entries[at], **{field: value})
+    return SystemSpace(IntegerShift(grid), channels), entries
 
 
 class TestBulkParsingDifferential:
@@ -1406,7 +1482,29 @@ class TestBulkParsingDifferential:
         assert code == 1
         assert report["error"] == {"code": "SchemaError", "message": message}
 
-    def test_subclassed_values_take_the_per_entry_pass(self):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(member=shift_members())
+    def test_shift_members_match_the_reference(self, member):
+        space, entries = member
+        assert storage_outcome(_parse_member, space, entries) == storage_outcome(reference_parse, space, entries)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_benchmark_members_match_the_reference(self, seed):
+        gen, modes = benchmark_gen(), set()
+        for workload in gen.WORKLOADS:
+            for _, text, _ in gen.pool(workload, seed, small=True):
+                job = json.loads(text)
+                if "families" not in job:  # the non-abelian jobs take no members
+                    continue
+                space = cli._parse_system(job, None)
+                modes.add(space.exact)
+                for name, members in job["families"].items():
+                    for j, entries in enumerate(members):
+                        expected = storage_outcome(reference_parse, space, entries)
+                        assert storage_outcome(_parse_member, space, entries) == expected, (name, j)
+        assert modes == {True, False}
+
+    def test_subclassed_values_parse_like_plain_ones(self):
         class Entry(dict):
             pass
 
@@ -1425,6 +1523,62 @@ class TestBulkParsingDifferential:
         assert cli.run_job(job, args) == first
 
 
+def reference_representation(group, block, name):
+    """Per-cell walk of a representation block, in the order matrix shape, row
+    shape, cell object, re, im; then the representation of its matrices."""
+    from wandergen import nonabelian
+
+    dim, matrices = block["dim"], block["matrices"]
+    mats = np.zeros((group.order, dim, dim), dtype=np.complex128)
+    for g, mat in enumerate(matrices):
+        if not isinstance(mat, list) or len(mat) != dim:
+            raise cli.SchemaError(f"{name}.matrices[{g}] must be {dim} rows")
+        for a, row in enumerate(mat):
+            if not isinstance(row, list) or len(row) != dim:
+                raise cli.SchemaError(f"{name}.matrices[{g}][{a}] must be {dim} entries")
+            for b, cell in enumerate(row):
+                if not isinstance(cell, dict):
+                    raise cli.SchemaError(f"{name}.matrices[{g}][{a}][{b}] must be {{re, im}}")
+                mats[g, a, b] = complex(
+                    reference_number(cell.get("re", 0.0), f"{name} entry re"),
+                    reference_number(cell.get("im", 0.0), f"{name} entry im"),
+                )
+    try:
+        return nonabelian.Representation(group, mats)
+    except ValueError as exc:
+        raise cli.SchemaError(f"representation '{name}' invalid: {exc}") from exc
+
+
+# faulty cells and rows of a representation block
+CELL_FAULTS = [1.0, None, [1.0], {"re": "x"}, {"re": True}, {"re": 1.0, "im": float("nan")}, {"im": 10**400},
+               {"re": None}]
+ROW_FAULTS = ["row", None, [], [{"re": 1.0}] * 4]
+
+
+@st.composite
+def representation_blocks(draw):
+    """The trivial representation of S3 in dims 2-3, its cells spelled several
+    ways, with faulty cells at random (g, a, b), then short or faulty rows and
+    matrices at random places, often after the faulty cells."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    one = st.sampled_from([{"re": 1}, {"re": 1.0, "im": 0}, {"im": -0.0, "re": 1.0}])
+    zero = st.sampled_from([{}, {"re": 0}, {"re": -0.0, "im": 0.0}])
+    matrices = [[[draw(one if a == b else zero) for b in range(dim)] for a in range(dim)] for _ in range(6)]
+    index = st.tuples(st.integers(0, 5), st.integers(0, dim - 1), st.integers(0, dim - 1))
+    for g, a, b in draw(st.lists(index, max_size=3)):
+        matrices[g][a][b] = draw(st.sampled_from(CELL_FAULTS))
+    for g, a in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(-1, dim - 1)), max_size=2)):
+        mat = matrices[g]
+        if not isinstance(mat, list):  # already faulty
+            continue
+        if a < 0:  # the whole matrix
+            matrices[g] = draw(st.sampled_from([mat[:-1], "matrix", mat + [[]]]))
+        elif a < len(mat):
+            short = [mat[a][:-1]] if isinstance(mat[a], list) else []
+            mat[a] = draw(st.sampled_from(short + ROW_FAULTS))
+    return {"dim": dim, "matrices": matrices}
+
+
 class TestRepresentationParsing:
     @staticmethod
     def job(matrices):
@@ -1435,10 +1589,10 @@ class TestRepresentationParsing:
             "representations": {"rho": {"dim": 1, "matrices": matrices}},
         }
 
-    def test_bulk_cells_match_per_cell_values(self):
+    def test_subclassed_cells_parse_like_plain_ones(self):
         from wandergen import nonabelian
 
-        class Cell(dict):  # not a plain dict: parsed cell by cell
+        class Cell(dict):  # not a plain dict: takes the per-cell type test
             pass
 
         group = nonabelian.symmetric_3()
@@ -1450,6 +1604,21 @@ class TestRepresentationParsing:
         ]
         assert np.array_equal(reps[0].matrices, reps[1].matrices)
         assert reps[0].matrices.dtype == reps[1].matrices.dtype == np.complex128
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(block=representation_blocks())
+    def test_cells_match_the_per_cell_reference(self, block):
+        from wandergen import nonabelian
+
+        def outcome(parse):
+            try:
+                return "ok", parse().tobytes()
+            except cli.SchemaError as exc:
+                return "error", str(exc)
+
+        group = nonabelian.symmetric_3()
+        parsed = outcome(lambda: cli._parse_representation(group, {"rho": block}, "rho").matrices)
+        assert parsed == outcome(lambda: reference_representation(group, block, "rho").matrices)
 
     @pytest.mark.parametrize("faults,message", [
         ({4: [[{"re": "x"}]], 5: [[{"re": 1.0}], [{"re": 1.0}]]}, "rho entry re must be a number"),

@@ -135,6 +135,13 @@ class TestFiniteGroup:
             na.FiniteGroup(table)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", True, None, float("inf"), float("nan")], ids=repr)
+    def test_table_entries_must_be_integers(self, value):
+        # the rule runs before the shape checks, and int() would take "1", True and 1.0 as 1
+        for table in ([[0, 1], [value, 0]], [[0, value]]):
+            with pytest.raises(ValueError, match="^Cayley table entries must be integers$"):
+                na.FiniteGroup(table)
+
     def test_q8_table_is_the_unit_quaternion_law(self):
         # elements 1, -1, i, -i, j, -j, k, -k; i j = k, j k = i, k i = j
         assert na.quaternion_8().table == (
