@@ -37,16 +37,11 @@ from .fibers import (
     synthesize,
 )
 from .groups import (
-    CoefficientArray,
-    DualPoint,
-    DualSampling,
-    FiberSamples,
     FiniteAbelian,
     GroupVector,
     IntegerShift,
     SystemSpace,
     delta,
-    dual_sampling,
     fourier,
     from_dense,
     inverse_fourier,

@@ -43,8 +43,8 @@ import time
 import numpy as np
 
 from . import nonabelian, oblique, oracle, wandering
-from .defaults import DEFAULT_GRID, TOL_BIO_EXACT, TOL_RANK_REL
-from .errors import WandergenError, WrongMode
+from .defaults import CYCLIC_ORDER_LIMIT, DEFAULT_GRID, TOL_BIO_EXACT, TOL_RANK_REL
+from .errors import SizeLimit, WandergenError, WrongMode
 from .fibers import (
     Bounds,
     Family,
@@ -258,9 +258,12 @@ def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
         name = _get(group, "name", str, "builtin group name")
         if name in _BUILTIN_GROUPS:
             return _BUILTIN_GROUPS[name]()
-        match = re.fullmatch(r"Z(\d+)", name)
-        _expect(match is not None and int(match.group(1)) > 0, f"unknown builtin group '{name}'")
-        return nonabelian.cyclic_group(int(match.group(1)))
+        match = re.fullmatch(r"Z0*(\d+)", name)
+        _expect(match is not None and match.group(1) != "0", f"unknown builtin group '{name}'")
+        digits = match.group(1)  # no leading zeros: compared by length before int() reads it
+        if len(digits) > len(str(CYCLIC_ORDER_LIMIT)) or int(digits) > CYCLIC_ORDER_LIMIT:
+            raise SizeLimit(f"builtin cyclic group order exceeds the cap {CYCLIC_ORDER_LIMIT}")
+        return nonabelian.cyclic_group(int(digits))
     if kind == "cayley":
         table = _get(group, "table", list, "Cayley table")
         try:
@@ -576,7 +579,8 @@ def emit_bound_curve(X) -> str:
     """
     if X.space.exact:
         raise WrongMode("bound curves are for integer_shift systems; use analyze instead")
-    angles = [p.angle for p in gram_fibers(X).sampling.points]
+    N = gram_fibers(X).space.points
+    angles = 2.0 * np.pi * np.arange(N) / N
     rows = _finite(np.column_stack([angles, X.gram_eigenvalues[:, [0, -1]]])).tolist()
     return "".join(["%.17g\t%.17g\t%.17g\n" % tuple(row) for row in rows])
 

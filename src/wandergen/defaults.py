@@ -14,5 +14,8 @@ TOL_BIO_SAMPLED = 1e-6
 # Dense oracle cap on |G| * channels * members.
 ORACLE_SIZE_LIMIT = 4096
 
+# Cap on the order n of a builtin cyclic group Z<n>: its Cayley table holds n^2 entries.
+CYCLIC_ORDER_LIMIT = 256
+
 # Default torus grid for shift-mode systems.
 DEFAULT_GRID = 64

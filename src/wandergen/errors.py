@@ -71,7 +71,8 @@ class GenericityFailure(WandergenError):
 
 
 class SizeLimit(WandergenError):
-    """Dense oracle request exceeds the size cap, or a Gram spectrum overflows float64."""
+    """A dense oracle request or a builtin group exceeds its size cap, or a
+    Gram spectrum overflows float64."""
 
 
 class ExactModeRequired(WandergenError):

@@ -1,7 +1,7 @@
 """Fiberization of orbit families: Gram fibers, bounds, and certificates.
 
 An orbit family is reduced, through the group Fourier transform, to one
-small matrix per dual sampling point.  Riesz and frame bounds,
+small matrix per dual point.  Riesz and frame bounds,
 biorthogonality, containment, and orthonormalization all become pointwise
 matrix statements on those fibers.
 
@@ -17,7 +17,7 @@ is factored on its own.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -26,20 +26,8 @@ import numpy as np
 
 from . import _linalg
 from .defaults import TOL_BIO_EXACT, TOL_BIO_SAMPLED, TOL_RANK_REL
-from .errors import EmptyFamily, ExactModeRequired, NotRiesz, RankJump, SizeLimit, SizeMismatch
-from .groups import (
-    CoefficientArray,
-    DualSampling,
-    FiniteAbelian,
-    GroupVector,
-    SystemSpace,
-    _transform,
-    character_table,
-    dual_sampling,
-    from_dense,
-    idft,
-    translate,
-)
+from .errors import EmptyFamily, NotRiesz, RankJump, SizeLimit, SizeMismatch
+from .groups import GroupVector, SystemSpace, _transform, from_dense, idft, translate
 
 __all__ = [
     "Family",
@@ -58,28 +46,23 @@ __all__ = [
     "synthesize",
     "default_bio_tol",
     "fiber_span_angle",
-    "dense_fourier_matrix",
 ]
 
 
 class _FiberHolder:
     """A system space and its fiber tensor values[point, channel, member],
-    one row per point of the space's dual sampling.  Holders given their
+    one row per dual point of the space (``space.points``).  Holders given their
     fibers check that shape when built; those that compute them override
     ``__post_init__``.  Three caches, each computed once, on first use, and
     read-only, serve every decision on these fibers: the Gram fibers ``gram``
     (points, members, members), their ascending eigenvalues
     ``gram_eigenvalues`` and the thin SVD factors ``svd`` = (U, s)."""
 
-    @property
-    def sampling(self) -> DualSampling:
-        return dual_sampling(self.space)
-
     def __len__(self) -> int:
         return int(self.fibers.shape[2])
 
     def __post_init__(self):
-        points, channels = len(self.sampling), self.space.channels
+        points, channels = self.space.points, self.space.channels
         shape = np.shape(self.fibers)
         if len(shape) != 3 or shape[:2] != (points, channels):
             raise ValueError(f"expected ({points}, {channels}, k) fibers, got {shape}")
@@ -160,9 +143,9 @@ class SampledFamily(_FiberHolder):
 
 @dataclass(frozen=True)
 class FiberField:
-    """One complex matrix per dual sampling point."""
+    """One complex matrix per dual point of ``space``."""
 
-    sampling: DualSampling
+    space: SystemSpace
     matrices: np.ndarray  # (points, rows, cols)
 
     def identity_deviation(self) -> float:
@@ -222,7 +205,7 @@ def gram_fibers(X) -> FiberField:
     """
     if len(X) == 0:
         raise EmptyFamily("gram_fibers needs at least one generator")
-    return FiberField(X.sampling, X.gram)
+    return FiberField(X.space, X.gram)
 
 
 def mixed_gramian(X, Xt) -> FiberField:
@@ -232,17 +215,17 @@ def mixed_gramian(X, Xt) -> FiberField:
     if len(X) != len(Xt):
         raise SizeMismatch(f"family sizes differ: {len(X)} vs {len(Xt)}")
     mats = _gram_tensor(X.fibers, Xt.fibers, gram_normalization(X.space))
-    return FiberField(X.sampling, mats)
+    return FiberField(X.space, mats)
 
 
 def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
-    """Extremal Gram-fiber eigenvalues over the sampling.
+    """Extremal Gram-fiber eigenvalues over the dual points.
 
     Raises NotRiesz when some fiber is singular beyond the relative rank
     tolerance: the two-sided synthesis inequality then has no positive
     lower constant.
     """
-    sampling, evs = gram_fibers(X).sampling, X.gram_eigenvalues
+    exact, evs = gram_fibers(X).space.exact, X.gram_eigenvalues
     cut = _linalg.cutoff(evs, tol_rank)
     if np.any(evs[:, 0] <= cut):
         worst = int(np.argmin(evs[:, 0] - cut))
@@ -250,7 +233,7 @@ def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
             f"Gram fiber at dual point {worst} is singular "
             f"(min eigenvalue {evs[worst, 0]:.3e})"
         )
-    return Bounds(float(evs[:, 0].min()), float(evs[:, -1].max()), sampling.exact)
+    return Bounds(float(evs[:, 0].min()), float(evs[:, -1].max()), exact)
 
 
 def frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
@@ -260,7 +243,7 @@ def frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     well-defined on this sampling (RankJump).  The lower bound is the
     smallest eigenvalue exceeding the rank tolerance anywhere.
     """
-    sampling, evs = gram_fibers(X).sampling, X.gram_eigenvalues
+    exact, evs = gram_fibers(X).space.exact, X.gram_eigenvalues
     keep = evs > _linalg.cutoff(evs, tol_rank)[:, None]
     ranks = keep.sum(axis=1)
     if int(ranks.min()) != int(ranks.max()):
@@ -269,7 +252,7 @@ def frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
         raise EmptyFamily("family spans only the zero subspace")
     lower = float(np.where(keep, evs, np.inf).min())
     upper = float(evs[:, -1].max())
-    return Bounds(lower, upper, sampling.exact)
+    return Bounds(lower, upper, exact)
 
 
 class BiorthogonalityCheck(NamedTuple):
@@ -321,26 +304,13 @@ def orthonormalize(X, tol_rank: float = TOL_RANK_REL):
     return family_from_fibers(X.space, X.fibers @ inv_sqrt.conj())
 
 
-def synthesize(X, a) -> GroupVector:
+def synthesize(X, a: Mapping) -> GroupVector:
     """sum over entries a[(g, j)] * translate(g, x_j)."""
-    entries = a.entries if isinstance(a, CoefficientArray) else a
     total = GroupVector(X.space)
-    for (g, j), weight in entries.items():
+    for (g, j), weight in a.items():
         j = int(j)
         if not 0 <= j < len(X):
             raise IndexError(f"family index {j} outside 0..{len(X) - 1}")
         total = total + complex(weight) * translate(g, X.members[j])
     return total
 
-
-def dense_fourier_matrix(space: SystemSpace) -> np.ndarray:
-    """Unitary map from dense coefficients to stacked fiber coordinates.
-
-    Row (p * channels + c) holds the transform of channel c at dual point p;
-    exact mode only.
-    """
-    group = space.group
-    if not isinstance(group, FiniteAbelian):
-        raise ExactModeRequired("dense transform matrices exist only in exact mode")
-    C = character_table(group).conj() / math.sqrt(group.order)
-    return np.kron(C, np.eye(space.channels))

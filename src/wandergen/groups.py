@@ -13,7 +13,12 @@ Two group models are supported:
 
 Group elements are canonical integer tuples (finite case) or plain integers
 (shift case); there is no abstract element interface, which keeps
-serialization bit-exact.
+serialization bit-exact.  A coordinate must be an integer (a Python or
+numpy integer, not a bool); anything else raises ``ValueError``.
+
+The dual group is indexed by the space itself: point p is the p-th element
+multi-index (exact mode) or the grid angle 2*pi*p/N (shift mode), and
+``SystemSpace.points`` counts them.
 
 A ``GroupVector`` stores a start, a read-only (window, channels) complex
 array and a boolean support mask: the stored coefficients are the masked
@@ -33,7 +38,6 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Union
 
@@ -47,16 +51,10 @@ __all__ = [
     "GroupSpec",
     "SystemSpace",
     "GroupVector",
-    "CoefficientArray",
-    "DualPoint",
-    "DualSampling",
-    "FiberSamples",
-    "character_table",
     "dft",
     "idft",
     "delta",
     "from_dense",
-    "dual_sampling",
     "fourier",
     "inverse_fourier",
     "translate",
@@ -86,9 +84,7 @@ class FiniteAbelian:
         return (0,) * len(self.orders)
 
     def canonical(self, g) -> tuple[int, ...]:
-        if isinstance(g, (int, np.integer)):
-            g = (g,)
-        g = tuple(int(x) for x in g)
+        g = tuple(_coordinate(x) for x in (g if isinstance(g, Iterable) else (g,)))
         if len(g) != len(self.orders):
             raise ValueError(f"element rank {len(g)} != group rank {len(self.orders)}")
         return tuple(x % n for x, n in zip(g, self.orders))
@@ -133,13 +129,20 @@ class IntegerShift:
     identity = 0
 
     def canonical(self, g) -> int:
-        return int(g)
+        return _coordinate(g)
 
     def compose(self, g, h) -> int:
-        return int(g) + int(h)
+        return _coordinate(g) + _coordinate(h)
 
     def inverse(self, g) -> int:
-        return -int(g)
+        return -_coordinate(g)
+
+
+def _coordinate(x) -> int:
+    """A group coordinate as a Python int: a Python or numpy integer, never a bool."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"group coordinates must be integers, got {x!r}")
 
 
 GroupSpec = Union[FiniteAbelian, IntegerShift]
@@ -160,6 +163,11 @@ class SystemSpace:
     @property
     def exact(self) -> bool:
         return isinstance(self.group, FiniteAbelian)
+
+    @property
+    def points(self) -> int:
+        """The number of dual points: |G| (exact mode) or the grid size."""
+        return self.group.order if self.exact else self.group.grid_size
 
 
 class GroupVector:
@@ -330,84 +338,6 @@ def from_dense(space: SystemSpace, dense: np.ndarray) -> GroupVector:
     return GroupVector._adopt(space, dense, np.broadcast_to(np.True_, dense.shape))
 
 
-@dataclass
-class CoefficientArray:
-    """Finitely supported synthesis coefficients over (group element, family index)."""
-
-    entries: dict
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.entries.values()))
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """One sampled character of the group; ``evaluate`` gives its unit-modulus value."""
-
-    group: GroupSpec
-    index: tuple[int, ...] | int
-
-    def evaluate(self, g) -> complex:
-        # phases are reduced mod n in integers first, so they stay accurate for large n
-        group = self.group
-        if isinstance(group, FiniteAbelian):
-            g = group.canonical(g)
-            phase = sum((k * x) % n / n for k, x, n in zip(self.index, g, group.orders))
-            return complex(np.exp(2j * np.pi * phase))
-        n = group.grid_size
-        return complex(np.exp(2j * np.pi * ((int(self.index) * int(g)) % n) / n))
-
-    @property
-    def angle(self) -> float:
-        """Torus angle in [0, 2*pi); sampled mode only."""
-        if not isinstance(self.group, IntegerShift):
-            raise ValueError("angle is a shift-mode notion")
-        return 2.0 * np.pi * int(self.index) / self.group.grid_size
-
-
-@dataclass(frozen=True)
-class DualSampling:
-    """The ordered dual points computations are fibered over.
-
-    ``exact`` is True iff the points enumerate the whole dual group (finite
-    abelian case); shift-mode grids are honest samples, never exhaustive.
-    """
-
-    points: tuple[DualPoint, ...]
-    exact: bool
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def dual_sampling(space: SystemSpace) -> DualSampling:
-    """Enumerate characters (exact mode) or grid the torus (shift mode)."""
-    return _group_sampling(space.group)
-
-
-@lru_cache(maxsize=16)
-def _group_sampling(group: GroupSpec) -> DualSampling:
-    if isinstance(group, FiniteAbelian):
-        points = tuple(DualPoint(group, idx) for idx in group.elements())
-        return DualSampling(points=points, exact=True)
-    points = tuple(DualPoint(group, t) for t in range(group.grid_size))
-    return DualSampling(points=points, exact=False)
-
-
-def character_table(group: FiniteAbelian) -> np.ndarray:
-    """chars[p, e] = value of the p-th character at the e-th element.
-
-    Both axes use the lexicographic element enumeration, so the table is
-    symmetric and chars[p, e] = exp(2*pi*i * sum_j ((p_j e_j) mod n_j) / n_j).
-    Each product is reduced in integers before scaling, which keeps the
-    phases accurate as |G| grows.  The transforms do not use it: it builds
-    the dense oracle's O(|G|^2) matrices only, and is not cached.
-    """
-    els = np.array(group.elements(), dtype=np.int64)
-    phase = sum(np.outer(els[:, j], els[:, j]) % n / n for j, n in enumerate(group.orders))
-    return np.exp(2j * np.pi * phase)
-
-
 def _over_cyclic_axes(transform, group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
     # the lexicographic element order is the C order of an (n_1, ..., n_k) array
     a = np.asarray(a)
@@ -418,21 +348,13 @@ def _over_cyclic_axes(transform, group: FiniteAbelian, a: np.ndarray) -> np.ndar
 
 def dft(group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
     """Unitary transform along the first axis of a (|G|, ...) array:
-    out[p] = |G|^{-1/2} sum_e conj(chars[p, e]) a[e]."""
+    out[p] = |G|^{-1/2} sum_e conj(gamma_p(e)) a[e]."""
     return _over_cyclic_axes(np.fft.fftn, group, a)
 
 
 def idft(group: FiniteAbelian, a: np.ndarray) -> np.ndarray:
     """Inverse of ``dft`` along the first axis of a (|G|, ...) array."""
     return _over_cyclic_axes(np.fft.ifftn, group, a)
-
-
-@dataclass
-class FiberSamples:
-    """Per-dual-point value rows of a transformed vector, shape (points, channels)."""
-
-    sampling: DualSampling
-    values: np.ndarray
 
 
 def _transform(space: SystemSpace, members) -> np.ndarray:
@@ -446,8 +368,7 @@ def _transform(space: SystemSpace, members) -> np.ndarray:
     length-n DFT is the fiber at the grid points.  A shift-mode support wider
     than half the grid is rejected as alias-prone.
     """
-    group = space.group
-    n = group.order if space.exact else group.grid_size
+    group, n = space.group, space.points
     stack = np.zeros((n, space.channels, len(members)), dtype=np.complex128)
     for j, v in enumerate(members):
         width = len(v._values)
@@ -460,22 +381,22 @@ def _transform(space: SystemSpace, members) -> np.ndarray:
     return dft(group, stack) if space.exact else np.fft.fft(stack, axis=0)
 
 
-def fourier(v: GroupVector) -> FiberSamples:
-    """Transform a vector to the dual sampling.
+def fourier(v: GroupVector) -> np.ndarray:
+    """The (points, channels) transform of a vector at the space's dual points.
 
     Exact mode: vhat(gamma) = |G|^{-1/2} sum_g v(g) conj(gamma(g)) per
     channel (unitary).  Shift mode: vhat(omega) = sum_n v(n) omega^{-n}
     at the grid points (no normalization).
     """
-    return FiberSamples(dual_sampling(v.space), _transform(v.space, (v,))[:, :, 0])
+    return _transform(v.space, (v,))[:, :, 0]
 
 
-def inverse_fourier(f: FiberSamples, space: SystemSpace) -> GroupVector:
-    """Invert the unitary transform; exact mode only."""
+def inverse_fourier(f: np.ndarray, space: SystemSpace) -> GroupVector:
+    """Invert the unitary transform of a (|G|, channels) array; exact mode only."""
     group = space.group
     if not isinstance(group, FiniteAbelian):
         raise ExactModeRequired("sampled fibers have no exact inverse transform")
-    return from_dense(space, idft(group, f.values))
+    return from_dense(space, idft(group, f))
 
 
 def translate(g, v: GroupVector) -> GroupVector:
@@ -487,4 +408,5 @@ def translate(g, v: GroupVector) -> GroupVector:
                  for a in (v.dense(), v.support_mask()))
         return GroupVector._adopt(v.space, *moved)
     # shift mode: the window moves; an empty vector keeps start 0
-    return GroupVector._adopt(v.space, v._values, v._mask, v._start + int(g) if len(v._values) else 0)
+    shift = group.canonical(g)
+    return GroupVector._adopt(v.space, v._values, v._mask, v._start + shift if len(v._values) else 0)

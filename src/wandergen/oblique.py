@@ -5,7 +5,7 @@ Subspaces enter in one of three presentations: an orbit generator family
 ambient space (accepted so the non-invariant branch is exercisable), or a
 precomputed per-point fiber basis field.  Each is a system space and a
 fiber tensor values[point, channel, column] over that space's dual
-sampling, read as ``.fibers``.  All projectors and generator outputs are
+points, read as ``.fibers``.  All projectors and generator outputs are
 produced point by point over those dual points.
 
 The Riesz construction follows the proof shape: orthonormal generators of
@@ -45,7 +45,6 @@ from .fibers import (
     SampledFamily,
     _FiberHolder,
     default_bio_tol,
-    dense_fourier_matrix,
     family_from_fibers,
     frame_bounds,
     gram_normalization,
@@ -54,7 +53,7 @@ from .fibers import (
     riesz_bounds,
     union_family,
 )
-from .groups import DualSampling, SystemSpace, dft
+from .groups import SystemSpace, dft
 from .wandering import complement_fibers
 
 __all__ = [
@@ -127,23 +126,12 @@ class OperatorField:
     are idempotent at every point.
     """
 
-    sampling: DualSampling
+    space: SystemSpace
     matrices: np.ndarray  # (points, channels, channels)
 
     def idempotency_residual(self) -> float:
         PP = self.matrices @ self.matrices
         return float(np.max(np.abs(PP - self.matrices)))
-
-    def dense(self, space: SystemSpace) -> np.ndarray:
-        """Exact-mode dense realization: conjugate the block diagonal by the
-        dense transform."""
-        PHI = dense_fourier_matrix(space)
-        points, c, _ = self.matrices.shape
-        blocks = np.zeros((points, c, points, c), dtype=self.matrices.dtype)
-        at = np.arange(points)
-        blocks[at, :, at, :] = self.matrices
-        blocks = blocks.reshape(points * c, points * c)
-        return PHI.conj().T @ blocks @ PHI
 
 
 def is_invariant(W, tol_rank: float = TOL_RANK_REL) -> bool:
@@ -249,7 +237,7 @@ def oblique_projector(split: ObliqueSplit, tol_rank: float = TOL_RANK_REL) -> Op
     if not is_contained(split.v0, split.within, tol_rank):
         raise NotContained("V0 generators leave the fine space fiberwise")
     *_, mats = _validated_split(split.v0, split.w0, split.within, tol_rank)
-    return OperatorField(split.within.sampling, mats)
+    return OperatorField(split.within.space, mats)
 
 
 @dataclass(frozen=True)
@@ -303,7 +291,7 @@ def restricted_projection_pair(
     q1 = np.linalg.pinv(FMp) @ (Q @ FM)
     eye = np.eye(k)
     residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
-    return ProjectionPair(FiberField(M.sampling, p1), FiberField(M.sampling, q1), residual)
+    return ProjectionPair(FiberField(M.space, p1), FiberField(M.space, q1), residual)
 
 
 def oblique_riesz_wavelets(

@@ -4,12 +4,16 @@ Exact mode only: the full orbit matrix is one index gather from the stacked
 dense generators (the coefficient of g x at h is x(h - g)); one SVD of it
 gives the Gram spectrum both bounds read (``dense_gram_spectrum``), and
 projectors and spans come directly from dense linear algebra.  Neither the
-transform nor ``translate`` is used.  Differential tests compare these
-answers against the fiberized ones; that comparison is this module's reason
-to exist.
+FFT nor ``translate`` is used.  The |G|^2-sized character table and the
+dense transform matrix built from it live here too; ``dense_operator``
+realizes a fiberwise operator field with them.  Differential tests compare
+these answers against the fiberized ones; that comparison is this module's
+reason to exist.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +31,9 @@ __all__ = [
     "dense_oblique_projector",
     "dense_translation_matrix",
     "dense_orth_basis",
+    "character_table",
+    "dense_fourier_matrix",
+    "dense_operator",
 ]
 
 
@@ -147,3 +154,39 @@ def dense_oblique_projector(
         raise NotDirectSum(f"stacked rank {rs} != {rv} + {rw}; spans overlap")
     coords = np.linalg.pinv(S, rcond=tol_rank)
     return w_columns @ coords[v_columns.shape[1]:, :]
+
+
+def character_table(group: FiniteAbelian) -> np.ndarray:
+    """chars[p, e] = value of the p-th character at the e-th element.
+
+    Both axes use the lexicographic element enumeration, so the table is
+    symmetric and chars[p, e] = exp(2*pi*i * sum_j ((p_j e_j) mod n_j) / n_j).
+    Each product is reduced in integers before scaling, which keeps the
+    phases accurate as |G| grows.  The transforms do not use it, and it is
+    not cached.
+    """
+    els = np.array(group.elements(), dtype=np.int64)
+    phase = sum(np.outer(els[:, j], els[:, j]) % n / n for j, n in enumerate(group.orders))
+    return np.exp(2j * np.pi * phase)
+
+
+def dense_fourier_matrix(space: SystemSpace) -> np.ndarray:
+    """Unitary map from dense coefficients to stacked fiber coordinates.
+
+    Row (p * channels + c) holds the transform of channel c at dual point p.
+    """
+    group = _require_exact(space)
+    C = character_table(group).conj() / math.sqrt(group.order)
+    return np.kron(C, np.eye(space.channels))
+
+
+def dense_operator(field) -> np.ndarray:
+    """Dense realization of a fiberwise operator field over ``field.space``:
+    its block diagonal, conjugated by the dense transform."""
+    PHI = dense_fourier_matrix(field.space)
+    points, c, _ = field.matrices.shape
+    blocks = np.zeros((points, c, points, c), dtype=field.matrices.dtype)
+    at = np.arange(points)
+    blocks[at, :, at, :] = field.matrices
+    blocks = blocks.reshape(points * c, points * c)
+    return PHI.conj().T @ blocks @ PHI

@@ -97,8 +97,7 @@ def random_coeff_stack(rng, points: int, s: int, r: int) -> np.ndarray:
 
 def random_wandering_subfamily(rng, Yon: Family, r: int) -> Family:
     """Wandering family of size r inside the span of an orthonormal family."""
-    sampling = Yon.sampling
-    return combine_fiberwise(Yon, random_isometry_stack(rng, len(sampling), len(Yon), r))
+    return combine_fiberwise(Yon, random_isometry_stack(rng, Yon.space.points, len(Yon), r))
 
 
 def random_robertson_instance(rng, min_channels: int = 2):
@@ -118,7 +117,7 @@ def random_oblique_instance(rng, tries: int = 50, orders=None):
         s = int(rng.integers(2, min(space.channels, 3) + 1))
         r = int(rng.integers(1, s))
         Y = random_riesz_family(rng, space, s)
-        points = len(Y.sampling)
+        points = space.points
         X = combine_fiberwise(Y, random_coeff_stack(rng, points, s, r))
         W0 = combine_fiberwise(Y, random_coeff_stack(rng, points, s, s - r))
         if not (well_conditioned(X) and well_conditioned(W0)):
@@ -163,7 +162,7 @@ def random_frame_instance(rng, tries: int = 50):
         rank_y = int(rng.integers(2, min(space.channels, 3) + 1))
         s = rank_y + int(rng.integers(1, 3))
         base = random_riesz_family(rng, space, rank_y)
-        points = len(base.sampling)
+        points = space.points
         # constant mixing keeps the honest redundancy structure visible
         mix = rng.standard_normal((rank_y, s)) + 1j * rng.standard_normal((rank_y, s))
         Y = combine_fiberwise(base, np.broadcast_to(mix, (points, rank_y, s)).copy())
@@ -187,8 +186,7 @@ def random_biortho_quadruple(rng, tries: int = 50, orders=None):
         m = s + int(rng.integers(1, 3))
         space = SystemSpace(group, m)
         Y = random_riesz_family(rng, space, s)
-        sampling, FY = Y.sampling, Y.fibers
-        points = len(sampling)
+        FY, points = Y.fibers, space.points
         N = gram_normalization(space)
         G = N * np.einsum("pci,pcj->pij", FY, FY.conj())
         dual = FY @ np.linalg.inv(G).conj()
@@ -227,8 +225,7 @@ def random_projection_triple(rng, tries: int = 50):
         a = int(rng.integers(1, m - q + 1))  # dim M = dim M'
         M = random_riesz_family(rng, space, a)
         N = random_riesz_family(rng, space, q) if q else Family(space, ())
-        sampling, FM = M.sampling, M.fibers
-        points = len(sampling)
+        FM, points = M.fibers, space.points
         FN = N.fibers if q else np.zeros((points, m, 0), dtype=np.complex128)
         joint = np.concatenate([FM, FN], axis=2)
         # M' drawn inside col(M) + col(N) so the two sums agree as subspaces

@@ -375,8 +375,9 @@ class TestSampledFamilyRendering:
     @staticmethod
     def per_value_bound_curve(X):
         f = cli.format_float
-        rows = zip(gram_fibers(X).sampling.points, X.gram_eigenvalues)
-        return "".join(f"{f(p.angle)}\t{f(evs[0])}\t{f(evs[-1])}\n" for p, evs in rows)
+        N = gram_fibers(X).space.points
+        rows = zip(range(N), X.gram_eigenvalues)
+        return "".join(f"{f(2.0 * np.pi * t / N)}\t{f(evs[0])}\t{f(evs[-1])}\n" for t, evs in rows)
 
     @staticmethod
     def shift_job(command, channels, families):
@@ -496,6 +497,25 @@ class TestCancelReports:
         code, report, _ = run(tmp_path, self.job({}, group={"kind": "builtin", "name": "Z0"}))
         assert (code, report["command"]) == (1, "cancel")
         assert report["error"] == {"code": "SchemaError", "message": "unknown builtin group 'Z0'"}
+
+    @pytest.mark.parametrize("name", ["Z257", "Z" + "9" * 5000], ids=["Z257", "Z_5000_digits"])
+    def test_cyclic_order_above_the_cap_is_a_size_limit(self, tmp_path, monkeypatch, name):
+        from wandergen import nonabelian
+
+        def refuse(n):
+            raise AssertionError("no table may be built above the cap")
+
+        monkeypatch.setattr(nonabelian, "cyclic_group", refuse)
+        code, report, _ = run(tmp_path, self.job({}, group={"kind": "builtin", "name": name}))
+        assert (code, report["command"]) == (2, "cancel")
+        assert report["error"] == {"code": "SizeLimit", "message": "builtin cyclic group order exceeds the cap 256"}
+
+    def test_cyclic_order_at_the_cap_is_built(self, monkeypatch):
+        from wandergen import nonabelian
+
+        monkeypatch.setattr(nonabelian, "cyclic_group", lambda n: n)
+        for name, n in [("Z256", 256), ("Z0256", 256), ("Z1", 1)]:
+            assert cli._parse_finite_group({"system": {"group": {"kind": "builtin", "name": name}}}) == n
 
     def test_entry_beyond_int64_is_a_schema_error(self, tmp_path):
         job = self.job({}, group={"kind": "cayley", "table": [[0, 1], [1, 2**70]]})

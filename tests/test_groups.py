@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wandergen as wg
-from wandergen.groups import character_table
+from wandergen import cli, oracle
+from wandergen.oracle import character_table
 
 
 def space(orders, m=1):
@@ -23,47 +24,58 @@ def random_vector(rng, sp):
     return wg.from_dense(sp, dense)
 
 
+def character(group, p, g):
+    """The p-th dual point's character at g: the p-th element multi-index
+    (exact mode) or grid index (shift mode), phases reduced mod n in integers."""
+    if isinstance(group, wg.FiniteAbelian):
+        p, g = group.elements()[p], group.canonical(g)
+        phase = sum((k * x) % n / n for k, x, n in zip(p, g, group.orders))
+        return complex(np.exp(2j * np.pi * phase))
+    n = group.grid_size
+    return complex(np.exp(2j * np.pi * ((p * g) % n) / n))
+
+
 class TestDualSampling:
+    """The space indexes the dual group; the oracle's character table holds its values."""
+
     def test_z2_characters(self):
-        sampling = wg.dual_sampling(space([2]))
-        assert sampling.exact
-        vals = [[p.evaluate((g,)) for g in (0, 1)] for p in sampling.points]
-        np.testing.assert_allclose(vals, [[1, 1], [1, -1]], atol=1e-15)
+        sp = space([2])
+        assert sp.exact and sp.points == 2
+        np.testing.assert_allclose(character_table(sp.group), [[1, 1], [1, -1]], atol=1e-15)
 
     def test_trivial_group(self):
-        sampling = wg.dual_sampling(space([1]))
-        assert len(sampling) == 1
-        assert sampling.points[0].evaluate((0,)) == pytest.approx(1.0)
+        sp = space([1])
+        assert sp.points == 1
+        assert character_table(sp.group)[0, 0] == pytest.approx(1.0)
 
     def test_z4_imaginary_unit(self):
-        sampling = wg.dual_sampling(space([4]))
-        assert sampling.points[1].evaluate((1,)) == pytest.approx(1j)
+        assert character_table(wg.FiniteAbelian((4,)))[1, 1] == pytest.approx(1j)
 
     def test_shift_grid(self):
         sp = wg.SystemSpace(wg.IntegerShift(8), 1)
-        sampling = wg.dual_sampling(sp)
-        assert not sampling.exact
-        angles = [p.angle for p in sampling.points]
-        assert angles == sorted(angles)
-        assert sampling.points[1].evaluate(1) == pytest.approx(np.exp(2j * np.pi / 8))
+        assert not sp.exact and sp.points == 8
+        rows = cli.emit_bound_curve(wg.Family(sp, (wg.delta(sp, 0),))).splitlines()
+        angles = [float(row.split("\t")[0]) for row in rows]
+        assert len(angles) == 8 and angles == sorted(angles)
+        assert angles[0] == 0.0 and angles[1] == pytest.approx(2 * np.pi / 8)
 
     def test_character_multiplicativity(self):
         rng = np.random.default_rng(0)
         group = wg.FiniteAbelian((3, 4))
-        sampling = wg.dual_sampling(wg.SystemSpace(group, 1))
+        chars = character_table(group)
         for _ in range(20):
             g = tuple(rng.integers(0, 12, size=2))
             h = tuple(rng.integers(0, 12, size=2))
-            for p in sampling.points:
-                assert abs(p.evaluate(group.compose(g, h)) - p.evaluate(g) * p.evaluate(h)) <= 1e-12
-                assert abs(abs(p.evaluate(g)) - 1.0) <= 1e-12
-        assert all(abs(p.evaluate(group.identity) - 1) <= 1e-15 for p in sampling.points)
+            at = chars[:, [group.index_of(group.compose(g, h)), group.index_of(g), group.index_of(h)]]
+            assert np.max(np.abs(at[:, 0] - at[:, 1] * at[:, 2])) <= 1e-12
+            assert np.max(np.abs(np.abs(at[:, 1]) - 1.0)) <= 1e-12
+        assert np.max(np.abs(chars[:, group.index_of(group.identity)] - 1)) <= 1e-15
 
 
 class TestFourier:
     def test_delta_flat_spectrum(self):
         f = wg.fourier(wg.delta(space([4]), 0))
-        np.testing.assert_allclose(f.values.ravel(), 0.5, atol=1e-15)
+        np.testing.assert_allclose(f.ravel(), 0.5, atol=1e-15)
 
     def test_character_vector_maps_to_delta(self):
         # the evaluation vector of the g-th character transforms to the
@@ -71,9 +83,9 @@ class TestFourier:
         group = wg.FiniteAbelian((4,))
         sp = wg.SystemSpace(group, 1)
         for g in group.elements():
-            chars = np.array([[wg.DualPoint(group, g).evaluate(h)] for h in group.elements()])
+            chars = character_table(group)[[group.index_of(g)]].T
             v = wg.from_dense(sp, chars / np.sqrt(group.order))
-            out = wg.fourier(v).values.ravel()
+            out = wg.fourier(v).ravel()
             expected = np.zeros(4)
             expected[group.index_of(g)] = 1.0
             np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -82,7 +94,7 @@ class TestFourier:
         rng = np.random.default_rng(1)
         v = random_vector(rng, space([6], 2))
         vhat = wg.fourier(v)
-        assert abs(np.linalg.norm(vhat.values) - v.norm()) <= 1e-12
+        assert abs(np.linalg.norm(vhat) - v.norm()) <= 1e-12
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
@@ -95,9 +107,10 @@ class TestFourier:
         sp = wg.SystemSpace(wg.IntegerShift(16), 1)
         v = wg.delta(sp, 2) + 0.5 * wg.delta(sp, -1)
         out = wg.fourier(v)
-        for p, point in enumerate(out.sampling.points):
-            w = np.exp(1j * point.angle)
-            assert abs(out.values[p, 0] - (w**-2 + 0.5 * w)) <= 1e-12
+        assert out.shape == (sp.points, 1)
+        for p in range(sp.points):
+            w = np.exp(1j * 2.0 * np.pi * p / sp.points)
+            assert abs(out[p, 0] - (w**-2 + 0.5 * w)) <= 1e-12
 
     def test_support_exceeds_grid(self):
         sp = wg.SystemSpace(wg.IntegerShift(8), 1)
@@ -143,28 +156,29 @@ class TestPhaseAccuracy:
         rng = np.random.default_rng(3)
         group = wg.FiniteAbelian(orders)
         dense = rng.standard_normal((group.order, 2)) + 1j * rng.standard_normal((group.order, 2))
-        out = wg.fourier(wg.from_dense(wg.SystemSpace(group, 2), dense)).values
+        out = wg.fourier(wg.from_dense(wg.SystemSpace(group, 2), dense))
         assert np.max(np.abs(out - character_sum(group, dense))) <= 1e-14
 
     def test_transforms_skip_the_character_table(self, monkeypatch):
         def table(group):
             raise AssertionError("the exact transforms must not build the character table")
 
-        monkeypatch.setattr(wg.groups, "character_table", table)
+        monkeypatch.setattr(oracle, "character_table", table)
         sp = space([3, 4], 2)
         v = random_vector(np.random.default_rng(9), sp)
         back = wg.inverse_fourier(wg.fourier(v), sp)
         np.testing.assert_allclose(back.dense(), v.dense(), atol=1e-14)
 
     def test_evaluate_large_cyclic(self):
-        n = 2**20
-        k, x = n - 3, n - 5
-        ref = np.conj(np.fft.fft(np.eye(1, n, x).ravel()))[k]
-        assert abs(wg.DualPoint(wg.FiniteAbelian((n,)), (k,)).evaluate(x) - ref) <= 1e-14
+        # the transform of delta(x) at point k is conj(chi_k(x)) / sqrt(n), n a power of 2
+        n, x = 2**20, 2**20 - 5
+        out = math.sqrt(n) * wg.fourier(wg.delta(space([n]), x))[:, 0]
+        ref = np.exp(-2j * np.pi * ((np.arange(n) * x) % n) / n)
+        assert np.max(np.abs(out - ref)) <= 1e-14
 
     def test_shift_far_support(self):
         grid, g = 256, 10**9 + 3
-        out = wg.fourier(wg.delta(wg.SystemSpace(wg.IntegerShift(grid), 1), g)).values[:, 0]
+        out = wg.fourier(wg.delta(wg.SystemSpace(wg.IntegerShift(grid), 1), g))[:, 0]
         ref = np.fft.fft(np.eye(1, grid, g % grid).ravel())
         assert np.max(np.abs(out - ref)) <= 1e-14
 
@@ -178,7 +192,7 @@ class TestPhaseAccuracy:
         v = wg.GroupVector(sp, {(start + i, c): taps[i, c] for i in range(width) for c in range(2)})
         ref = shift_character_sum(grid, start, taps)
         tol = 1e-14 * np.abs(taps).sum()
-        assert np.max(np.abs(wg.fourier(v).values - ref)) <= tol
+        assert np.max(np.abs(wg.fourier(v) - ref)) <= tol
         family = wg.Family(sp, (v, wg.translate(-start, v)))  # one stacked transform
         assert np.max(np.abs(family.fibers[:, :, 0] - ref)) <= tol
         assert np.max(np.abs(family.fibers[:, :, 1] - shift_character_sum(grid, 0, taps))) <= tol
@@ -203,11 +217,11 @@ class TestTranslate:
         assert abs(wg.translate(g, v).norm() - v.norm()) <= 1e-12
 
 
-def modulate(g, f):
+def modulate(g, f, group):
     """Transform-side action of translation by g, applied inline: the fiber
     at gamma times conj(gamma(g)), the character value at g^-1."""
-    weights = np.array([p.evaluate(g) for p in f.sampling.points]).conj()
-    return f.values * weights[:, None]
+    weights = np.array([character(group, p, g) for p in range(len(f))]).conj()
+    return f * weights[:, None]
 
 
 class TestModulate:
@@ -216,31 +230,31 @@ class TestModulate:
     def test_identity_element(self):
         rng = np.random.default_rng(5)
         v = random_vector(rng, space([6]))
-        out = wg.fourier(wg.translate((0,), v)).values
-        np.testing.assert_allclose(out, modulate((0,), wg.fourier(v)), atol=1e-15)
-        np.testing.assert_allclose(out, wg.fourier(v).values, atol=1e-15)
+        out = wg.fourier(wg.translate((0,), v))
+        np.testing.assert_allclose(out, modulate((0,), wg.fourier(v), v.space.group), atol=1e-15)
+        np.testing.assert_allclose(out, wg.fourier(v), atol=1e-15)
 
     def test_intertwining_with_translation(self):
         rng = np.random.default_rng(6)
         sp = space([6], 2)
         v = random_vector(rng, sp)
         for g in [(1,), (4,), (5,)]:
-            lhs = wg.fourier(wg.translate(g, v)).values
-            assert np.max(np.abs(lhs - modulate(g, wg.fourier(v)))) <= 1e-12
+            lhs = wg.fourier(wg.translate(g, v))
+            assert np.max(np.abs(lhs - modulate(g, wg.fourier(v), v.space.group))) <= 1e-12
         shift = wg.SystemSpace(wg.IntegerShift(32), 2)
         taps = rng.standard_normal((2, 5, 2)) @ [1, 1j]
         v = wg.GroupVector(shift, {(n - 2, c): taps[c, n] for c in range(2) for n in range(5)})
         for g in [1, -7, 10**9 + 3, -(10**12), 10**30]:
-            lhs = wg.fourier(wg.translate(g, v)).values
-            assert np.max(np.abs(lhs - modulate(g, wg.fourier(v)))) <= 1e-12
+            lhs = wg.fourier(wg.translate(g, v))
+            assert np.max(np.abs(lhs - modulate(g, wg.fourier(v), v.space.group))) <= 1e-12
 
     def test_involution_on_z2(self):
         rng = np.random.default_rng(7)
         v = random_vector(rng, space([2]))
         f = wg.fourier(wg.translate((1,), v))
-        np.testing.assert_allclose(modulate((1,), f), wg.fourier(v).values, atol=1e-14)
-        np.testing.assert_allclose(wg.fourier(wg.translate((1,), wg.translate((1,), v))).values,
-                                   wg.fourier(v).values, atol=1e-14)
+        np.testing.assert_allclose(modulate((1,), f, v.space.group), wg.fourier(v), atol=1e-14)
+        np.testing.assert_allclose(wg.fourier(wg.translate((1,), wg.translate((1,), v))),
+                                   wg.fourier(v), atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -251,7 +265,7 @@ class TestModulate:
 def test_unitarity_property(orders, seed):
     sp = space(orders, 2)
     v = random_vector(np.random.default_rng(seed), sp)
-    assert abs(np.linalg.norm(wg.fourier(v).values) - v.norm()) <= 1e-12
+    assert abs(np.linalg.norm(wg.fourier(v)) - v.norm()) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -264,8 +278,8 @@ def test_translate_modulate_round_trip_property(orders, seed):
     sp = space(orders, 1)
     v = random_vector(rng, sp)
     g = tuple(int(rng.integers(0, n)) for n in sp.group.orders)
-    lhs = wg.fourier(wg.translate(g, v)).values
-    assert np.max(np.abs(lhs - modulate(g, wg.fourier(v)))) <= 1e-12
+    lhs = wg.fourier(wg.translate(g, v))
+    assert np.max(np.abs(lhs - modulate(g, wg.fourier(v), v.space.group))) <= 1e-12
     back = wg.inverse_fourier(wg.fourier(v), sp)
     np.testing.assert_allclose(back.dense(), v.dense(), atol=1e-12)
 
@@ -303,6 +317,30 @@ class TestGroupVector:
     def test_elements_canonicalized(self):
         sp = space([4], 1)
         assert wg.delta(sp, 5) == wg.delta(sp, 1)
+
+    def test_non_integer_coordinates_are_refused(self):
+        # int() would truncate each of these to a neighbouring element
+        sp, shift = space([4], 1), wg.SystemSpace(wg.IntegerShift(16), 1)
+        v = wg.delta(shift, 3)
+        cases = [
+            (lambda: wg.GroupVector(sp, {((1.5,), 0): 1.0}), "1.5"),
+            (lambda: wg.delta(sp, (True,)), "True"),
+            (lambda: wg.delta(shift, 2.9), "2.9"),
+            (lambda: wg.translate(0.5, v), "0.5"),
+            (lambda: wg.translate(0.5, wg.delta(sp, 0)), "0.5"),
+            (lambda: wg.delta(shift, True), "True"),
+            (lambda: wg.delta(sp, "1"), "'1'"),
+        ]
+        for build, shown in cases:
+            with pytest.raises(ValueError, match=rf"^group coordinates must be integers, got {shown}$"):
+                build()
+
+    def test_numpy_integer_coordinates_are_accepted(self):
+        sp, shift = space([4, 3], 1), wg.SystemSpace(wg.IntegerShift(16), 1)
+        assert wg.delta(sp, (np.int64(5), np.int8(-1))) == wg.delta(sp, (1, 2))
+        assert wg.delta(shift, np.int64(10**18)) == wg.delta(shift, 10**18)
+        assert wg.translate(np.int32(2), wg.delta(shift, 3)) == wg.delta(shift, 5)
+        assert wg.translate(np.array([1, 1]), wg.delta(sp, (0, 0))) == wg.delta(sp, (1, 1))
 
     def test_dense_matches_entrywise_fill(self):
         rng = np.random.default_rng(10)
@@ -384,15 +422,11 @@ class TestCaches:
             for attr, fn in vars(module).items()
             if callable(getattr(fn, "cache_parameters", None))
         }
-        assert "wandergen.groups._group_sampling" in caches
+        assert "wandergen.cli._key_json" in caches
         assert [q for q, fn in caches.items() if fn.cache_parameters()["maxsize"] is None] == []
 
     def test_character_table_is_not_cached(self):
         assert not hasattr(character_table, "cache_info")
-
-    def test_dual_sampling_is_shared(self):
-        group = wg.FiniteAbelian((6,))
-        assert wg.dual_sampling(wg.SystemSpace(group, 1)) is wg.dual_sampling(wg.SystemSpace(group, 3))
 
 
 class DictVector:

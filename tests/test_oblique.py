@@ -107,7 +107,7 @@ class TestObliqueProjector:
         X, Y, W0 = random_oblique_instance(rng)
         P = wg.oblique_projector(wg.ObliqueSplit(X, W0, Y))
         assert P.idempotency_residual() <= 1e-10
-        dense = P.dense(X.space)
+        dense = oracle.dense_operator(P)
         oracle_dense = oracle.dense_oblique_projector(
             oracle.dense_family_matrix(X), oracle.dense_family_matrix(W0)
         )
@@ -130,7 +130,7 @@ class TestObliqueProjector:
     def test_commutes_with_dense_translations(self):
         rng = np.random.default_rng(55)
         X, Y, W0 = random_oblique_instance(rng)
-        P = wg.oblique_projector(wg.ObliqueSplit(X, W0, Y)).dense(X.space)
+        P = oracle.dense_operator(wg.oblique_projector(wg.ObliqueSplit(X, W0, Y)))
         for g in [tuple(rng.integers(0, n) for n in X.space.group.orders) for _ in range(3)]:
             L = oracle.dense_translation_matrix(X.space, g)
             assert np.max(np.abs(P @ L - L @ P)) <= 1e-9
@@ -341,10 +341,9 @@ class TestDirectSumCheck:
         pair = wg.biorthogonal_wavelets(X, Xt, Y, Yt)
         # Wt0 (here: span of gamma_tilde) (+) W0-perp = H, i.e. the pairing
         # of gamma with gamma_tilde is nonsingular and dims match
-        sampling, FG = pair.gamma.sampling, pair.gamma.fibers
-        FGt = pair.gamma_tilde.fibers
+        FG, FGt = pair.gamma.fibers, pair.gamma_tilde.fibers
         N = gram_normalization(X.space)
-        for p in range(len(sampling)):
+        for p in range(X.space.points):
             pairing = N * FG[p].T @ FGt[p].conj()
             s = np.linalg.svd(pairing, compute_uv=False)
             assert s[-1] > 1e-9
