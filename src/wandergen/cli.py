@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from . import nonabelian, oblique, oracle, wandering
-from .defaults import CYCLIC_ORDER_LIMIT, DEFAULT_GRID, TOL_BIO_EXACT, TOL_RANK_REL
+from .defaults import DEFAULT_GRID, GROUP_ORDER_LIMIT, TOL_BIO_EXACT, TOL_RANK_REL
 from .errors import SizeLimit, WandergenError, WrongMode
 from .fibers import (
     Bounds,
@@ -261,11 +261,13 @@ def _parse_finite_group(job: dict) -> nonabelian.FiniteGroup:
         match = re.fullmatch(r"Z0*(\d+)", name)
         _expect(match is not None and match.group(1) != "0", f"unknown builtin group '{name}'")
         digits = match.group(1)  # no leading zeros: compared by length before int() reads it
-        if len(digits) > len(str(CYCLIC_ORDER_LIMIT)) or int(digits) > CYCLIC_ORDER_LIMIT:
-            raise SizeLimit(f"builtin cyclic group order exceeds the cap {CYCLIC_ORDER_LIMIT}")
+        if len(digits) > len(str(GROUP_ORDER_LIMIT)) or int(digits) > GROUP_ORDER_LIMIT:
+            raise SizeLimit(f"builtin cyclic group order exceeds the cap {GROUP_ORDER_LIMIT}")
         return nonabelian.cyclic_group(int(digits))
     if kind == "cayley":
         table = _get(group, "table", list, "Cayley table")
+        if len(table) > GROUP_ORDER_LIMIT:
+            raise SizeLimit(f"Cayley table order exceeds the cap {GROUP_ORDER_LIMIT}")
         try:
             return nonabelian.FiniteGroup(table)
         except (ValueError, TypeError) as exc:

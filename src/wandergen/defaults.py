@@ -14,8 +14,9 @@ TOL_BIO_SAMPLED = 1e-6
 # Dense oracle cap on |G| * channels * members.
 ORACLE_SIZE_LIMIT = 4096
 
-# Cap on the order n of a builtin cyclic group Z<n>: its Cayley table holds n^2 entries.
-CYCLIC_ORDER_LIMIT = 256
+# Cap on the order n of a finite group, builtin Z<n> or Cayley table: the table
+# holds n^2 entries, and naming a non-associative triple takes up to n^3 steps.
+GROUP_ORDER_LIMIT = 256
 
 # Default torus grid for shift-mode systems.
 DEFAULT_GRID = 64

@@ -11,16 +11,16 @@ group-averaging a seeded Gaussian matrix, and its unitary polar factor is
 returned.  ``cancel`` decides its two hypotheses by characters alone and
 builds a witness only for its conclusion.
 
-A ``Representation`` is validated once, when it is built from outside
-matrices (identity, unitarity and the homomorphism property, to 1e-10), and
-holds a read-only copy of them afterwards. ``direct_sum`` and
+A ``FiniteGroup`` is proven a group once, when it is built, at every order
+(associativity by Light's test on its generators), and everything downstream
+trusts that proof. A ``Representation`` is validated once, when it is built
+from outside matrices (identity, unitarity and the homomorphism property, to
+1e-10), and holds a read-only copy of them afterwards. ``direct_sum`` and
 ``regular_representation`` carry the proof instead of re-checking: a
 block-diagonal sum of representations is one, and the left-translation
-matrices of a Cayley table form one exactly when the table is associative,
-which ``regular_representation`` checks in integers.
+matrices of an associative Cayley table form one.
 
-The homomorphism property is first proven on generators when the
-constructor proved the table associative (order <= 24). With
+The homomorphism property is first proven on generators. With
 e(a, b) = rho(a) rho(b) - rho(ab) and Delta(s, x) = rho(s) rho(x) - rho(sx),
 a = s a' gives e(a, b) = rho(s) e(a', b) - Delta(s, a') rho(b) + Delta(s, a'b),
 so over words of length <= D in ``generators()``
@@ -64,16 +64,16 @@ __all__ = [
     "wandering_complement_general",
 ]
 
-# exhaustive associativity validation stays cheap up to this order
-_ASSOC_CHECK_LIMIT = 24
-
-
 class FiniteGroup:
     """A finite group presented by its Cayley table (element indices 0..n-1).
 
-    The table is validated on construction: Latin-square rows and columns,
-    a two-sided identity, inverses, and (for order <= 24) exhaustive
-    associativity.
+    The constructor proves the table is a group, at every order: Latin-square
+    rows and columns, a two-sided identity, inverses, and associativity by
+    Light's test on ``generators()``. The set of s with (ab)s = a(bs) for
+    every a and b holds the identity and is closed under products, since
+    (ab)(st) = ((ab)s)t = (a(bs))t = a((bs)t) = a(b(st)) when s and t are in
+    it; every element is a left-nested word in the generators, so checking
+    the generators checks every s, in n^2 * |generators| comparisons.
     """
 
     __slots__ = ("table", "order", "identity", "inverse_table", "name", "_classes", "_gens", "_depth")
@@ -100,16 +100,24 @@ class FiniteGroup:
         missing = np.flatnonzero(cells[inverse, elements] != identity)
         if missing.size:
             raise ValueError(f"element {missing[0]} has no inverse")
-        if n <= _ASSOC_CHECK_LIMIT:
-            bad = _first_nonassociative(cells)
-            if bad is not None:
-                raise ValueError("Cayley table is not associative at ({}, {}, {})".format(*bad))
-        self.table = table
-        self.order = n
-        self.identity = identity
+        self.table, self.order, self.identity, self.name = table, n, identity, name
         self.inverse_table = tuple(inverse.tolist())
-        self.name = name
-        self._classes = self._gens = self._depth = None
+        # greedy generators by element index; the last search gives the word depth
+        gens, closure, depth = [], {identity}, 0
+        for g in range(n):
+            if g not in closure:
+                gens.append(g)
+                closure, depth = self._search(gens)
+        s = np.array(gens, dtype=np.intp)
+        # Light's test: [a, b, s] -> (ab)s against a(bs)
+        if not (cells[cells[:, :, None], s] == cells[elements[:, None, None], cells[:, s]]).all():
+            raise ValueError("Cayley table is not associative at ({}, {}, {})".format(*_first_nonassociative(cells)))
+        self._gens, self._depth = tuple(gens), depth
+        # [h, g] -> h g h^-1; each class is named by its smallest element
+        name_of = cells[cells, inverse[:, None]].min(axis=0)
+        by_class = np.argsort(name_of, kind="stable")
+        bounds = np.flatnonzero(np.diff(name_of[by_class])) + 1
+        self._classes = tuple(tuple(c.tolist()) for c in np.split(by_class, bounds))
 
     def compose(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -121,43 +129,15 @@ class FiniteGroup:
         return range(self.order)
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes as sorted tuples, ordered by smallest representative.
-
-        The identity class always comes first.
-        """
-        if self._classes is None:
-            seen = set()
-            classes = []
-            for g in range(self.order):
-                if g in seen:
-                    continue
-                cls = sorted(
-                    {self.table[self.table[h][g]][self.inverse_table[h]] for h in range(self.order)}
-                )
-                classes.append(tuple(cls))
-                seen.update(cls)
-            self._classes = tuple(classes)
+        """Classes as sorted tuples, ordered by their smallest element."""
         return self._classes
 
     def generators(self) -> tuple[int, ...]:
         """Greedy minimal generating set, deterministic by element index."""
-        if self._gens is None:
-            gens: list[int] = []
-            closure = {self.identity}
-            for g in range(self.order):
-                if g in closure:
-                    continue
-                gens.append(g)
-                closure, _ = self._search(gens)
-                if len(closure) == self.order:
-                    break
-            self._gens = tuple(gens)
         return self._gens
 
     def _word_depth(self) -> int:
         """Longest word needed in ``generators()``."""
-        if self._depth is None:
-            self._depth = self._search(self.generators())[1]
         return self._depth
 
     def _search(self, gens) -> tuple[set, int]:
@@ -176,15 +156,15 @@ class FiniteGroup:
 def _first_nonassociative(table: np.ndarray) -> tuple[int, int, int] | None:
     """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or None.
 
-    ``table`` is an (n, n) integer Cayley table; the test holds n^3 entries.
+    ``table`` is an (n, n) integer Cayley table; the test holds n^2 entries,
+    one a at a time.
     """
     n = table.shape[0]
-    left = table[table]  # [a, b, c] -> (ab)c
-    right = table[np.arange(n)[:, None, None], table[None]]  # [a, b, c] -> a(bc)
-    bad = np.flatnonzero(left != right)
-    if bad.size == 0:
-        return None
-    return tuple(int(i) for i in np.unravel_index(bad[0], left.shape))
+    for a in range(n):
+        bad = np.flatnonzero(table[table[a]] != table[a][table])  # [b, c] -> (ab)c, a(bc)
+        if bad.size:
+            return (a, *divmod(int(bad[0]), n))
+    return None
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -298,8 +278,6 @@ def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
 
 def _word_bound(group: FiniteGroup, mats: np.ndarray, unitarity: float) -> float:
     """Bound on every entry the full check computes, or inf (module docstring)."""
-    if group.order > _ASSOC_CHECK_LIMIT:
-        return np.inf
     frob2 = 0.0  # largest squared Frobenius norm of a generator residual
     for a in (group.identity, *group.generators()):
         row = np.abs(_homomorphism_residual(group, mats, a))
@@ -345,18 +323,13 @@ def regular_representation(group: FiniteGroup, multiplicity: int = 1) -> Represe
 
     The realization index is (element * N + block), matching the dense
     layout of exact-mode coefficient vectors with N channels. The matrices
-    are exact permutations, and L_a L_b = L_ab for every b exactly when
-    (ab)c = a(bc) for every b and c, so the homomorphism property is checked
-    on the Cayley table, at any order; it raises for the first failing a.
+    are exact permutations, and L_a L_b = L_ab exactly because the table is
+    associative, which ``FiniteGroup`` proved; nothing is re-checked.
     """
     if multiplicity < 0:
         raise ValueError("multiplicity must be >= 0")
     n, N = group.order, multiplicity
     table = np.array(group.table, dtype=np.intp)
-    if N:
-        bad = _first_nonassociative(table)
-        if bad is not None:
-            raise ValueError(f"homomorphism property fails at element {bad[0]}")
     # row (gh, b) of L_g reads column (h, b)
     g, h, b = np.arange(n)[:, None, None], np.arange(n)[None, :, None], np.arange(N)
     mats = np.zeros((n, n, N, n, N), dtype=np.complex128)

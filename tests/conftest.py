@@ -246,6 +246,18 @@ def compress(rep: na.Representation, basis: np.ndarray) -> na.Representation:
     return na.Representation(rep.group, basis.conj().T @ rep.matrices @ basis)
 
 
+def intercalate_loop(n=26, a=1, b=2):
+    """Z_n (n even) with the 2x2 subsquare in rows a, a+n/2 and columns b, b+n/2
+    swapped.  For 0 < a, b < n/2 and n/2 not dividing a + b it is a Latin
+    square with identity 0 and two-sided inverses that is not associative;
+    Z_4 with a = b = 1 gives the Klein four-group."""
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    half = n // 2
+    for row in (a, a + half):
+        table[row][b], table[row][b + half] = table[row][b + half], table[row][b]
+    return table
+
+
 def haar_unitary(rng, n: int) -> np.ndarray:
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(A)

@@ -19,6 +19,7 @@ from wandergen.fibers import Family, SampledFamily, family_from_fibers, gram_fib
 from wandergen.errors import SupportExceedsGrid
 from wandergen.groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace
 from conftest import (
+    intercalate_loop,
     random_biortho_quadruple,
     random_frame_instance,
     random_oblique_instance,
@@ -516,6 +517,30 @@ class TestCancelReports:
         monkeypatch.setattr(nonabelian, "cyclic_group", lambda n: n)
         for name, n in [("Z256", 256), ("Z0256", 256), ("Z1", 1)]:
             assert cli._parse_finite_group({"system": {"group": {"kind": "builtin", "name": name}}}) == n
+
+    def test_cayley_order_above_the_cap_is_a_size_limit(self, tmp_path, monkeypatch):
+        from wandergen import nonabelian
+
+        def refuse(table, name="G"):
+            raise AssertionError("no group may be built above the cap")
+
+        monkeypatch.setattr(nonabelian, "FiniteGroup", refuse)
+        code, report, _ = run(tmp_path, self.job({}, group={"kind": "cayley", "table": [[0]] * 257}))
+        assert (code, report["command"]) == (2, "cancel")
+        assert report["error"] == {"code": "SizeLimit", "message": "Cayley table order exceeds the cap 256"}
+        monkeypatch.setattr(nonabelian, "FiniteGroup", lambda table: len(table))
+        assert cli._parse_finite_group({"system": {"group": {"kind": "cayley", "table": [[0]] * 256}}}) == 256
+
+    def test_non_associative_loop_is_a_schema_error(self, tmp_path):
+        # order 26: a Latin square with identity and inverses, but not a group
+        trivial = np.ones((26, 1, 1))
+        job = self.job({name: trivial for name in ("rho", "sigma1", "sigma2", "sigma3")},
+                       group={"kind": "cayley", "table": intercalate_loop()})
+        code, report, _ = run(tmp_path, job)
+        assert (code, report["command"]) == (1, "cancel")
+        assert report["error"] == {
+            "code": "SchemaError", "message": "bad Cayley table: Cayley table is not associative at (1, 1, 1)",
+        }
 
     def test_entry_beyond_int64_is_a_schema_error(self, tmp_path):
         job = self.job({}, group={"kind": "cayley", "table": [[0, 1], [1, 2**70]]})

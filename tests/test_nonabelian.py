@@ -1,9 +1,14 @@
 """Finite groups, representations, intertwiners, cancellation, dense complement."""
 
+import ast
 import itertools
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wandergen as wg
 from wandergen import nonabelian as na
@@ -11,6 +16,7 @@ from wandergen import _linalg
 from conftest import (
     compress,
     haar_unitary,
+    intercalate_loop,
     random_commutant_unitary,
     random_invariant_splitting,
     random_orthonormal_family,
@@ -48,17 +54,6 @@ def s3_irreps():
     B = np.linalg.svd(np.eye(3) - np.ones((3, 3)) / 3)[0][:, :2]
     std = na.Representation(group, B.conj().T @ perm @ B)
     return group, triv, sign, std
-
-
-def intercalate_loop(n=26, a=1, b=2):
-    """Z_n (n even) with the 2x2 subsquare in rows a, a+n/2 and columns b, b+n/2
-    swapped: a Latin square with identity 0 and two-sided inverses that is not
-    associative."""
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    half = n // 2
-    for row in (a, a + half):
-        table[row][b], table[row][b + half] = table[row][b + half], table[row][b]
-    return table
 
 
 def builtin_groups():
@@ -200,6 +195,125 @@ class TestFiniteGroup:
                 assert group.compose(a, b) == spec.index_of(spec.compose(els[a], els[b]))
 
 
+def first_nonassociative_triple(table):
+    """The brute-force n^3 loop: the first (a, b, c) with (ab)c != a(bc), or None."""
+    n = len(table)
+    return next(
+        ((a, b, c) for a, b, c in itertools.product(range(n), repeat=3)
+         if table[table[a][b]][c] != table[a][table[b][c]]),
+        None,
+    )
+
+
+def relabeled(table, perm):
+    """The same law with element x renamed perm[x]."""
+    out = [[0] * len(table) for _ in table]
+    for x, row in enumerate(table):
+        for y, xy in enumerate(row):
+            out[perm[x]][perm[y]] = perm[xy]
+    return out
+
+
+SMALL_GROUPS = [na.cyclic_group(1), na.cyclic_group(2), na.cyclic_group(3), na.cyclic_group(4),
+                na.symmetric_3(), na.dihedral_4(), na.quaternion_8()]
+
+
+@st.composite
+def cayley_tables(draw):
+    """Builtin groups, direct products of them, and intercalate loops of
+    orders 4-40 at random (a, b), each under a random relabeling; every table
+    passes the checks that run before associativity."""
+    kind = draw(st.sampled_from(["builtin", "product", "loop"]))
+    if kind == "builtin":
+        table = draw(st.sampled_from(builtin_groups())).table
+    elif kind == "product":
+        a, b = draw(st.sampled_from(SMALL_GROUPS)), draw(st.sampled_from(SMALL_GROUPS))
+        table = na.direct_product(a, b).table
+    else:
+        half = draw(st.integers(2, 20))
+        a = draw(st.integers(1, half - 1))
+        # half | a + b leaves an element without an inverse once half > 2
+        b = draw(st.integers(1, half - 1).filter(lambda b: half == 2 or (a + b) % half))
+        table = intercalate_loop(2 * half, a, b)
+    return relabeled(table, draw(st.permutations(range(len(table)))))
+
+
+class TestAssociativity:
+    """The constructor's proof, Light's test on the generators, against the
+    brute-force triple loop."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(table=cayley_tables())
+    def test_accepts_exactly_the_associative_tables(self, table):
+        first = first_nonassociative_triple(table)
+        if first is not None:
+            with pytest.raises(ValueError) as info:
+                na.FiniteGroup(table)
+            assert str(info.value) == "Cayley table is not associative at ({}, {}, {})".format(*first)
+            return
+        group = na.FiniteGroup(table)
+        n, inv = group.order, group.inverse_table
+        classes = {tuple(sorted({table[table[h][g]][inv[h]] for h in range(n)})) for g in range(n)}
+        assert group.conjugacy_classes() == tuple(sorted(classes))
+
+    def test_classes_ordered_by_smallest_element(self):
+        # Z3 with identity 2: the identity class comes last
+        group = na.FiniteGroup([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        assert group.identity == 2
+        assert group.conjugacy_classes() == ((0,), (1,), (2,))
+
+    def test_locator_memory_is_quadratic(self):
+        # order 256, the CLI's cap: the whole (n, n, n) cube would take 128 MiB per array
+        table = intercalate_loop(256, 1, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^Cayley table is not associative at \(1, 1, 1\)$"):
+                na.FiniteGroup(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wandergen"
+
+
+def references(path, name):
+    """(enclosing qualified name, line) of every use of ``name`` in a module,
+    its definition aside."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+            else:
+                if getattr(child, "id", getattr(child, "attr", None)) == name:
+                    found.append((".".join(scope), child.lineno))
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), ())
+    return found
+
+
+def test_reference_finder_sees_names_and_attributes(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "def f(t):\n    return locate(t)\nclass G:\n    def g(self):\n        x = m.locate\ny = locate\n",
+        encoding="utf-8",
+    )
+    assert references(path, "locate") == [("f", 2), ("G.g", 5), ("", 6)]
+
+
+def test_associativity_is_proven_only_by_the_constructor():
+    """``FiniteGroup.__init__`` is the one caller of the triple locator: no
+    second associativity proof downstream."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) >= 8
+    callers = {(m.name, scope) for m in modules for scope, _ in references(m, "_first_nonassociative")}
+    assert callers == {("nonabelian.py", "FiniteGroup.__init__")}
+
+
 class TestRegularRepresentation:
     def test_trivial_group_multiple(self):
         group = na.cyclic_group(1)
@@ -224,16 +338,11 @@ class TestRegularRepresentation:
             assert np.array_equal(rep.matrices, ref)
 
     def test_non_associative_loop_rejected_above_table_check(self):
+        # order 26: the constructor proves associativity at every order
         table = intercalate_loop()
-        loop = na.FiniteGroup(table)  # order 26: the constructor skips associativity
-        first_a = min(
-            a for a, b, c in itertools.product(range(26), repeat=3)
-            if table[table[a][b]][c] != table[a][table[b][c]]
-        )
-        for multiplicity in (1, 2):
-            with pytest.raises(ValueError, match=rf"^homomorphism property fails at element {first_a}$"):
-                na.regular_representation(loop, multiplicity)
-        assert na.regular_representation(loop, 0).dim == 0
+        assert first_nonassociative_triple(table) == (1, 1, 1)
+        with pytest.raises(ValueError, match=r"^Cayley table is not associative at \(1, 1, 1\)$"):
+            na.FiniteGroup(table)
 
     def test_orbit_matrix_matches_loop(self):
         rng = np.random.default_rng(87)
@@ -395,12 +504,13 @@ class TestGeneratorProof:
                 assert np.array_equal(rep.matrices, mats)
 
     def test_large_group_runs_full_check(self, full_check_calls):
+        # order 25: N=1 is inside the generator proof's 1e-10, N=2 past it
         group = na.cyclic_group(25)
-        mats = kron_regular(group, 1)
-        na.Representation(group, mats)
-        assert full_check_calls == [25]
-        unitarity = np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(25)))
-        assert na._word_bound(group, mats, unitarity) == np.inf
+        for multiplicity, bound, calls in ((1, 2.9e-11, []), (2, 1.1e-10, [25])):
+            mats = kron_regular(group, multiplicity)
+            na.Representation(group, mats)
+            assert full_check_calls == calls
+            assert na._word_bound(group, mats, 0.0) == pytest.approx(bound, rel=0.02)
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     @pytest.mark.parametrize("where", ["generator", "deep"])
