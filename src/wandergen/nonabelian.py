@@ -20,22 +20,48 @@ from outside matrices (identity, unitarity and the homomorphism property, to
 block-diagonal sum of representations is one, and the left-translation
 matrices of an associative Cayley table form one.
 
-The homomorphism property is first proven on generators. With
-e(a, b) = rho(a) rho(b) - rho(ab) and Delta(s, x) = rho(s) rho(x) - rho(sx),
-a = s a' gives e(a, b) = rho(s) e(a', b) - Delta(s, a') rho(b) + Delta(s, a'b),
-so over words of length <= D in ``generators()``
-||e(a, b)||_2 <= (2 + delta) D (1 + delta)^(D-1) eps, where
-(1 + delta)^2 = 1 + d (u + tau) bounds ||rho(g)||_2^2 by the unitarity
-residual u, eps is the largest Frobenius norm of a generator's residual
-plus d tau, and tau = 4 (d + 2) machine-eps bounds the entrywise rounding
-of a d x d complex product. The identity and generator rows must pass the
-full check as it computes them; then word bound + tau <= 1e-10 proves every
-entry the full |G|^2 check would compute. Otherwise that check runs.
+Validation is proven from the generators' rows. Write E = rho(e) - I,
+W_g = rho(g)^H rho(g) - I, Delta(s, x) = rho(s) rho(x) - rho(sx) for a
+generator s, and D for the longest word in ``generators()``. tau =
+4 (d + 2) machine-eps bounds the rounding of one entry of a computed d x d
+complex product of matrices of norm about 1, with room for the subtraction
+and abs that follow: eight times gamma_(d+2) of Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.5. The
+generator rows are computed as the full check computes them, and delta,
+their largest Frobenius norm plus d tau, bounds every ||Delta(s, x)||_2.
+
+* Unitarity. y = s x gives rho(y) = P - Delta with P = rho(s) rho(x), so
+  W_y = W_x + rho(x)^H W_s rho(x) - P^H Delta - Delta^H P + Delta^H Delta
+  and, for w_s >= every ||W_s||_2,
+  ||W_y||_2 <= ||W_x||_2 + w_s (1 + ||W_x||_2)
+               + 2 sqrt((1 + w_s)(1 + ||W_x||_2)) delta + delta^2.
+  w_s is the largest Frobenius norm of a computed W_s plus d tau (g
+  products of size d x d). The words of length <= 1 start the induction at
+  w = max(w_s, 2 ||E||_F + ||E||_F^2), D - 1 steps of it bound every
+  ||W_g||_2 by w, and u = w + tau bounds every entry of the all-element
+  check |rho(g)^H rho(g) - I|.
+* Identity row. Each entry of rho(e) rho(x) - rho(x) = E rho(x) is at most
+  ||E||_F sqrt(1 + u + tau) + tau as computed, since the columns of rho(x)
+  have squared norms 1 + (W_x)_jj.
+* Homomorphism. With e(a, b) = rho(a) rho(b) - rho(ab), a = s a' gives
+  e(a, b) = rho(s) e(a', b) - Delta(s, a') rho(b) + Delta(s, a'b), so for
+  a != e, ||e(a, b)||_2 <= (2 + delta') D (1 + delta')^(D-1) delta, where
+  (1 + delta')^2 = 1 + d (u + tau) bounds ||rho(g)||_2^2. The word bound
+  is that plus tau.
+
+Each bound is a proof while the bounds stay at most 1, which acceptance at
+1e-10 implies, and each grows with u. When u, the identity-row bound and
+the word bound are each at most 1e-10 (every generator row passing), no
+entry the three checks compute can exceed 1e-10 and none of them runs. A
+step that falls short, NaN included, runs its check as computed: the
+all-element unitarity product, the identity row, then the full |G|^2 check,
+in that order, so verdicts and messages are those of the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -249,19 +275,43 @@ class Representation:
         d = mats.shape[1]
         if d == 0:
             return
-        eye = np.eye(d)
-        if not np.max(np.abs(mats[self.group.identity] - eye)) <= 1e-10:
+        group = self.group
+        E = np.abs(mats[group.identity] - np.eye(d))
+        if not np.max(E) <= 1e-10:
             raise ValueError("matrix at the identity is not the identity")
-        adj = mats.conj().transpose(0, 2, 1)
-        unitarity = np.max(np.abs(adj @ mats - eye))
+        e = np.sqrt(np.sum(E * E))  # ||rho(e) - I||_F
+        norm = _generator_row_norm(group, mats)
+        unitarity = _unitarity_bound(group, mats, e, norm)
         if not unitarity <= 1e-10:
-            raise ValueError("representation matrices are not unitary")
-        if not _word_bound(self.group, mats, unitarity) <= 1e-10:
-            _check_homomorphism(self.group, mats)
+            unitarity = _unitarity_residual(mats)
+            if not unitarity <= 1e-10:
+                raise ValueError("representation matrices are not unitary")
+        identity_row = _identity_row_bound(e, unitarity, d)
+        if not identity_row <= 1e-10:
+            identity_row = np.max(np.abs(_homomorphism_residual(group, mats, group.identity)))
+        if not (identity_row <= 1e-10 and _word_bound(group, mats, unitarity, norm) <= 1e-10):
+            _check_homomorphism(group, mats)
 
     @property
     def dim(self) -> int:
         return int(self.matrices.shape[1])
+
+    @cached_property
+    def _character(self) -> ClassFunction:
+        """``character(self)``, computed once: the trace at each class's
+        smallest element, after one constancy test over every element."""
+        classes = self.group.conjugacy_classes()
+        names = [cls[0] for cls in classes]
+        traces = np.trace(self.matrices, axis1=1, axis2=2)
+        labels = np.repeat(names, [len(cls) for cls in classes])
+        if (np.abs(traces[np.concatenate(classes)] - traces[labels]) > 1e-10).any():
+            raise HypothesisFailure("trace is not constant on a conjugacy class")
+        return ClassFunction(self.group, tuple(traces[names].tolist()))
+
+
+def _tau(d: int) -> float:
+    """Entrywise rounding bound of a computed d x d complex product (module docstring)."""
+    return 4 * (d + 2) * np.finfo(np.float64).eps
 
 
 def _homomorphism_residual(group: FiniteGroup, mats: np.ndarray, a: int) -> np.ndarray:
@@ -276,19 +326,59 @@ def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
             raise ValueError(f"homomorphism property fails at element {a}")
 
 
-def _word_bound(group: FiniteGroup, mats: np.ndarray, unitarity: float) -> float:
-    """Bound on every entry the full check computes, or inf (module docstring)."""
-    frob2 = 0.0  # largest squared Frobenius norm of a generator residual
-    for a in (group.identity, *group.generators()):
-        row = np.abs(_homomorphism_residual(group, mats, a))
+def _unitarity_residual(mats: np.ndarray) -> float:
+    """The all-element check: the largest entry of |rho(g)^H rho(g) - I|."""
+    return np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[1])))
+
+
+def _generator_row_norm(group: FiniteGroup, mats: np.ndarray) -> float:
+    """Largest Frobenius norm of rho(s) rho(b) - rho(sb) over the generators s
+    and every b, each row computed as the full check computes it; inf when a
+    row fails that check (an entry above 1e-10, or NaN)."""
+    norm2 = 0.0
+    for s in group.generators():
+        row = np.abs(_homomorphism_residual(group, mats, s))
         if not np.max(row) <= 1e-10:
             return np.inf
-        if a != group.identity:
-            frob2 = max(frob2, np.max(np.sum(row * row, axis=(1, 2))))
+        norm2 = max(norm2, np.max(np.sum(row * row, axis=(1, 2))))
+    return np.sqrt(norm2)
+
+
+def _unitarity_bound(group: FiniteGroup, mats: np.ndarray, e: float, norm: float) -> float:
+    """Bound on every entry the all-element unitarity check computes, from
+    e = ||rho(e) - I||_F, the generators and their rows' largest Frobenius
+    ``norm`` (module docstring); NaN or inf when unproven."""
     d = mats.shape[1]
-    tau = 4 * (d + 2) * np.finfo(np.float64).eps
+    tau = _tau(d)
+    gens = mats[list(group.generators())]
+    W = np.abs(gens.conj().transpose(0, 2, 1) @ gens - np.eye(d))
+    w_s = np.sqrt(np.max(np.sum(W * W, axis=(1, 2)), initial=0.0)) + d * tau
+    delta = norm + d * tau
+    w = np.maximum(w_s, 2 * e + e * e)  # the words of length <= 1
+    for _ in range(group._word_depth() - 1):
+        w += w_s * (1 + w) + 2 * np.sqrt((1 + w_s) * (1 + w)) * delta + delta * delta
+    return w + tau
+
+
+def _identity_row_bound(e: float, unitarity: float, d: int) -> float:
+    """Bound on every entry of the identity's row rho(e) rho(x) - rho(x) as
+    the full check computes it, from e = ||rho(e) - I||_F and a bound
+    ``unitarity`` on the unitarity check's entries (module docstring)."""
+    tau = _tau(d)
+    return e * np.sqrt(1 + unitarity + tau) + tau
+
+
+def _word_bound(group: FiniteGroup, mats: np.ndarray, unitarity: float, norm: float | None = None) -> float:
+    """Bound on every entry the full check computes in the rows a != e, from
+    a bound ``unitarity`` on the unitarity check's entries and the generator
+    rows' largest Frobenius ``norm`` (computed when not given); inf when a
+    generator row fails (module docstring)."""
+    if norm is None:
+        norm = _generator_row_norm(group, mats)
+    d = mats.shape[1]
+    tau = _tau(d)
     depth, grow = group._word_depth(), np.sqrt(1 + d * (unitarity + tau))
-    return (1 + grow) * depth * grow ** (depth - 1) * (np.sqrt(frob2) + d * tau) + tau
+    return (1 + grow) * depth * grow ** (depth - 1) * (norm + d * tau) + tau
 
 
 def _proven(group: FiniteGroup, mats: np.ndarray) -> Representation:
@@ -351,15 +441,9 @@ class ClassFunction:
 
 
 def character(rho: Representation) -> ClassFunction:
-    """Traces of the representation, constant on conjugacy classes."""
-    traces = np.trace(rho.matrices, axis1=1, axis2=2)
-    values = []
-    for cls in rho.group.conjugacy_classes():
-        vals = traces[list(cls)]
-        if np.max(np.abs(vals - vals[0])) > 1e-10:
-            raise HypothesisFailure("trace is not constant on a conjugacy class")
-        values.append(complex(vals[0]))
-    return ClassFunction(rho.group, tuple(values))
+    """Traces of the representation, constant on conjugacy classes; computed
+    once per representation."""
+    return rho._character
 
 
 def character_inner(chi1: ClassFunction, chi2: ClassFunction) -> complex:

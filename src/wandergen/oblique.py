@@ -210,7 +210,8 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, Fibe
     BV0 = _fiber_basis(v0, tol_rank)
     BW0 = _fiber_basis(w0, tol_rank)
     r1 = _linalg._rank(v1.svd[1], tol_rank)
-    joint = _linalg.matrix_rank(np.concatenate([BV0.fibers, BW0.fibers], axis=2), tol_rank)
+    factors = _linalg.conj_svd(np.concatenate([BV0.fibers, BW0.fibers], axis=2))  # one SVD: rank and projector
+    joint = _linalg._rank(factors[1], tol_rank)
     w0_in_v1 = _linalg.matrix_rank(np.concatenate([v1.fibers, BW0.fibers], axis=2), tol_rank)
     _linalg.raise_at_first_failure(
         (
@@ -229,7 +230,7 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, Fibe
             lambda p: NotDirectSum(f"W0 fibers leave the fine space at dual point {p}"),
         ),
     )
-    return BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank)
+    return BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank, factors)
 
 
 def oblique_projector(split: ObliqueSplit, tol_rank: float = TOL_RANK_REL) -> OperatorField:

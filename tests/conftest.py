@@ -8,6 +8,9 @@ supposed to work on generic well-posed inputs, not on adversarial ones.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 import numpy as np
 
 from wandergen import _linalg
@@ -297,3 +300,12 @@ def random_invariant_splitting(rng, rep: na.Representation):
     sel = [i for c in picked for i in clusters[c]]
     rest = [i for i in range(rep.dim) if i not in sel]
     return U[:, sel], U[:, rest]
+
+
+def benchmark_gen():
+    """The benchmark's job generator, ``benchmarks/gen.py``."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "gen.py"
+    spec = importlib.util.spec_from_file_location("gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

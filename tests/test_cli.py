@@ -1,7 +1,6 @@
 """CLI: job handling, deterministic reports, golden files, error codes."""
 
 import collections
-import importlib.util
 import json
 import math
 import os
@@ -19,6 +18,7 @@ from wandergen.fibers import Family, SampledFamily, family_from_fibers, gram_fib
 from wandergen.errors import SupportExceedsGrid
 from wandergen.groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace
 from conftest import (
+    benchmark_gen,
     intercalate_loop,
     random_biortho_quadruple,
     random_frame_instance,
@@ -602,14 +602,6 @@ def families_job(command, **families) -> dict:
                    "channels": space.channels},
         "families": {name: family_json(fam) for name, fam in families.items()},
     }
-
-
-def benchmark_gen():
-    """The benchmark's job generator, ``benchmarks/gen.py``."""
-    spec = importlib.util.spec_from_file_location("gen", os.path.join(ROOT, "benchmarks", "gen.py"))
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 class TestHypothesesCheckedOnce:

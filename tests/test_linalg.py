@@ -119,6 +119,24 @@ def test_oblique_projector_matches_per_point():
         np.testing.assert_array_equal(P[p], onto[p] @ coords[1:, :])
 
 
+@pytest.mark.parametrize("k_onto, k_along", [(2, 1), (3, 2), (0, 2), (2, 0)])
+def test_joint_factors_serve_rank_and_projector(k_onto, k_along):
+    """One ``conj_svd`` of the joint stack gives the projectors bit for bit
+    as numpy's pinv does, and the same ranks as ``matrix_rank``, on stacks
+    with rank-deficient, tiny and zero matrices and empty sides."""
+    rng = np.random.default_rng(10)
+    onto, along = mixed_stack(rng, 12, 5, k_onto), mixed_stack(rng, 12, 5, k_along)
+    joint = np.concatenate([along, onto], axis=-1)
+    factors = _linalg.conj_svd(joint)
+    P = _linalg.oblique_projector_matrix(onto, along, TOL_RANK_REL, factors)
+    assert P.shape == (12, 5, 5)
+    assert np.array_equal(P, _linalg.oblique_projector_matrix(onto, along))
+    for p in range(12):
+        coords = np.linalg.pinv(joint[p], rcond=TOL_RANK_REL)
+        np.testing.assert_array_equal(P[p], onto[p] @ coords[k_along:, :])
+    assert np.array_equal(_linalg._rank(factors[1], TOL_RANK_REL), _linalg.matrix_rank(joint))
+
+
 def test_first_failing_point_then_first_listed_check():
     a = np.array([False, False, True, True])
     b = np.array([False, True, False, True])

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import json
 import pathlib
 import tracemalloc
 
@@ -14,6 +15,7 @@ import wandergen as wg
 from wandergen import nonabelian as na
 from wandergen import _linalg
 from conftest import (
+    benchmark_gen,
     compress,
     haar_unitary,
     intercalate_loop,
@@ -623,6 +625,204 @@ class TestGeneratorProof:
         assert accepted > 40 and refused > 40
 
 
+def reference_validate(group, mats):
+    """The constructor's checks before the generator proof covered unitarity
+    and the identity row: the identity, the all-element unitarity product,
+    the identity row and the word bound at the computed unitarity, then the
+    full check, its loop written out."""
+    mats = np.array(mats, dtype=np.complex128)
+    d = mats.shape[1]
+    if d == 0:
+        return
+    eye = np.eye(d)
+    if not np.max(np.abs(mats[group.identity] - eye)) <= 1e-10:
+        raise ValueError("matrix at the identity is not the identity")
+    unitarity = np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - eye))
+    if not unitarity <= 1e-10:
+        raise ValueError("representation matrices are not unitary")
+    identity_row = np.max(np.abs(mats[group.identity] @ mats - mats))
+    if identity_row <= 1e-10 and na._word_bound(group, mats, unitarity) <= 1e-10:
+        return
+    for a in group.elements():
+        if not np.max(np.abs(mats[a] @ mats - mats[list(group.table[a])])) <= 1e-10:
+            raise ValueError(f"homomorphism property fails at element {a}")
+
+
+def hermitian_direction(rng, d):
+    """Eigen-decomposition (w, V) of a random Hermitian matrix of spectral norm 1."""
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w, V = np.linalg.eigh(H + H.conj().T)
+    return w / np.max(np.abs(w)), V
+
+
+def unitarity_maximum(mats):
+    """The largest entry the all-element unitarity check computes."""
+    return np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[1])))
+
+
+def ungated_row_norm(group, mats):
+    """The generator rows' largest Frobenius norm, with no 1e-10 gate."""
+    rows = (np.abs(na._homomorphism_residual(group, mats, s)) for s in group.generators())
+    return max((np.sqrt(np.max(np.sum(row * row, axis=(1, 2)))) for row in rows), default=0.0)
+
+
+def identity_frobenius(group, mats):
+    return np.linalg.norm(mats[group.identity] - np.eye(mats.shape[1]))
+
+
+PROOF_GROUPS = {
+    "S3": na.symmetric_3,
+    "D4": na.dihedral_4,
+    "Q8": na.quaternion_8,
+    "S3xZ4": lambda: na.direct_product(na.symmetric_3(), na.cyclic_group(4)),
+    "Z12": lambda: na.cyclic_group(12),
+}
+
+
+@st.composite
+def near_representations(draw):
+    """Conjugated regular representations, perturbed at a non-generator
+    element, at the identity, or in unitarity only (S rho S^-1 with S near
+    I), scaled so that what the perturbation moves (the full check's
+    maximum, or the unitarity check's) sits just inside or just outside
+    1e-10, far inside or past it; or with one NaN entry."""
+    name = draw(st.sampled_from(sorted(PROOF_GROUPS)))
+    group = PROOF_GROUPS[name]()
+    multiplicity = draw(st.sampled_from([1, 2] if group.order <= 8 else [1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exact = kron_regular(group, multiplicity)
+    d = exact.shape[1]
+    Q = haar_unitary(rng, d)
+    base = Q @ exact @ Q.conj().T
+    kind = draw(st.sampled_from(["element", "identity", "unitarity", "nan"]))
+    if kind == "nan":
+        mats = base.copy()
+        mats[draw(st.sampled_from(range(group.order))), rng.integers(d), rng.integers(d)] = np.nan
+        return name, kind, group, mats
+    w, V = hermitian_direction(rng, d)
+    if kind == "element":
+        x = draw(st.sampled_from(sorted(set(group.elements()) - {group.identity, *group.generators()})))
+    else:
+        x = group.identity
+
+    def perturbed(theta):
+        if kind == "unitarity":
+            S, S_inv = ((V * np.exp(sign * theta * w)) @ V.conj().T for sign in (1, -1))
+            return S @ base @ S_inv
+        mats = base.copy()
+        mats[x] = base[x] @ (V * np.exp(1j * theta * w)) @ V.conj().T
+        return mats
+
+    measure = unitarity_maximum if kind == "unitarity" else (lambda mats: loop_maximum(group, mats))
+    scale = draw(st.sampled_from([1 - 1e-3, 1 + 1e-3, 1e-3, 0.5, 2.0]))
+    return name, kind, group, perturbed(1e-10 * scale / (measure(perturbed(1e-10)) / 1e-10))
+
+
+class TestValidationProof:
+    """Unitarity and the identity row proven from the generators' rows: the
+    same verdicts and messages as the checks, bounds that dominate what the
+    checks compute, and no check computed on the benchmark's inputs."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=near_representations())
+    def test_verdicts_match_the_reference(self, case):
+        _, _, group, mats = case
+        got = loop_verdict(lambda: na.Representation(group, mats))
+        assert got == loop_verdict(lambda: reference_validate(group, mats))
+
+    def test_bounds_dominate_the_checks(self):
+        """On near-representations from rounding-level to large noise, the
+        proven unitarity bound is at least every entry of the all-element
+        check, and the identity-row bound every entry of the identity's row;
+        the rows' norms are taken without the 1e-10 gate."""
+        rng = np.random.default_rng(94)
+        cases = 0
+        for name, make in PROOF_GROUPS.items():
+            group = make()
+            for multiplicity in (1, 2):
+                exact = kron_regular(group, multiplicity)
+                d = exact.shape[1]
+                for noise in (1e-15, 1e-13, 1e-11, 1e-8, 1e-4, 1e-1):
+                    Q = haar_unitary(rng, d)
+                    base = Q @ exact @ Q.conj().T
+                    E = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+                    w, V = hermitian_direction(rng, d)
+                    S, S_inv = ((V * np.exp(sign * noise * w)) @ V.conj().T for sign in (1, -1))
+                    words = TestGeneratorProof.word_built(rng, group, base, noise)
+                    for mats in (base + noise * E, words, S @ base @ S_inv):
+                        e = identity_frobenius(group, mats)
+                        bound = na._unitarity_bound(group, mats, e, ungated_row_norm(group, mats))
+                        assert unitarity_maximum(mats) <= bound, (name, multiplicity, noise)
+                        identity_row = np.abs(na._homomorphism_residual(group, mats, group.identity))
+                        assert np.max(identity_row) <= na._identity_row_bound(e, bound, d)
+                        cases += 1
+        assert cases == 5 * 2 * 6 * 3
+
+    @pytest.mark.parametrize("t", [1e-6, 3.0])
+    def test_unitarity_bound_on_a_skew_step(self, t):
+        """Z3 with rho(1) = omega unitary and rho(2) = omega^2 (1 - i t):
+        rho(2) rho(2)^H - 1 = t^2 comes from Delta^H Delta alone (the cross
+        terms cancel), and one step of the induction bounds it by 2t + t^2,
+        within a factor 2 of it at t = 3."""
+        omega = np.exp(2j * np.pi / 3)
+        mats = np.array([1.0, omega, omega**2 * (1 - 1j * t)]).reshape(3, 1, 1)
+        group = na.cyclic_group(3)
+        bound = na._unitarity_bound(group, mats, 0.0, ungated_row_norm(group, mats))
+        assert unitarity_maximum(mats) == pytest.approx(t * t, rel=1e-9)
+        assert unitarity_maximum(mats) <= bound <= 2 * t + t * t + 1e-12
+
+    @pytest.fixture
+    def checks_refused(self, monkeypatch):
+        """The all-element unitarity product, the identity row and the full
+        check each raise when reached."""
+        residual = na._homomorphism_residual
+
+        def row(group, mats, a):
+            if a == group.identity:
+                raise AssertionError("identity row computed")
+            return residual(group, mats, a)
+
+        def refuse(name):
+            def raise_(*args):
+                raise AssertionError(f"{name} reached")
+            return raise_
+
+        monkeypatch.setattr(na, "_homomorphism_residual", row)
+        monkeypatch.setattr(na, "_unitarity_residual", refuse("all-element unitarity"))
+        monkeypatch.setattr(na, "_check_homomorphism", refuse("full check"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 7, 611])
+    def test_benchmark_representations_take_the_proof(self, seed, checks_refused, monkeypatch):
+        """Every representation the dense-paths benchmark builds, round and
+        small sets, built as its worker builds them, is proven without any
+        of the three checks."""
+        built = []
+        post_init = na.Representation.__post_init__
+        monkeypatch.setattr(na.Representation, "__post_init__", lambda rep: built.append(post_init(rep)))
+        gen = benchmark_gen()
+        for small in (False, True):
+            for _, text, _ in gen.pool("dense-paths", seed, small):
+                job = json.loads(text)
+                if job.get("kind") == "cancel":
+                    group = na.FiniteGroup(job["table"])
+                    for block in job["reps"].values():  # cancel itself builds through direct_sum
+                        na.Representation(group, gen.array_from_json(block))
+                elif job.get("kind") == "wandering_complement_general":
+                    X, Y = gen.array_from_json(job["X"]), gen.array_from_json(job["Y"])
+                    na.wandering_complement_general(X, Y, na.FiniteGroup(job["table"]), job["mult"])
+        assert len(built) >= 40
+
+
+def test_checks_are_reached_only_from_the_constructor():
+    """``Representation.__post_init__`` is the one caller of the full check
+    and of the all-element unitarity product."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) >= 8
+    for name in ("_check_homomorphism", "_unitarity_residual"):
+        callers = {(m.name, scope) for m in modules for scope, _ in references(m, name)}
+        assert callers == {("nonabelian.py", "Representation.__post_init__")}, name
+
+
 class TestCharacter:
     def test_trivial_all_ones(self):
         group, triv, _, _ = s3_irreps()
@@ -646,6 +846,43 @@ class TestCharacter:
         rep = na.Representation(na.symmetric_3(), mats)
         with pytest.raises(wg.HypothesisFailure, match="^trace is not constant on a conjugacy class$"):
             na.character(rep)
+
+
+    def test_values_are_the_traces_at_each_class_minimum(self):
+        """Bit for bit the per-class loop's values: the trace at the class's
+        smallest element, on conjugated representations whose traces differ
+        within a class in the last bits."""
+        rng = np.random.default_rng(95)
+        for group in builtin_groups():
+            exact = kron_regular(group, 2)
+            Q = haar_unitary(rng, exact.shape[1])
+            rep = na.Representation(group, Q @ exact @ Q.conj().T)
+            traces = np.trace(rep.matrices, axis1=1, axis2=2)
+            expected = tuple(complex(traces[list(cls)][0]) for cls in group.conjugacy_classes())
+            assert na.character(rep).values == expected
+            assert all(type(v) is complex for v in na.character(rep).values)
+
+    def test_computed_once_per_representation(self, monkeypatch):
+        """cancel and the report's two characters take five traces: rho, the
+        two direct sums, sigma2 and sigma3, each once."""
+        group = na.symmetric_3()
+        lam = na.regular_representation(group, 2)
+        sigma = na.regular_representation(group, 1)
+        trace, calls = np.trace, []
+        monkeypatch.setattr(np, "trace", lambda *a, **k: calls.append(1) or trace(*a, **k))
+        sigma2, sigma3 = compress(sigma, np.eye(6)), compress(sigma, np.eye(6))
+        na.cancel(lam, sigma, sigma2, sigma3)
+        assert na.character(sigma2) is na.character(sigma2)
+        na.character(sigma3)
+        assert len(calls) == 5
+
+    def test_failure_is_not_cached(self):
+        mats = np.tile(np.eye(6, dtype=np.complex128), (6, 1, 1))
+        mats[1] *= np.exp(4.5e-11j)
+        rep = na.Representation(na.symmetric_3(), mats)
+        for _ in range(2):
+            with pytest.raises(wg.HypothesisFailure, match="^trace is not constant on a conjugacy class$"):
+                na.character(rep)
 
 
 class TestIntertwinerBasis:
