@@ -51,8 +51,6 @@ from .oblique import (
     BiorthogonalPair,
     DenseBasis,
     FiberBasisField,
-    ObliqueSplit,
-    OperatorField,
     ProjectionPair,
     biorthogonal_wavelets,
     direct_sum_check,

@@ -7,9 +7,9 @@ every rank and singularity decision reads it.  Four other tests stay apart:
 ``oracle.py``'s copies (the independent reference), the QR's detected rank
 in ``complement_in_span`` (a projector spectrum near {0, 1}), ``pinv``'s
 rcond (orthonormal columns, so sigma_max >= 1 and it agrees) and
-``are_equivalent``'s ``cond_limit`` (conditioning, not rank).  Helpers that
-read a subspace take its thin SVD factors (U, s), so one factorization
-serves every decision on a stack.
+``are_equivalent``'s condition limit ``nonabelian._COND_LIMIT``
+(conditioning, not rank).  Helpers that read a subspace take its thin SVD
+factors (U, s), so one factorization serves every decision on a stack.
 Pivoted QR and principal angles are numpy kernels batched over the stack,
 so the library needs numpy only.
 """
@@ -199,12 +199,16 @@ def complement_in_span(
     return Q[:, :, :dim]
 
 
-def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
+# largest l2 move of a basis column that procrustes_align accepts
+_MAX_DRIFT = 0.5
+
+
+def procrustes_align(bases: np.ndarray) -> np.ndarray:
     """Rotate each basis onto its predecessor (orthogonal Procrustes).
 
     ``bases`` stacks per-grid-point orthonormal bases, shape (points, n, d).
     Raises SelectionObstruction when the best rotation still moves some
-    column farther (in l2) than ``max_drift``: the sampled bundle is then
+    column farther (in l2) than ``_MAX_DRIFT``: the sampled bundle is then
     too twisted for a trustworthy continuous selection.
     """
     out = np.array(bases, dtype=np.complex128, copy=True)
@@ -215,9 +219,9 @@ def procrustes_align(bases: np.ndarray, max_drift: float = 0.5) -> np.ndarray:
         U, _, Vh = np.linalg.svd(overlap)
         out[t] = out[t] @ (U @ Vh)
         drift = float(np.linalg.norm(out[t] - out[t - 1], axis=0).max())
-        if drift > max_drift:
+        if drift > _MAX_DRIFT:
             raise SelectionObstruction(
-                f"basis drift {drift:.3g} exceeds {max_drift} between grid points "
+                f"basis drift {drift:.3g} exceeds {_MAX_DRIFT} between grid points "
                 f"{t - 1} and {t}"
             )
     return out

@@ -456,8 +456,10 @@ def _run_complement(job, space, families, opts) -> dict:
 
 def _resolve_w0(space, families, opts):
     w0 = _parse_family(space, families, "W0")
-    if opts["w0_dense"]:
-        columns = np.stack([v.dense().reshape(-1) for v in w0.members], axis=1)
+    if opts["w0_dense"]:  # one column per member, so no members give (|G| * channels, 0)
+        columns = np.empty((space.points * space.channels, len(w0)), dtype=np.complex128)
+        for j, v in enumerate(w0.members):
+            columns[:, j] = v.dense().reshape(-1)
         return oblique.DenseBasis(space, columns)
     return w0
 
@@ -526,7 +528,7 @@ def _run_cancel(job, opts) -> dict:
     sigma1 = _parse_representation(group, reps, "sigma1")
     sigma2 = _parse_representation(group, reps, "sigma2")
     sigma3 = _parse_representation(group, reps, "sigma3")
-    witness = nonabelian.cancel(rho, sigma1, sigma2, sigma3)
+    witness = nonabelian.cancel(rho, sigma1, sigma2, sigma3, tol=opts["tol_bio"])
     chi2 = nonabelian.character(sigma2)
     chi3 = nonabelian.character(sigma3)
     U = witness.matrix

@@ -4,12 +4,17 @@
 # singular value (or Gram eigenvalue) counts as zero at or below
 # TOL_RANK_REL * max(largest value at that point, 1).  The four tests kept
 # apart (oracle.py's copies, the QR's detected rank, pinv's rcond,
-# are_equivalent's cond_limit) are listed with their reasons in _linalg.
+# are_equivalent's condition limit) are listed with their reasons in _linalg.
 TOL_RANK_REL = 1e-9
 
-# Biorthogonality / wandering residual tolerance.
+# Biorthogonality / wandering residual tolerance; exact mode's is also the
+# non-abelian character and witness tolerance.
 TOL_BIO_EXACT = 1e-9
 TOL_BIO_SAMPLED = 1e-6
+
+# Fixed tolerance of a Representation's checks on its matrices (identity,
+# unitarity, homomorphism) and of its character's class constancy.
+TOL_REPRESENTATION = 1e-10
 
 # Dense oracle cap on |G| * channels * members.
 ORACLE_SIZE_LIMIT = 4096

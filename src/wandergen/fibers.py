@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg
 from .defaults import TOL_BIO_EXACT, TOL_BIO_SAMPLED, TOL_RANK_REL
-from .errors import EmptyFamily, NotRiesz, RankJump, SizeLimit, SizeMismatch
+from .errors import EmptyFamily, NotContained, NotRiesz, RankJump, SizeLimit, SizeMismatch
 from .groups import GroupVector, SystemSpace, _transform, from_dense, idft, translate
 
 __all__ = [
@@ -121,11 +121,6 @@ class Family(_FiberHolder):
         values.flags.writeable = False
         return values
 
-    def joined(self, other: "Family") -> "Family":
-        if other.space != self.space:
-            raise SizeMismatch("cannot join families over different spaces")
-        return Family(self.space, self.members + other.members)
-
 
 @dataclass(frozen=True)
 class SampledFamily(_FiberHolder):
@@ -157,9 +152,6 @@ class FiberField:
             return 0.0
         eye = np.eye(mats.shape[1], dtype=np.complex128)
         return float(np.max(np.abs(mats - eye)))
-
-    def hermitian_deviation(self) -> float:
-        return float(np.max(np.abs(self.matrices - self.matrices.conj().transpose(0, 2, 1))))
 
 
 @dataclass(frozen=True)
@@ -275,6 +267,13 @@ def is_contained(X, Y, tol_rank: float = TOL_RANK_REL) -> bool:
     ry = _linalg._rank(Y.svd[1], tol_rank)
     joint = _linalg.matrix_rank(np.concatenate([Y.fibers, X.fibers], axis=2), tol_rank)
     return bool(np.all(joint == ry))
+
+
+def _require_contained(A, B, tol_rank: float, a: str, b: str) -> None:
+    """The nested-span hypothesis of every construction: raise NotContained,
+    naming A and B as ``a`` and ``b``, unless A's orbit span sits inside B's."""
+    if not is_contained(A, B, tol_rank):
+        raise NotContained(f"{a}'s orbit span must sit inside {b}'s")
 
 
 def fiber_span_angle(X, Y, tol_rank: float = TOL_RANK_REL) -> float:

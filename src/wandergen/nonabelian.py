@@ -15,10 +15,10 @@ A ``FiniteGroup`` is proven a group once, when it is built, at every order
 (associativity by Light's test on its generators), and everything downstream
 trusts that proof. A ``Representation`` is validated once, when it is built
 from outside matrices (identity, unitarity and the homomorphism property, to
-1e-10), and holds a read-only copy of them afterwards. ``direct_sum`` and
-``regular_representation`` carry the proof instead of re-checking: a
-block-diagonal sum of representations is one, and the left-translation
-matrices of an associative Cayley table form one.
+``defaults.TOL_REPRESENTATION`` = 1e-10), and holds a read-only copy of them
+afterwards. ``direct_sum`` and ``regular_representation`` carry the proof
+instead of re-checking: a block-diagonal sum of representations is one, and
+the left-translation matrices of an associative Cayley table form one.
 
 Validation is proven from the generators' rows. Write E = rho(e) - I,
 W_g = rho(g)^H rho(g) - I, Delta(s, x) = rho(s) rho(x) - rho(sx) for a
@@ -66,6 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg
+from .defaults import TOL_BIO_EXACT, TOL_REPRESENTATION
 from .errors import GenericityFailure, HypothesisFailure
 from .groups import FiniteAbelian
 
@@ -277,19 +278,20 @@ class Representation:
             return
         group = self.group
         E = np.abs(mats[group.identity] - np.eye(d))
-        if not np.max(E) <= 1e-10:
+        if not np.max(E) <= TOL_REPRESENTATION:
             raise ValueError("matrix at the identity is not the identity")
         e = np.sqrt(np.sum(E * E))  # ||rho(e) - I||_F
         norm = _generator_row_norm(group, mats)
         unitarity = _unitarity_bound(group, mats, e, norm)
-        if not unitarity <= 1e-10:
+        if not unitarity <= TOL_REPRESENTATION:
             unitarity = _unitarity_residual(mats)
-            if not unitarity <= 1e-10:
+            if not unitarity <= TOL_REPRESENTATION:
                 raise ValueError("representation matrices are not unitary")
         identity_row = _identity_row_bound(e, unitarity, d)
-        if not identity_row <= 1e-10:
+        if not identity_row <= TOL_REPRESENTATION:
             identity_row = np.max(np.abs(_homomorphism_residual(group, mats, group.identity)))
-        if not (identity_row <= 1e-10 and _word_bound(group, mats, unitarity, norm) <= 1e-10):
+        if not (identity_row <= TOL_REPRESENTATION
+                and _word_bound(group, mats, unitarity, norm) <= TOL_REPRESENTATION):
             _check_homomorphism(group, mats)
 
     @property
@@ -304,7 +306,7 @@ class Representation:
         names = [cls[0] for cls in classes]
         traces = np.trace(self.matrices, axis1=1, axis2=2)
         labels = np.repeat(names, [len(cls) for cls in classes])
-        if (np.abs(traces[np.concatenate(classes)] - traces[labels]) > 1e-10).any():
+        if (np.abs(traces[np.concatenate(classes)] - traces[labels]) > TOL_REPRESENTATION).any():
             raise HypothesisFailure("trace is not constant on a conjugacy class")
         return ClassFunction(self.group, tuple(traces[names].tolist()))
 
@@ -322,7 +324,7 @@ def _homomorphism_residual(group: FiniteGroup, mats: np.ndarray, a: int) -> np.n
 def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
     """The full check: every row a, raising for the first that fails."""
     for a in group.elements():
-        if not np.max(np.abs(_homomorphism_residual(group, mats, a))) <= 1e-10:
+        if not np.max(np.abs(_homomorphism_residual(group, mats, a))) <= TOL_REPRESENTATION:
             raise ValueError(f"homomorphism property fails at element {a}")
 
 
@@ -338,7 +340,7 @@ def _generator_row_norm(group: FiniteGroup, mats: np.ndarray) -> float:
     norm2 = 0.0
     for s in group.generators():
         row = np.abs(_homomorphism_residual(group, mats, s))
-        if not np.max(row) <= 1e-10:
+        if not np.max(row) <= TOL_REPRESENTATION:
             return np.inf
         norm2 = max(norm2, np.max(np.sum(row * row, axis=(1, 2))))
     return np.sqrt(norm2)
@@ -368,13 +370,11 @@ def _identity_row_bound(e: float, unitarity: float, d: int) -> float:
     return e * np.sqrt(1 + unitarity + tau) + tau
 
 
-def _word_bound(group: FiniteGroup, mats: np.ndarray, unitarity: float, norm: float | None = None) -> float:
+def _word_bound(group: FiniteGroup, mats: np.ndarray, unitarity: float, norm: float) -> float:
     """Bound on every entry the full check computes in the rows a != e, from
     a bound ``unitarity`` on the unitarity check's entries and the generator
-    rows' largest Frobenius ``norm`` (computed when not given); inf when a
-    generator row fails (module docstring)."""
-    if norm is None:
-        norm = _generator_row_norm(group, mats)
+    rows' largest Frobenius ``norm``; inf when a generator row fails (module
+    docstring)."""
     d = mats.shape[1]
     tau = _tau(d)
     depth, grow = group._word_depth(), np.sqrt(1 + d * (unitarity + tau))
@@ -434,7 +434,7 @@ class ClassFunction:
     group: FiniteGroup
     values: tuple[complex, ...]
 
-    def agrees(self, other: "ClassFunction", tol: float = 1e-9) -> bool:
+    def agrees(self, other: "ClassFunction", tol: float = TOL_BIO_EXACT) -> bool:
         if len(self.values) != len(other.values):
             return False
         return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
@@ -478,7 +478,7 @@ def _intertwining_residual(T: np.ndarray, rho: Representation, sigma: Representa
 
 
 def intertwiner_basis(
-    rho: Representation, sigma: Representation, tol: float = 1e-9
+    rho: Representation, sigma: Representation, tol: float = TOL_BIO_EXACT
 ) -> list[Intertwiner]:
     """Orthonormal (Frobenius) basis of {T : T rho(g) = sigma(g) T}.
 
@@ -518,12 +518,13 @@ def _characters_agree(rho: Representation, sigma: Representation, tol: float) ->
     return rho.dim == sigma.dim and character(rho).agrees(character(sigma), tol)
 
 
+# are_equivalent's seeded draws, and the largest condition number it accepts
+_SEEDS = range(8)
+_COND_LIMIT = 1e6
+
+
 def are_equivalent(
-    rho: Representation,
-    sigma: Representation,
-    seeds=range(8),
-    cond_limit: float = 1e6,
-    tol: float = 1e-9,
+    rho: Representation, sigma: Representation, tol: float = TOL_BIO_EXACT
 ) -> Intertwiner | None:
     """Unitary equivalence witness, or None when the characters rule it out.
 
@@ -542,23 +543,23 @@ def are_equivalent(
         return Intertwiner(np.eye(d, dtype=np.complex128), 0.0, None, unitary=True)
     group = rho.group
     inv = [group.inverse(g) for g in group.elements()]
-    for seed in seeds:
+    for seed in _SEEDS:
         rng = np.random.default_rng(seed)
         R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         T = np.mean(sigma.matrices @ R @ rho.matrices[inv], axis=0)
         W, s, Vh = np.linalg.svd(T)
-        if s[-1] <= 0 or s[0] / s[-1] > cond_limit:
+        if s[-1] <= 0 or s[0] / s[-1] > _COND_LIMIT:
             continue
         U = W @ Vh
         residual = _intertwining_residual(U, rho, sigma)
         if residual <= tol:
             return Intertwiner(U, residual, seed=int(seed), unitary=True)
     raise GenericityFailure(
-        f"no well-conditioned intertwiner found in {len(list(seeds))} seeded attempts"
+        f"no well-conditioned intertwiner found in {len(_SEEDS)} seeded attempts"
     )
 
 
-def _is_regular_multiple(rho: Representation, tol: float = 1e-9) -> int | None:
+def _is_regular_multiple(rho: Representation, tol: float = TOL_BIO_EXACT) -> int | None:
     """The N with chi_rho = N * chi_lambda, or None."""
     group = rho.group
     if rho.dim % group.order != 0:
@@ -576,7 +577,7 @@ def cancel(
     sigma1: Representation,
     sigma2: Representation,
     sigma3: Representation,
-    tol: float = 1e-9,
+    tol: float = TOL_BIO_EXACT,
 ) -> Intertwiner:
     """Cancellation witness: sigma2 ~ sigma3 given rho ~ sigma1 + sigma2 and
     rho ~ sigma1 + sigma3, for rho a finite multiple of the regular
@@ -608,7 +609,7 @@ def wandering_complement_general(
     Y: np.ndarray,
     group: FiniteGroup,
     multiplicity: int,
-    tol: float = 1e-9,
+    tol: float = TOL_BIO_EXACT,
 ) -> np.ndarray:
     """Dense complement columns X' in the multiplicity-N regular realization.
 

@@ -44,6 +44,7 @@ from .fibers import (
     FiberField,
     SampledFamily,
     _FiberHolder,
+    _require_contained,
     default_bio_tol,
     family_from_fibers,
     frame_bounds,
@@ -59,8 +60,6 @@ from .wandering import complement_fibers
 __all__ = [
     "DenseBasis",
     "FiberBasisField",
-    "ObliqueSplit",
-    "OperatorField",
     "ProjectionPair",
     "BiorthogonalPair",
     "orth_complement_in",
@@ -106,32 +105,6 @@ class FiberBasisField(_FiberHolder):
 
     space: SystemSpace
     fibers: np.ndarray  # (points, channels, dim)
-
-
-@dataclass(frozen=True)
-class ObliqueSplit:
-    """Direct-sum presentation V0 (+) W0 = V1, all fiberwise."""
-
-    v0: Family
-    w0: Family | DenseBasis | FiberBasisField
-    within: Family
-
-
-@dataclass(frozen=True)
-class OperatorField:
-    """Fiberwise linear maps on channel coordinates.
-
-    Projector instances act as the oblique projector on the split's joint
-    fiber span and annihilate its orthogonal complement, so the matrices
-    are idempotent at every point.
-    """
-
-    space: SystemSpace
-    matrices: np.ndarray  # (points, channels, channels)
-
-    def idempotency_residual(self) -> float:
-        PP = self.matrices @ self.matrices
-        return float(np.max(np.abs(PP - self.matrices)))
 
 
 def is_invariant(W, tol_rank: float = TOL_RANK_REL) -> bool:
@@ -198,8 +171,7 @@ def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
     riesz_bounds(Y, tol_rank)
     if len(X):
         riesz_bounds(X, tol_rank)
-        if not is_contained(X, Y, tol_rank):
-            raise NotContained("X's orbit span must sit inside Y's")
+        _require_contained(X, Y, tol_rank, "X", "Y")
     return family_from_fibers(Y.space, complement_fibers(X, Y, tol_rank))
 
 
@@ -233,12 +205,17 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, Fibe
     return BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank, factors)
 
 
-def oblique_projector(split: ObliqueSplit, tol_rank: float = TOL_RANK_REL) -> OperatorField:
-    """Fiberwise projector onto W0's span along V0's span inside V1."""
-    if not is_contained(split.v0, split.within, tol_rank):
+def oblique_projector(v0: Family, w0, within: Family, tol_rank: float = TOL_RANK_REL) -> FiberField:
+    """Fiberwise projector onto W0's span along V0's span inside V1 = ``within``,
+    for a direct sum V0 (+) W0 = V1.
+
+    Each matrix acts as that projector on the joint fiber span and annihilates
+    its orthogonal complement, so it is idempotent.
+    """
+    if not is_contained(v0, within, tol_rank):
         raise NotContained("V0 generators leave the fine space fiberwise")
-    *_, mats = _validated_split(split.v0, split.w0, split.within, tol_rank)
-    return OperatorField(split.within.space, mats)
+    *_, mats = _validated_split(v0, w0, within, tol_rank)
+    return FiberField(within.space, mats)
 
 
 @dataclass(frozen=True)
@@ -310,8 +287,7 @@ def oblique_riesz_wavelets(
     """
     riesz_bounds(X, tol_rank)
     riesz_bounds(Y, tol_rank)
-    if not is_contained(X, Y, tol_rank):
-        raise NotContained("X's orbit span must sit inside Y's")
+    _require_contained(X, Y, tol_rank, "X", "Y")
     r, s = len(X), len(Y)
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
@@ -343,8 +319,7 @@ def oblique_frame_wavelets(
     """
     frame_bounds(X, tol_rank)
     frame_bounds(Y, tol_rank)
-    if not is_contained(X, Y, tol_rank):
-        raise NotContained("X's orbit span must sit inside Y's")
+    _require_contained(X, Y, tol_rank, "X", "Y")
     w0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")  # resolved once
     BV0, BW0, P = _validated_split(X, w0, Y, tol_rank)
     a, b = len(BV0), len(BW0)
@@ -425,9 +400,8 @@ def biorthogonal_wavelets(
         ok, res = is_biorthogonal(A, At, tol_bio)
         if not ok:
             raise HypothesisFailure(f"{name} and {name}t are not biorthogonal (residual {res:.3e})")
-    for A, B, a, b in ((X, Y, "X", "Y"), (Xt, Yt, "Xt", "Yt")):
-        if not is_contained(A, B, tol_rank):
-            raise NotContained(f"{a}'s orbit span must sit inside {b}'s")
+    _require_contained(X, Y, tol_rank, "X", "Y")
+    _require_contained(Xt, Yt, tol_rank, "Xt", "Yt")
     r, s = len(X), len(Y)
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")

@@ -23,11 +23,11 @@ from .errors import ExactModeRequired, NotContained, NotWandering
 from .fibers import (
     Family,
     SampledFamily,
+    _require_contained,
     default_bio_tol,
     family_from_fibers,
     gram_fibers,
     gram_normalization,
-    is_contained,
 )
 from .groups import FiniteAbelian, IntegerShift, translate
 
@@ -110,8 +110,7 @@ def bessel_dimension_audit(M: Family, K: Family) -> BesselAudit:
     if isinstance(M, SampledFamily) or isinstance(K, SampledFamily):
         raise ExactModeRequired("the dimension audit needs coefficient-domain families")
     _require_wandering(None, M=M, K=K)
-    if not is_contained(M, K):
-        raise NotContained("M's orbit span must sit inside K's")
+    _require_contained(M, K, TOL_RANK_REL, "M", "K")
     total = 0.0
     for x in K.members:
         for g in _audit_shifts(M, x):
@@ -139,8 +138,7 @@ def complement_wandering(
     |X| = |Y| is legal and yields the empty family.
     """
     _require_wandering(tol_bio, X=X, Y=Y)
-    if not is_contained(X, Y, tol_rank):
-        raise NotContained("X's orbit span must sit inside Y's")
+    _require_contained(X, Y, tol_rank, "X", "Y")
     r, s = len(X), len(Y)
     if r > s:
         raise NotContained(f"|X| = {r} exceeds |Y| = {s}; no complement exists")

@@ -77,7 +77,7 @@ def test_c02_wandering_complement():
         X, Y = random_robertson_instance(rng)
         Xp = wg.complement_wandering(X, Y)
         assert len(Xp) == len(Y) - len(X)
-        union = X.joined(Xp) if len(Xp) else X
+        union = wg.Family(X.space, X.members + Xp.members)
         M = oracle.dense_family_matrix(union)
         assert np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1]))) <= 1e-9
         assert fiber_span_angle(union, Y) <= 1e-8
@@ -150,8 +150,8 @@ def test_c07_biorthogonal_pipeline():
         pair = wg.biorthogonal_wavelets(X, Xt, Y, Yt)
         ok, residual = wg.is_biorthogonal(pair.gamma, pair.gamma_tilde)
         assert ok and residual <= 1e-9
-        assert wg.riesz_bounds(X.joined(pair.gamma)).lower > 0
-        assert wg.riesz_bounds(Xt.joined(pair.gamma_tilde)).lower > 0
+        assert wg.riesz_bounds(wg.Family(X.space, X.members + pair.gamma.members)).lower > 0
+        assert wg.riesz_bounds(wg.Family(Xt.space, Xt.members + pair.gamma_tilde.members)).lower > 0
         assert pair.union_residual <= 1e-9
 
 

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wandergen import cli, oblique, oracle
+from wandergen import cli, oblique, oracle, wandering
 from wandergen.cli import _parse_member, main, render_json
 from wandergen.fibers import Family, SampledFamily, family_from_fibers, gram_fibers
-from wandergen.errors import SupportExceedsGrid
-from wandergen.groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace
+from wandergen.errors import NotContained, SupportExceedsGrid
+from wandergen.groups import FiniteAbelian, GroupVector, IntegerShift, SystemSpace, delta
 from conftest import (
     benchmark_gen,
     intercalate_loop,
@@ -285,6 +285,13 @@ class TestDenseW0Command:
         if command == "oblique":
             assert report["checks"]["gamma_in_w0"] is True
 
+    @pytest.mark.parametrize("command", ["oblique", "frame-oblique"])
+    def test_empty_w0_is_not_a_direct_sum(self, tmp_path, command):
+        code, report, _ = run(tmp_path, self.job(command, []))
+        assert (code, report["command"], report["error"]["code"]) == (2, command, "NotDirectSum")
+        orbit_job = dict(self.job(command, []), options={})
+        assert run(tmp_path, orbit_job, "orbit.json")[1]["error"] == report["error"]
+
     def test_dense_and_orbit_w0_agree(self, tmp_path):
         code, dense, _ = run(tmp_path, self.job("oblique", self.ORBIT_SPAN), "dense.json")
         assert code == 0
@@ -474,6 +481,18 @@ class TestCancelReports:
         assert b'"matrix":[]' in raw
         assert report["witness"] == {"matrix": [], "residual": 0.0, "seed": None, "unitarity_residual": 0.0}
         assert report["characters"]["sigma2"] == report["characters"]["sigma3"] == [{"im": 0, "re": 0}] * 3
+
+    @pytest.mark.parametrize("extra,tol", [((), 1e-9), (("--tol-bio", "1e-3"), 1e-3)], ids=["default", "1e-3"])
+    def test_cancel_applies_the_reported_tol_bio(self, tmp_path, monkeypatch, extra, tol):
+        from wandergen import nonabelian
+
+        seen = []
+        cancel = nonabelian.cancel
+        monkeypatch.setattr(nonabelian, "cancel", lambda *a, **k: seen.append(k) or cancel(*a, **k))
+        job = json.load(open(os.path.join(GOLDEN, "cancel_s3.json")))
+        code, report, _ = run(tmp_path, job, extra=extra)
+        assert code == 0
+        assert seen == [{"tol": tol}] and report["options"]["tol_bio"] == tol
 
     def test_failing_cancel_reports_the_default_tol_bio(self, tmp_path):
         trivial = np.ones((6, 1, 1))
@@ -780,6 +799,22 @@ class TestMultiFaultPrecedence:
             "analyze", 2, {"X": [unit(0, 0.0)]}, ("EmptyFamily", "family spans only the zero subspace")),
     }
     DENSE_W0 = {"oblique-equal-sizes-noninvariant-w0"}
+
+    # the containment gates no command reaches: name: (call on X, Y, (error code, message))
+    LIBRARY = {
+        "orth-complement-in": (lambda X, Y: oblique.orth_complement_in(Y, X), NOT_INSIDE),
+        "bessel-dimension-audit": (lambda X, Y: wandering.bessel_dimension_audit(X, Y),
+                                   ("NotContained", "M's orbit span must sit inside K's")),
+    }
+
+    @pytest.mark.parametrize("case", list(LIBRARY))
+    def test_library_gate_names_its_families(self, case):
+        call, expected = self.LIBRARY[case]
+        sp = SystemSpace(FiniteAbelian((2,)), 2)
+        X, Y = (Family(sp, (delta(sp, 0, channel),)) for channel in (0, 1))
+        with pytest.raises(NotContained) as raised:
+            call(X, Y)
+        assert (type(raised.value).__name__, str(raised.value)) == expected
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_first_failed_hypothesis_reported(self, tmp_path, case):

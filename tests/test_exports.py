@@ -1,4 +1,5 @@
-"""Every name a wandergen module lists in ``__all__`` resolves on that module."""
+"""Every name a wandergen module lists in ``__all__`` resolves on that module,
+and names removed from the API stay gone."""
 
 import importlib
 import pkgutil
@@ -22,3 +23,13 @@ def test_every_exported_name_resolves(name):
     exported = list(getattr(module, "__all__", ()))
     assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("module", ["wandergen", "wandergen.oblique"])
+@pytest.mark.parametrize("name", ["OperatorField", "ObliqueSplit", "Family.joined", "FiberField.hermitian_deviation"])
+def test_removed_names_do_not_resolve(module, name):
+    owner, _, attr = name.rpartition(".")
+    target = importlib.import_module(module)
+    if owner:
+        target = getattr(target, owner)
+    assert not hasattr(target, attr)

@@ -18,7 +18,6 @@ import wandergen as wg
 from wandergen import _linalg, oracle
 from wandergen.defaults import TOL_RANK_REL
 from wandergen.errors import NotContained
-from wandergen.oblique import OperatorField
 from conftest import combine_fiberwise, orth_columns, random_projection_triple, random_riesz_family
 
 
@@ -269,7 +268,7 @@ def test_max_principal_angle_stack_matches_per_pair(sla):
 def test_operator_field_dense_matches_block_diag(sla):
     rng = np.random.default_rng(700)
     sp = wg.SystemSpace(wg.FiniteAbelian((2, 3)), 2)
-    field = OperatorField(sp, complex_stack(rng, 6, 2, 2))
+    field = wg.FiberField(sp, complex_stack(rng, 6, 2, 2))
     PHI = oracle.dense_fourier_matrix(sp)
     ref = PHI.conj().T @ sla.block_diag(*field.matrices) @ PHI
     assert np.array_equal(oracle.dense_operator(field), ref)

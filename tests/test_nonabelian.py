@@ -449,6 +449,11 @@ def loop_maximum(group, mats):
     return max(np.max(np.abs(na._homomorphism_residual(group, mats, a))) for a in group.elements())
 
 
+def word_bound(group, mats, unitarity):
+    """``_word_bound`` at the generator rows' norm, as the constructor calls it."""
+    return na._word_bound(group, mats, unitarity, na._generator_row_norm(group, mats))
+
+
 class TestGeneratorProof:
     """The homomorphism property proven from the generators' rows."""
 
@@ -512,7 +517,7 @@ class TestGeneratorProof:
             mats = kron_regular(group, multiplicity)
             na.Representation(group, mats)
             assert full_check_calls == calls
-            assert na._word_bound(group, mats, 0.0) == pytest.approx(bound, rel=0.02)
+            assert word_bound(group, mats, 0.0) == pytest.approx(bound, rel=0.02)
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     @pytest.mark.parametrize("where", ["generator", "deep"])
@@ -588,12 +593,12 @@ class TestGeneratorProof:
             for c in (1e-14, 1e-13, 1e-12, 2e-12, 3e-12):
                 mats = self.drifting_character(n, c)
                 unitarity = np.max(np.abs(mats.conj() * mats - 1.0))
-                bound = na._word_bound(group, mats, unitarity)
+                bound = word_bound(group, mats, unitarity)
                 assert bound / 4 < loop_maximum(group, mats) <= bound
                 assert loop_maximum(group, mats) > 10 * np.max(np.abs(na._homomorphism_residual(group, mats, 1)))
         # past the proof (bound above 1e-10) the full check still accepts
         group, mats = na.cyclic_group(24), self.drifting_character(24, 3e-12)
-        assert na._word_bound(group, mats, 0.0) > 1e-10 >= loop_maximum(group, mats)
+        assert word_bound(group, mats, 0.0) > 1e-10 >= loop_maximum(group, mats)
         assert loop_verdict(lambda: na.Representation(group, mats)) is None
 
     def test_bound_dominates_full_check(self):
@@ -615,7 +620,7 @@ class TestGeneratorProof:
                     words = self.word_built(rng, group, Q @ exact @ Q.conj().T, noise)
                     for mats in (noisy, words):
                         unitarity = np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(d)))
-                        bound = na._word_bound(group, mats, unitarity)
+                        bound = word_bound(group, mats, unitarity)
                         if bound == np.inf:  # a row the full check computes failed
                             assert loop_maximum(group, mats) > 1e-10
                             continue
@@ -641,7 +646,7 @@ def reference_validate(group, mats):
     if not unitarity <= 1e-10:
         raise ValueError("representation matrices are not unitary")
     identity_row = np.max(np.abs(mats[group.identity] @ mats - mats))
-    if identity_row <= 1e-10 and na._word_bound(group, mats, unitarity) <= 1e-10:
+    if identity_row <= 1e-10 and word_bound(group, mats, unitarity) <= 1e-10:
         return
     for a in group.elements():
         if not np.max(np.abs(mats[a] @ mats - mats[list(group.table[a])])) <= 1e-10:
@@ -952,6 +957,12 @@ class TestAreEquivalent:
     def test_distinct_characters_none(self):
         _, triv, sign, _ = s3_irreps()
         assert na.are_equivalent(triv, sign) is None
+
+    def test_no_well_conditioned_draw_is_a_genericity_failure(self, monkeypatch):
+        _, triv, _, std = s3_irreps()
+        monkeypatch.setattr(na, "_COND_LIMIT", 0.5)  # every draw's condition number is at least 1
+        with pytest.raises(wg.GenericityFailure, match="^no well-conditioned intertwiner found in 8 seeded attempts$"):
+            na.are_equivalent(na.direct_sum(std, triv), na.direct_sum(triv, std))
 
     def test_zero_dimensional(self):
         group = na.symmetric_3()

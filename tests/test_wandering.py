@@ -148,7 +148,7 @@ class TestComplementWandering:
         out = wg.complement_wandering(X, Y)
         assert len(out) == len(Y) - len(X)
         if len(out):
-            union = X.joined(out)
+            union = wg.Family(X.space, X.members + out.members)
             assert wg.gram_fibers(union).identity_deviation() <= 1e-9
             assert fiber_span_angle(union, Y) <= 1e-8
             assert wg.verify_wandering(out).valid
