@@ -44,7 +44,7 @@ import numpy as np
 
 from . import nonabelian, oblique, oracle, wandering
 from .defaults import DEFAULT_GRID, GROUP_ORDER_LIMIT, TOL_BIO_EXACT, TOL_RANK_REL
-from .errors import SizeLimit, WandergenError, WrongMode
+from .errors import ExactModeRequired, SizeLimit, WandergenError, WrongMode
 from .fibers import (
     Bounds,
     Family,
@@ -457,6 +457,8 @@ def _run_complement(job, space, families, opts) -> dict:
 def _resolve_w0(space, families, opts):
     w0 = _parse_family(space, families, "W0")
     if opts["w0_dense"]:  # one column per member, so no members give (|G| * channels, 0)
+        if not space.exact:  # before any member is read, so an empty W0 says the same
+            raise ExactModeRequired("dense bases exist only in exact mode")
         columns = np.empty((space.points * space.channels, len(w0)), dtype=np.complex128)
         for j, v in enumerate(w0.members):
             columns[:, j] = v.dense().reshape(-1)

@@ -22,13 +22,14 @@ the left-translation matrices of an associative Cayley table form one.
 
 Validation is proven from the generators' rows. Write E = rho(e) - I,
 W_g = rho(g)^H rho(g) - I, Delta(s, x) = rho(s) rho(x) - rho(sx) for a
-generator s, and D for the longest word in ``generators()``. tau =
-4 (d + 2) machine-eps bounds the rounding of one entry of a computed d x d
-complex product of matrices of norm about 1, with room for the subtraction
-and abs that follow: eight times gamma_(d+2) of Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., 2002, section 3.5. The
-generator rows are computed as the full check computes them, and delta,
-their largest Frobenius norm plus d tau, bounds every ||Delta(s, x)||_2.
+generator s, and D for the word depth of ``generators()`` (the longest
+left-nested word its elements need). tau = 4 (d + 2) machine-eps bounds the
+rounding of one entry of a computed d x d complex product of matrices of
+norm about 1, with room for the subtraction and abs that follow: eight
+times gamma_(d+2) of Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, section 3.5. The generator rows are computed as
+the full check computes them, and delta, their largest Frobenius norm plus
+d tau, bounds every ||Delta(s, x)||_2.
 
 * Unitarity. y = s x gives rho(y) = P - Delta with P = rho(s) rho(x), so
   W_y = W_x + rho(x)^H W_s rho(x) - P^H Delta - Delta^H P + Delta^H Delta
@@ -129,9 +130,16 @@ class FiniteGroup:
             raise ValueError(f"element {missing[0]} has no inverse")
         self.table, self.order, self.identity, self.name = table, n, identity, name
         self.inverse_table = tuple(inverse.tolist())
-        # greedy generators by element index; the last search gives the word depth
+        # element orders by one power walk p -> p x: a -> a x permutes the
+        # elements, so every walk returns to the identity within n steps
+        orders, power, k = np.zeros(n, dtype=np.intp), elements, 1
+        while not orders.all():
+            orders[(power == identity) & (orders == 0)] = k
+            power, k = cells[power, elements], k + 1
+        # greedy generators by descending order, then element index; the last
+        # search gives the word depth
         gens, closure, depth = [], {identity}, 0
-        for g in range(n):
+        for g in np.lexsort((elements, -orders)).tolist():
             if g not in closure:
                 gens.append(g)
                 closure, depth = self._search(gens)
@@ -160,7 +168,11 @@ class FiniteGroup:
         return self._classes
 
     def generators(self) -> tuple[int, ...]:
-        """Greedy minimal generating set, deterministic by element index."""
+        """Greedy generating set: elements by descending order, then element
+        index, each kept when outside the subgroup the ones kept before it
+        generate. It need not be irredundant (in S3 x S3 one of the three lies
+        in the subgroup of the other two), but each kept element at least
+        doubles that subgroup (Lagrange), so it has at most log2 |G| elements."""
         return self._gens
 
     def _word_depth(self) -> int:
@@ -598,10 +610,26 @@ def cancel(
     return witness
 
 
-def _orbit_matrix(rep: Representation, columns: np.ndarray) -> np.ndarray:
-    """Stack rep(g) @ columns over all g, lexicographic in (g, column)."""
-    n, k = rep.group.order, columns.shape[1]
-    return (rep.matrices @ columns).transpose(1, 0, 2).reshape(columns.shape[0], n * k)
+def _orbit_matrix(group: FiniteGroup, multiplicity: int, columns: np.ndarray) -> np.ndarray:
+    """Stack lambda(g) @ columns over all g, lexicographic in (g, column), for
+    lambda the multiplicity-N regular representation: row (x, b) of block g
+    is row (g^-1 x, b) of the columns, gathered without lambda's matrices."""
+    n, N = group.order, multiplicity
+    source = np.array(group.table, dtype=np.intp)[group.inverse_table, :].T  # [x, g] -> g^-1 x
+    rows = source[:, None, :] * N + np.arange(N)[:, None]  # [x, b, g]
+    return columns[rows].reshape(n * N, n * columns.shape[1])
+
+
+def _regular_compression(group: FiniteGroup, multiplicity: int, B: np.ndarray) -> np.ndarray:
+    """B^H lambda(g) B for every g, lambda the multiplicity-N regular
+    representation, as numpy evaluates B^H @ lambda.matrices @ B, without
+    lambda's matrices: column (h, b) of B^H lambda(g) is column (gh, b) of
+    B^H, gathered into the C-contiguous (|G|, d, |G| N) stack that product
+    would hold, then one stacked product with B."""
+    n, N = group.order, multiplicity
+    moved = np.array(group.table, dtype=np.intp)[:, :, None] * N + np.arange(N)  # [g, h, b] -> (gh, b)
+    left = np.ascontiguousarray(B.conj()[moved.reshape(n, n * N)].transpose(0, 2, 1))
+    return left @ B
 
 
 def wandering_complement_general(
@@ -617,9 +645,10 @@ def wandering_complement_general(
     the whole space) and X a wandering family; the action restricted to the
     orthocomplement of X's orbit span is witnessed equivalent to the
     (|Y|-|X|)-multiple regular representation, and the standard wandering
-    columns are pulled back through the witness.
+    columns are pulled back through the witness. With X empty that action is
+    lambda itself, the witness is I, and the standard columns are returned.
+    lambda acts by index gathers; only the target is built as matrices.
     """
-    lam = regular_representation(group, multiplicity)
     dim = group.order * multiplicity
     X = np.asarray(X, dtype=np.complex128).reshape(dim, -1)
     Y = np.asarray(Y, dtype=np.complex128).reshape(dim, -1)
@@ -628,26 +657,24 @@ def wandering_complement_general(
         raise HypothesisFailure(
             f"a complete wandering family here has exactly {multiplicity} members, got {s}"
         )
-    orbit_y = _orbit_matrix(lam, Y)
+    orbit_y = _orbit_matrix(group, multiplicity, Y)
     if np.max(np.abs(orbit_y.conj().T @ orbit_y - np.eye(orbit_y.shape[1]))) > tol:
         raise HypothesisFailure("Y's orbit is not an orthonormal basis")
     if r > s:
         raise HypothesisFailure(f"|X| = {r} exceeds |Y| = {s}")
-    if r == 0 and s == 0:
-        return np.zeros((dim, 0), dtype=np.complex128)
     if r:
-        orbit_x = _orbit_matrix(lam, X)
+        orbit_x = _orbit_matrix(group, multiplicity, X)
         if np.max(np.abs(orbit_x.conj().T @ orbit_x - np.eye(orbit_x.shape[1]))) > tol:
             raise HypothesisFailure("X's orbit is not orthonormal")
     if r == s:
         return np.zeros((dim, 0), dtype=np.complex128)
-    if r:
-        U = np.linalg.svd(orbit_x, full_matrices=True)[0]
-        B = U[:, group.order * r:]
-        sigma2 = Representation(group, B.conj().T @ lam.matrices @ B)
-    else:  # B^H lam B is lam itself
-        B = np.eye(dim, dtype=np.complex128)
-        sigma2 = lam
+    columns = np.zeros((group.order * (s - r), s - r), dtype=np.complex128)
+    for b in range(s - r):
+        columns[group.identity * (s - r) + b, b] = 1.0
+    if not r:  # the restricted action is lambda itself, and the witness I
+        return columns
+    B = np.linalg.svd(orbit_x, full_matrices=True)[0][:, group.order * r:]
+    sigma2 = Representation(group, _regular_compression(group, multiplicity, B))
     target = regular_representation(group, s - r)
     witness = are_equivalent(target, sigma2, tol=tol)
     if witness is None:
@@ -655,7 +682,4 @@ def wandering_complement_general(
             "the restricted action is not a multiple of the regular representation; "
             "the wandering hypotheses fail"
         )
-    columns = np.zeros((group.order * (s - r), s - r), dtype=np.complex128)
-    for b in range(s - r):
-        columns[group.identity * (s - r) + b, b] = 1.0
     return B @ (witness.matrix @ columns)

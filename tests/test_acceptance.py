@@ -200,7 +200,7 @@ def test_c09_nonabelian_complement():
                 )
                 Xp = na.wandering_complement_general(X, Y, group, multiple)
                 assert Xp.shape[1] == multiple - r
-                union = na._orbit_matrix(lam, np.hstack([X, Xp]))
+                union = na._orbit_matrix(group, multiple, np.hstack([X, Xp]))
                 assert np.max(np.abs(union.conj().T @ union - np.eye(union.shape[1]))) <= 1e-9
     # abelian special case agrees with the fiberized complement
     for orders in ((4,), (6,), (2, 2)):
@@ -213,8 +213,8 @@ def test_c09_nonabelian_complement():
         lam = na.regular_representation(group, 2)
         to_cols = lambda fam: np.stack([v.dense().reshape(-1) for v in fam.members], axis=1)
         dense_out = na.wandering_complement_general(to_cols(X), to_cols(Y), group, 2)
-        orbit_a = na._orbit_matrix(lam, to_cols(fiber_out))
-        orbit_b = na._orbit_matrix(lam, dense_out)
+        orbit_a = na._orbit_matrix(group, 2, to_cols(fiber_out))
+        orbit_b = na._orbit_matrix(group, 2, dense_out)
         assert _linalg.max_principal_angle(_linalg.thin_svd(orbit_a), _linalg.thin_svd(orbit_b)) <= 1e-8
 
 

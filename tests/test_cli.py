@@ -292,6 +292,19 @@ class TestDenseW0Command:
         orbit_job = dict(self.job(command, []), options={})
         assert run(tmp_path, orbit_job, "orbit.json")[1]["error"] == report["error"]
 
+    @pytest.mark.parametrize("command", ["oblique", "frame-oblique"])
+    def test_shift_mode_refused_with_one_message(self, tmp_path, command):
+        inv = 1.0 / math.sqrt(2.0)
+        job = self.job(command, [])
+        job["system"] = {"group": {"kind": "integer_shift", "grid": 16}, "channels": 2}
+        job["families"]["X"] = [[entry(0, 0, inv), entry(0, 1, inv)]]
+        job["families"]["Y"] = [[entry(0, 0, 1.0)], [entry(0, 1, 1.0)]]
+        refused = {"code": "ExactModeRequired", "message": "dense bases exist only in exact mode"}
+        for w0 in ([], [[entry(0, 1, 1.0)]]):
+            job["families"]["W0"] = w0
+            code, report, _ = run(tmp_path, job)
+            assert (code, report["command"], report["error"]) == (2, command, refused)
+
     def test_dense_and_orbit_w0_agree(self, tmp_path):
         code, dense, _ = run(tmp_path, self.job("oblique", self.ORBIT_SPAN), "dense.json")
         assert code == 0

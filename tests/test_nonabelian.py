@@ -197,6 +197,62 @@ class TestFiniteGroup:
                 assert group.compose(a, b) == spec.index_of(spec.compose(els[a], els[b]))
 
 
+def direct_products(limit):
+    """Every direct product of one or more of Z2..Z6, S3, D4 and Q8, in every
+    factor order, of order at most ``limit``."""
+    factors = [na.cyclic_group(n) for n in range(2, 7)] + [na.symmetric_3(), na.dihedral_4(), na.quaternion_8()]
+    out = []
+
+    def extend(group, order):
+        for factor in factors:
+            if order * factor.order <= limit:
+                product = factor if group is None else na.direct_product(group, factor)
+                out.append(product)
+                extend(product, product.order)
+
+    extend(None, 1)
+    return out
+
+
+def closure(group, gens):
+    """The subgroup ``gens`` generate, and the levels of right products past the identity."""
+    reached, level, depth = {group.identity}, {group.identity}, 0
+    while level := {group.compose(a, s) for a in level for s in gens} - reached:
+        reached |= level
+        depth += 1
+    return reached, depth
+
+
+def greedy_generators(group, candidates):
+    """Each candidate outside the subgroup of those kept before it is kept."""
+    gens = []
+    for g in candidates:
+        if g not in closure(group, gens)[0]:
+            gens.append(g)
+    return tuple(gens)
+
+
+def element_order(group, g):
+    """The least k >= 1 with g^k the identity."""
+    power, k = g, 1
+    while power != group.identity:
+        power, k = group.compose(power, g), k + 1
+    return k
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("group", direct_products(64), ids=lambda g: g.name)
+    def test_order_first_set(self, group):
+        gens = group.generators()
+        reached, depth = closure(group, gens)
+        by_order = sorted(group.elements(), key=lambda g: (-element_order(group, g), g))
+        assert gens == greedy_generators(group, by_order)
+        assert len(reached) == group.order
+        assert len(gens) <= len(greedy_generators(group, group.elements()))
+        assert 2 ** len(gens) <= group.order
+        assert group._word_depth() == depth
+
+
 def first_nonassociative_triple(table):
     """The brute-force n^3 loop: the first (a, b, c) with (ab)c != a(bc), or None."""
     n = len(table)
@@ -356,7 +412,19 @@ class TestRegularRepresentation:
                 ref = np.empty((d, group.order * 2), dtype=np.complex128)
                 for g in range(group.order):
                     ref[:, 2 * g:2 * g + 2] = rep.matrices[g] @ columns
-                assert np.array_equal(na._orbit_matrix(rep, columns), ref)
+                assert np.array_equal(na._orbit_matrix(group, multiplicity, columns), ref)
+
+    def test_compression_matches_dense_product(self):
+        rng = np.random.default_rng(88)
+        for group in builtin_groups():
+            for multiplicity in (1, 2, 3):
+                dim = group.order * multiplicity
+                lam = na.regular_representation(group, multiplicity)
+                for width in (1, dim // 2, dim):
+                    B = np.linalg.svd(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+                    B = B[:, dim - width:]  # a column slice, as the complement takes one
+                    ref = B.conj().T @ lam.matrices @ B
+                    assert np.array_equal(na._regular_compression(group, multiplicity, B), ref)
 
 
 class TestRepresentationChecks:
@@ -484,7 +552,7 @@ class TestGeneratorProof:
         monkeypatch.setattr(na, "_check_homomorphism", refuse)
 
     def test_word_depth(self):
-        expected = {"S3": ((1, 2), 3), "D4": ((1, 2), 4), "Q8": ((1, 2, 4), 2), "S3xZ4": ((1, 4, 8), 6)}
+        expected = {"S3": ((3, 1), 2), "D4": ((3, 1), 3), "Q8": ((2, 4), 3), "S3xZ4": ((13, 5), 6)}
         for name, make in self.GROUPS.items():
             group = make()
             gens = group.generators()
@@ -1098,7 +1166,7 @@ class TestWanderingComplementGeneral:
         X = U2 @ self._standard_columns(group, 2, 1)
         Xp = na.wandering_complement_general(X, Y, group, 2)
         assert Xp.shape[1] == 1
-        union = na._orbit_matrix(lam, np.hstack([X, Xp]))
+        union = na._orbit_matrix(group, 2, np.hstack([X, Xp]))
         assert np.max(np.abs(union.conj().T @ union - np.eye(12))) <= 1e-9
 
     def test_abelian_matches_wandering_complement(self):
@@ -1112,9 +1180,48 @@ class TestWanderingComplementGeneral:
         lam = na.regular_representation(group, 2)
         to_cols = lambda fam: np.stack([v.dense().reshape(-1) for v in fam.members], axis=1)
         Xp_cols = na.wandering_complement_general(to_cols(X), to_cols(Y), group, 2)
-        orbit_a = na._orbit_matrix(lam, to_cols(Xp_fam))
-        orbit_b = na._orbit_matrix(lam, Xp_cols)
+        orbit_a = na._orbit_matrix(group, 2, to_cols(Xp_fam))
+        orbit_b = na._orbit_matrix(group, 2, Xp_cols)
         assert _linalg.max_principal_angle(_linalg.thin_svd(orbit_a), _linalg.thin_svd(orbit_b)) <= 1e-8
+
+    def test_empty_x_returns_the_standard_columns(self):
+        rng = np.random.default_rng(89)
+        for group in builtin_groups():
+            for multiplicity in (1, 2):
+                lam = na.regular_representation(group, multiplicity)
+                standard = self._standard_columns(group, multiplicity, multiplicity)
+                Y = random_commutant_unitary(rng, lam) @ standard
+                X = np.zeros((Y.shape[0], 0), dtype=np.complex128)
+                out = na.wandering_complement_general(X, Y, group, multiplicity)
+                # the witness between two equal arrays is I
+                eye = np.eye(Y.shape[0], dtype=np.complex128)
+                for ref in (standard, eye @ (eye @ standard)):
+                    assert (out.dtype, out.shape, out.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+    def test_memory_at_the_order_cap(self):
+        # Z256, N = 1: lambda as matrices would take 256^3 * 16 B = 256 MiB
+        group = na.cyclic_group(256)
+        X = np.zeros((256, 0), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            out = na.wandering_complement_general(X, self._standard_columns(group, 1, 1), group, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (256, 1)
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("multiplicity,r", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_regular_representation_built_only_as_the_target(self, monkeypatch, multiplicity, r):
+        rng = np.random.default_rng(90)
+        group = na.symmetric_3()
+        lam = na.regular_representation(group, multiplicity)
+        Y = random_commutant_unitary(rng, lam) @ self._standard_columns(group, multiplicity, multiplicity)
+        X = random_commutant_unitary(rng, lam) @ self._standard_columns(group, multiplicity, r)
+        calls, original = [], na.regular_representation
+        monkeypatch.setattr(na, "regular_representation", lambda g, m=1: calls.append(m) or original(g, m))
+        assert na.wandering_complement_general(X, Y, group, multiplicity).shape[1] == multiplicity - r
+        assert calls == ([multiplicity - r] if r else [])
 
     def test_bad_inputs_rejected(self):
         group = na.symmetric_3()
