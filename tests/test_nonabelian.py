@@ -149,6 +149,25 @@ class TestFiniteGroup:
         )
         assert na.quaternion_8().inverse_table == (0, 1, 3, 2, 5, 4, 7, 6)
 
+    def test_s3_table_composes_sorted_permutations(self):
+        # elements 012, 021, 102, 120, 201, 210 (images of 0, 1, 2); (pq)(i) = p(q(i))
+        assert na.symmetric_3().table == (
+            (0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3), (2, 3, 0, 1, 5, 4),
+            (3, 2, 5, 4, 0, 1), (4, 5, 1, 0, 3, 2), (5, 4, 3, 2, 1, 0),
+        )
+        assert na.symmetric_3().inverse_table == (0, 1, 2, 4, 3, 5)
+
+    def test_d4_table_composes_sorted_square_symmetries(self):
+        # elements 0123, 0321, 1032, 1230, 2103, 2301, 3012, 3210: the
+        # permutations of the square's corners 0-1-2-3 that keep its edges
+        assert na.dihedral_4().table == (
+            (0, 1, 2, 3, 4, 5, 6, 7), (1, 0, 6, 7, 5, 4, 2, 3),
+            (2, 3, 0, 1, 6, 7, 4, 5), (3, 2, 4, 5, 7, 6, 0, 1),
+            (4, 5, 3, 2, 0, 1, 7, 6), (5, 4, 7, 6, 1, 0, 3, 2),
+            (6, 7, 1, 0, 2, 3, 5, 4), (7, 6, 5, 4, 3, 2, 1, 0),
+        )
+        assert na.dihedral_4().inverse_table == (0, 1, 2, 6, 4, 5, 3, 7)
+
     def test_direct_product_is_componentwise(self):
         for a, b in [(na.symmetric_3(), na.cyclic_group(4)), (na.quaternion_8(), na.symmetric_3())]:
             group, nb = na.direct_product(a, b), b.order
