@@ -745,9 +745,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _write_output(_error_report("SchemaError", str(exc), job.get("command") if isinstance(job.get("command"), str) else None), args.out)
         return 1
-    except WandergenError as exc:  # domain errors raised outside run_job's guard
-        _write_output(_error_report(exc.code, str(exc)), args.out)
-        return 2
     except Exception as exc:  # never panic on malformed input
         _write_output(_error_report("InternalError", f"{type(exc).__name__}: {exc}"), args.out)
         return 1

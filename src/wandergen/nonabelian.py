@@ -3,13 +3,16 @@ intertwiners, cancellation, and the dense wandering complement.
 
 Groups are ingested as Cayley tables over indices 0..n-1, with built-in
 constructors for cyclic groups, direct products, the symmetric group on
-three letters, the dihedral group of the square, and the quaternion group.
-Equivalence of representations is detected through characters (valid for
-finite groups).  ``are_equivalent`` witnesses it by an explicit unitary
-intertwiner: a generic element of the intertwiner space is drawn by
-group-averaging a seeded Gaussian matrix, and its unitary polar factor is
-returned.  ``cancel`` decides its two hypotheses by characters alone and
-builds a witness only for its conclusion.
+three letters (every permutation of three points), the dihedral group of
+the square (the permutations of its corners that keep its edges), and the
+quaternion group.  Equivalence of representations is detected through
+characters (valid for finite groups).  ``are_equivalent`` witnesses it by
+an explicit unitary intertwiner: a generic element of the intertwiner
+space is drawn by group-averaging a seeded Gaussian matrix, and its
+unitary polar factor is returned.  ``cancel`` decides its hypotheses by
+dimensions and character sums alone (the character of sigma1 + sigma2 is
+chi1 + chi2, so no direct sum is built) and builds a witness only for its
+conclusion.
 
 A ``FiniteGroup`` is proven a group once, when it is built, at every order
 (associativity by Light's test on its generators), and everything downstream
@@ -61,6 +64,7 @@ in that order, so verdicts and messages are those of the checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -225,38 +229,23 @@ def from_abelian(spec: FiniteAbelian) -> FiniteGroup:
     return FiniteGroup(table, name="x".join(f"Z{n}" for n in spec.orders))
 
 
-def _group_from_permutations(gens: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    """Closure of permutation generators; elements sorted lexicographically."""
-    points = len(gens[0])
-    identity = tuple(range(points))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                composed = tuple(q[p[i]] for i in range(points))
-                if composed not in elements:
-                    elements.add(composed)
-                    nxt.append(composed)
-        frontier = nxt
-    ordered = sorted(elements)
+def _permutation_group(perms, name: str) -> FiniteGroup:
+    """A group of permutations (tuples of images), elements sorted
+    lexicographically, with (pq)(i) = p(q(i))."""
+    ordered = sorted(perms)
     index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(points))] for q in ordered]
-        for p in ordered
-    ]
-    return FiniteGroup(table, name=name)
+    return FiniteGroup([[index[tuple(p[i] for i in q)] for q in ordered] for p in ordered], name=name)
 
 
 def symmetric_3() -> FiniteGroup:
-    return _group_from_permutations([(1, 0, 2), (0, 2, 1)], name="S3")
+    return _permutation_group(itertools.permutations(range(3)), name="S3")
 
 
 def dihedral_4() -> FiniteGroup:
-    rotation = (1, 2, 3, 0)
-    reflection = (0, 3, 2, 1)
-    return _group_from_permutations([rotation, reflection], name="D4")
+    """The permutations of the square's corners 0-1-2-3 that map each edge to an edge."""
+    square = [p for p in itertools.permutations(range(4))
+              if all((p[i] - p[i - 1]) % 4 in (1, 3) for i in range(4))]
+    return _permutation_group(square, name="D4")
 
 
 def quaternion_8() -> FiniteGroup:
@@ -467,12 +456,6 @@ def character_inner(chi1: ClassFunction, chi2: ClassFunction) -> complex:
     return total / group.order
 
 
-def _regular_character(group: FiniteGroup) -> ClassFunction:
-    values = [complex(group.order if group.identity in cls else 0.0)
-              for cls in group.conjugacy_classes()]
-    return ClassFunction(group, tuple(values))
-
-
 @dataclass(frozen=True)
 class Intertwiner:
     """T with T rho(g) = sigma(g) T for all g."""
@@ -525,11 +508,6 @@ def intertwiner_basis(
     return basis
 
 
-def _characters_agree(rho: Representation, sigma: Representation, tol: float) -> bool:
-    """Equal dimensions and characters: for finite groups, equivalence itself."""
-    return rho.dim == sigma.dim and character(rho).agrees(character(sigma), tol)
-
-
 # are_equivalent's seeded draws, and the largest condition number it accepts
 _SEEDS = range(8)
 _COND_LIMIT = 1e6
@@ -546,7 +524,7 @@ def are_equivalent(
     it); the witness is its unitary polar factor, which still intertwines.
     Seeds are retried while the draw is ill-conditioned.
     """
-    if not _characters_agree(rho, sigma, tol):
+    if not (rho.dim == sigma.dim and character(rho).agrees(character(sigma), tol)):
         return None
     d = rho.dim
     if d == 0:
@@ -571,19 +549,6 @@ def are_equivalent(
     )
 
 
-def _is_regular_multiple(rho: Representation, tol: float = TOL_BIO_EXACT) -> int | None:
-    """The N with chi_rho = N * chi_lambda, or None."""
-    group = rho.group
-    if rho.dim % group.order != 0:
-        return None
-    n = rho.dim // group.order
-    reg = _regular_character(group)
-    chi = character(rho)
-    if all(abs(a - n * b) <= tol for a, b in zip(chi.values, reg.values)):
-        return n
-    return None
-
-
 def cancel(
     rho: Representation,
     sigma1: Representation,
@@ -594,16 +559,20 @@ def cancel(
     """Cancellation witness: sigma2 ~ sigma3 given rho ~ sigma1 + sigma2 and
     rho ~ sigma1 + sigma3, for rho a finite multiple of the regular
     representation (which makes its commutant finite and cancellation valid).
-    The hypotheses are decided by characters; only sigma2 ~ sigma3 is witnessed.
+    The hypotheses are decided by dimensions and characters, each sum's
+    character as chi1 + chi2; only sigma2 ~ sigma3 is witnessed.
     """
-    if _is_regular_multiple(rho, tol) is None:
-        raise HypothesisFailure(
-            "rho is not a finite multiple of the regular representation"
-        )
-    if not _characters_agree(rho, direct_sum(sigma1, sigma2), tol):
-        raise HypothesisFailure("rho is not equivalent to sigma1 + sigma2")
-    if not _characters_agree(rho, direct_sum(sigma1, sigma3), tol):
-        raise HypothesisFailure("rho is not equivalent to sigma1 + sigma3")
+    group = rho.group
+    # (dim rho / |G|) chi_lambda: dim rho at the identity, 0 elsewhere
+    regular = tuple(rho.dim if group.identity in c else 0 for c in group.conjugacy_classes())
+    if rho.dim % group.order or not character(rho).agrees(ClassFunction(group, regular), tol):
+        raise HypothesisFailure("rho is not a finite multiple of the regular representation")
+    for sigma, label in ((sigma2, "sigma2"), (sigma3, "sigma3")):
+        if sigma.group is not sigma1.group and sigma.group.table != sigma1.group.table:
+            raise ValueError("summands must share one group")
+        if rho.dim != sigma1.dim + sigma.dim or not character(rho).agrees(ClassFunction(sigma1.group, tuple(
+                a + b for a, b in zip(character(sigma1).values, character(sigma).values))), tol):
+            raise HypothesisFailure(f"rho is not equivalent to sigma1 + {label}")
     witness = are_equivalent(sigma2, sigma3, tol=tol)
     if witness is None:
         raise HypothesisFailure("complement characters disagree; inputs are inconsistent")
@@ -632,6 +601,11 @@ def _regular_compression(group: FiniteGroup, multiplicity: int, B: np.ndarray) -
     return left @ B
 
 
+def _orthonormal(M: np.ndarray, tol: float) -> bool:
+    """max |M^H M - I| <= tol; NaN fails."""
+    return np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])), initial=0.0) <= tol
+
+
 def wandering_complement_general(
     X: np.ndarray,
     Y: np.ndarray,
@@ -657,14 +631,13 @@ def wandering_complement_general(
         raise HypothesisFailure(
             f"a complete wandering family here has exactly {multiplicity} members, got {s}"
         )
-    orbit_y = _orbit_matrix(group, multiplicity, Y)
-    if np.max(np.abs(orbit_y.conj().T @ orbit_y - np.eye(orbit_y.shape[1]))) > tol:
+    if not _orthonormal(_orbit_matrix(group, multiplicity, Y), tol):
         raise HypothesisFailure("Y's orbit is not an orthonormal basis")
     if r > s:
         raise HypothesisFailure(f"|X| = {r} exceeds |Y| = {s}")
     if r:
         orbit_x = _orbit_matrix(group, multiplicity, X)
-        if np.max(np.abs(orbit_x.conj().T @ orbit_x - np.eye(orbit_x.shape[1]))) > tol:
+        if not _orthonormal(orbit_x, tol):
             raise HypothesisFailure("X's orbit is not orthonormal")
     if r == s:
         return np.zeros((dim, 0), dtype=np.complex128)

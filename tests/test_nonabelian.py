@@ -897,7 +897,7 @@ class TestValidationProof:
                 job = json.loads(text)
                 if job.get("kind") == "cancel":
                     group = na.FiniteGroup(job["table"])
-                    for block in job["reps"].values():  # cancel itself builds through direct_sum
+                    for block in job["reps"].values():  # cancel builds no representation of its own
                         na.Representation(group, gen.array_from_json(block))
                 elif job.get("kind") == "wandering_complement_general":
                     X, Y = gen.array_from_json(job["X"]), gen.array_from_json(job["Y"])
@@ -955,8 +955,8 @@ class TestCharacter:
             assert all(type(v) is complex for v in na.character(rep).values)
 
     def test_computed_once_per_representation(self, monkeypatch):
-        """cancel and the report's two characters take five traces: rho, the
-        two direct sums, sigma2 and sigma3, each once."""
+        """cancel and the report's two characters take four traces: rho,
+        sigma1, sigma2 and sigma3, each once."""
         group = na.symmetric_3()
         lam = na.regular_representation(group, 2)
         sigma = na.regular_representation(group, 1)
@@ -966,7 +966,7 @@ class TestCharacter:
         na.cancel(lam, sigma, sigma2, sigma3)
         assert na.character(sigma2) is na.character(sigma2)
         na.character(sigma3)
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_failure_is_not_cached(self):
         mats = np.tile(np.eye(6, dtype=np.complex128), (6, 1, 1))
@@ -1089,6 +1089,33 @@ class TestAreEquivalent:
         assert np.max(np.abs(U @ lam.matrices - sigma.matrices @ U)) <= 1e-9
 
 
+def reference_cancel(rho, sigma1, sigma2, sigma3, tol=1e-9):
+    """``cancel``'s decisions through ``direct_sum`` and ``character``: rho's
+    dimension and character against the regular one, then each sum's."""
+    group = rho.group
+    n, rest = divmod(rho.dim, group.order)
+    regular = [group.order if group.identity in cls else 0 for cls in group.conjugacy_classes()]
+    if rest or not all(abs(a - n * b) <= tol for a, b in zip(na.character(rho).values, regular)):
+        raise wg.HypothesisFailure("rho is not a finite multiple of the regular representation")
+    for sigma, label in ((sigma2, "sigma2"), (sigma3, "sigma3")):
+        total = na.direct_sum(sigma1, sigma)
+        if not (rho.dim == total.dim and na.character(rho).agrees(na.character(total), tol)):
+            raise wg.HypothesisFailure(f"rho is not equivalent to sigma1 + {label}")
+    witness = na.are_equivalent(sigma2, sigma3, tol=tol)
+    if witness is None:
+        raise wg.HypothesisFailure("complement characters disagree; inputs are inconsistent")
+    return witness
+
+
+def cancel_outcome(decide, *reps):
+    """(error type, message), or (bytes, the witness's bytes, seed, residual)."""
+    try:
+        witness = decide(*reps)
+    except (wg.HypothesisFailure, ValueError) as exc:
+        return type(exc), str(exc)
+    return bytes, witness.matrix.tobytes(), witness.seed, witness.residual
+
+
 class TestCancel:
     def test_zero_dimensional_sigma1(self):
         rng = np.random.default_rng(82)
@@ -1159,6 +1186,71 @@ class TestCancel:
         rho = na.direct_sum(triv, std)
         with pytest.raises(wg.HypothesisFailure):
             na.cancel(rho, triv, std, std)
+
+    def test_builds_no_direct_sum(self, monkeypatch):
+        group, triv, sign, std = s3_irreps()
+        lam = na.regular_representation(group, 1)
+        sigma1, sigma2 = na.direct_sum(std, std), na.direct_sum(triv, sign)
+        sigma3 = na.direct_sum(sign, triv)
+
+        def refuse(*reps):
+            raise AssertionError("direct_sum reached")
+
+        monkeypatch.setattr(na, "direct_sum", refuse)
+        wit = na.cancel(lam, sigma1, sigma2, sigma3)
+        assert wit.residual <= 1e-9
+
+    def test_summands_must_share_one_group(self):
+        """The group is checked before the dimensions, for sigma2 and then
+        for sigma3; a table-equal group is the same group."""
+        group, triv, sign, std = s3_irreps()
+        lam = na.regular_representation(group, 1)
+        other = na.Representation(na.cyclic_group(6), np.ones((6, 1, 1), dtype=np.complex128))
+        same = na.Representation(na.symmetric_3(), np.ones((6, 1, 1), dtype=np.complex128))
+        pair, std2 = na.direct_sum(triv, sign), na.direct_sum(std, std)
+        with pytest.raises(ValueError, match="^summands must share one group$"):
+            na.cancel(lam, std2, other, pair)
+        with pytest.raises(ValueError, match="^summands must share one group$"):
+            na.cancel(lam, std2, pair, other)
+        with pytest.raises(wg.HypothesisFailure, match=r"^rho is not equivalent to sigma1 \+ sigma3$"):
+            na.cancel(lam, std2, pair, same)
+
+    def test_verdicts_match_the_reference(self):
+        """Verdicts, messages and witnesses equal those of the decision
+        through direct sums, on regular multiples of the builtin groups
+        split into invariant pieces, and on sums of the S3 irreducibles."""
+        rng = np.random.default_rng(91)
+        cases = []
+        for group in builtin_groups():
+            for multiplicity in (1, 2):
+                lam = na.regular_representation(group, multiplicity)
+                if lam.dim < 2:
+                    continue
+                BS, BP = random_invariant_splitting(rng, lam)
+                sigma1, sigma2 = compress(lam, BS), compress(lam, BP)
+                sigma3 = compress(lam, BP @ haar_unitary(rng, BP.shape[1]))
+                rho = compress(lam, haar_unitary(rng, lam.dim))
+                cases += [(rho, sigma1, sigma2, sigma3), (lam, sigma2, sigma1, sigma3), (lam, sigma1, sigma1, sigma2)]
+        group, triv, sign, std = s3_irreps()
+        zero = na.Representation(group, np.zeros((6, 0, 0), dtype=np.complex128))
+        triv_copy = na.Representation(na.symmetric_3(), triv.matrices)  # a table-equal group
+        sums = [zero, triv, sign, std, triv_copy, na.direct_sum(triv, sign), na.direct_sum(std, std),
+                na.direct_sum(triv, sign, std), na.direct_sum(sign, std, triv, std)]
+        rhos = [na.regular_representation(group, 1), na.direct_sum(triv, sign, std, std),
+                na.regular_representation(group, 2), na.direct_sum(triv, std),
+                na.Representation(group, np.tile(np.eye(6), (6, 1, 1)))]  # dimension 6, not regular
+        cases += [(rho, *sigmas) for rho in rhos for sigmas in itertools.product(sums, repeat=3)]
+        seen = set()
+        for case in cases:
+            got, want = cancel_outcome(na.cancel, *case), cancel_outcome(reference_cancel, *case)
+            assert got == want
+            seen.add(got[1] if got[0] is not bytes else "witness")
+        assert seen == {
+            "witness",
+            "rho is not a finite multiple of the regular representation",
+            "rho is not equivalent to sigma1 + sigma2",
+            "rho is not equivalent to sigma1 + sigma3",
+        }  # the hypotheses leave sigma2's and sigma3's characters within 2 tol
 
 
 class TestWanderingComplementGeneral:
@@ -1249,3 +1341,15 @@ class TestWanderingComplementGeneral:
             na.wandering_complement_general(0.5 * Y[:, :1], Y, group, 2)
         with pytest.raises(wg.HypothesisFailure):
             na.wandering_complement_general(Y[:, :1], 0.5 * Y, group, 2)
+
+    def test_nan_y_is_refused(self):
+        group = na.symmetric_3()
+        Y = np.full((12, 2), np.nan, dtype=np.complex128)
+        with pytest.raises(wg.HypothesisFailure, match="^Y's orbit is not an orthonormal basis$"):
+            na.wandering_complement_general(np.zeros((12, 0)), Y, group, 2)
+
+    def test_nan_x_is_refused(self):
+        group = na.symmetric_3()
+        X = np.full((12, 1), np.nan, dtype=np.complex128)
+        with pytest.raises(wg.HypothesisFailure, match="^X's orbit is not orthonormal$"):
+            na.wandering_complement_general(X, self._standard_columns(group, 2, 2), group, 2)
