@@ -6,12 +6,13 @@ eigenvalue counts as zero at or below rel * max(largest in its row, 1), and
 every rank and singularity decision reads it.  Four other tests stay apart:
 ``oracle.py``'s copies (the independent reference), the QR's detected rank
 in ``complement_in_span`` (a projector spectrum near {0, 1}), ``pinv``'s
-rcond (orthonormal columns, so sigma_max >= 1 and it agrees) and
-``are_equivalent``'s condition limit ``nonabelian._COND_LIMIT``
-(conditioning, not rank).  Helpers that read a subspace take its thin SVD
-factors (U, s), so one factorization serves every decision on a stack.
-Pivoted QR and principal angles are numpy kernels batched over the stack,
-so the library needs numpy only.
+rcond (orthonormal columns, so sigma_max >= 1 and it agrees) and the
+condition limit ``nonabelian._COND_LIMIT`` of the seeded draws in
+``are_equivalent`` and ``wandering_complement_general`` (conditioning,
+not rank).  Helpers that read a subspace take its thin SVD factors (U, s),
+so one factorization serves every decision on a stack.  Pivoted QR and
+principal angles are numpy kernels batched over the stack, so the library
+needs numpy only.
 """
 
 from __future__ import annotations

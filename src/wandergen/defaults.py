@@ -3,8 +3,9 @@
 # Relative rank / singularity cutoff, applied by _linalg.cutoff alone: a
 # singular value (or Gram eigenvalue) counts as zero at or below
 # TOL_RANK_REL * max(largest value at that point, 1).  The four tests kept
-# apart (oracle.py's copies, the QR's detected rank, pinv's rcond,
-# are_equivalent's condition limit) are listed with their reasons in _linalg.
+# apart (oracle.py's copies, the QR's detected rank, pinv's rcond, the
+# condition limit of the seeded draws in are_equivalent and
+# wandering_complement_general) are listed with their reasons in _linalg.
 TOL_RANK_REL = 1e-9
 
 # Biorthogonality / wandering residual tolerance; exact mode's is also the

@@ -14,6 +14,16 @@ dimensions and character sums alone (the character of sigma1 + sigma2 is
 chi1 + chi2, so no direct sum is built) and builds a witness only for its
 conclusion.
 
+``wandering_complement_general`` orthonormalizes an orbit (Loewdin's
+symmetric step in the group algebra). W, the orthocomplement of the span of
+X's orbit O_X, is lambda-invariant and equivalent to the (|Y| - |X|)-multiple
+regular representation (cancellation), so the orbit O_Z of seeded columns
+Z = R - O_X O_X^H R generically spans W. Its Gram H reads (g, h) only through
+g^-1 h, so H^(-1/2) commutes with the block permutations (g, i) -> (kg, i),
+and O_Z H^(-1/2), an orthonormal basis of W, is the orbit of its identity
+block X'. Seeds with cond(O_Z) > ``_COND_LIMIT`` are skipped; none passing,
+or an orbit of [X | X'] not orthonormal to ``tol``, is a ``GenericityFailure``.
+
 A ``FiniteGroup`` is proven a group once, when it is built, at every order
 (associativity by Light's test on its generators), and everything downstream
 trusts that proof. A ``Representation`` is validated once, when it is built
@@ -508,7 +518,8 @@ def intertwiner_basis(
     return basis
 
 
-# are_equivalent's seeded draws, and the largest condition number it accepts
+# the seeded draws of are_equivalent and wandering_complement_general, and
+# the largest condition number either accepts
 _SEEDS = range(8)
 _COND_LIMIT = 1e6
 
@@ -563,6 +574,8 @@ def cancel(
     character as chi1 + chi2; only sigma2 ~ sigma3 is witnessed.
     """
     group = rho.group
+    if sigma1.group is not group and sigma1.group.table != group.table:
+        raise ValueError("summands must share one group")
     # (dim rho / |G|) chi_lambda: dim rho at the identity, 0 elsewhere
     regular = tuple(rho.dim if group.identity in c else 0 for c in group.conjugacy_classes())
     if rho.dim % group.order or not character(rho).agrees(ClassFunction(group, regular), tol):
@@ -589,18 +602,6 @@ def _orbit_matrix(group: FiniteGroup, multiplicity: int, columns: np.ndarray) ->
     return columns[rows].reshape(n * N, n * columns.shape[1])
 
 
-def _regular_compression(group: FiniteGroup, multiplicity: int, B: np.ndarray) -> np.ndarray:
-    """B^H lambda(g) B for every g, lambda the multiplicity-N regular
-    representation, as numpy evaluates B^H @ lambda.matrices @ B, without
-    lambda's matrices: column (h, b) of B^H lambda(g) is column (gh, b) of
-    B^H, gathered into the C-contiguous (|G|, d, |G| N) stack that product
-    would hold, then one stacked product with B."""
-    n, N = group.order, multiplicity
-    moved = np.array(group.table, dtype=np.intp)[:, :, None] * N + np.arange(N)  # [g, h, b] -> (gh, b)
-    left = np.ascontiguousarray(B.conj()[moved.reshape(n, n * N)].transpose(0, 2, 1))
-    return left @ B
-
-
 def _orthonormal(M: np.ndarray, tol: float) -> bool:
     """max |M^H M - I| <= tol; NaN fails."""
     return np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])), initial=0.0) <= tol
@@ -616,12 +617,8 @@ def wandering_complement_general(
     """Dense complement columns X' in the multiplicity-N regular realization.
 
     Y must be a complete wandering family (its orbit an orthonormal basis of
-    the whole space) and X a wandering family; the action restricted to the
-    orthocomplement of X's orbit span is witnessed equivalent to the
-    (|Y|-|X|)-multiple regular representation, and the standard wandering
-    columns are pulled back through the witness. With X empty that action is
-    lambda itself, the witness is I, and the standard columns are returned.
-    lambda acts by index gathers; only the target is built as matrices.
+    the whole space) and X a wandering family. X' is built as the module
+    docstring says; with X empty it is the standard wandering columns.
     """
     dim = group.order * multiplicity
     X = np.asarray(X, dtype=np.complex128).reshape(dim, -1)
@@ -639,20 +636,19 @@ def wandering_complement_general(
         orbit_x = _orbit_matrix(group, multiplicity, X)
         if not _orthonormal(orbit_x, tol):
             raise HypothesisFailure("X's orbit is not orthonormal")
-    if r == s:
-        return np.zeros((dim, 0), dtype=np.complex128)
-    columns = np.zeros((group.order * (s - r), s - r), dtype=np.complex128)
-    for b in range(s - r):
-        columns[group.identity * (s - r) + b, b] = 1.0
-    if not r:  # the restricted action is lambda itself, and the witness I
-        return columns
-    B = np.linalg.svd(orbit_x, full_matrices=True)[0][:, group.order * r:]
-    sigma2 = Representation(group, _regular_compression(group, multiplicity, B))
-    target = regular_representation(group, s - r)
-    witness = are_equivalent(target, sigma2, tol=tol)
-    if witness is None:
-        raise HypothesisFailure(
-            "the restricted action is not a multiple of the regular representation; "
-            "the wandering hypotheses fail"
-        )
-    return B @ (witness.matrix @ columns)
+    m = s - r
+    if r == s or not r:  # no columns, or the standard ones: rows (e, b) of column b
+        return np.eye(dim, m, -group.identity * m, dtype=np.complex128)
+    block = slice(group.identity * m, (group.identity + 1) * m)
+    for seed in _SEEDS:
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+        orbit_z = _orbit_matrix(group, multiplicity, R - orbit_x @ (orbit_x.conj().T @ R))
+        w, V = np.linalg.eigh(orbit_z.conj().T @ orbit_z)
+        if not (w[0] > 0 and w[-1] <= _COND_LIMIT**2 * w[0]):
+            continue
+        Xp = orbit_z @ (V @ (V[block].conj().T / np.sqrt(w)[:, None]))  # O_Z H^(-1/2)[:, block]
+        if not _orthonormal(_orbit_matrix(group, multiplicity, np.hstack([X, Xp])), tol):
+            raise GenericityFailure("the orbit of X and its complement is not orthonormal")
+        return Xp
+    raise GenericityFailure(f"no well-conditioned complement found in {len(_SEEDS)} seeded attempts")

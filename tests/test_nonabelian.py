@@ -433,18 +433,6 @@ class TestRegularRepresentation:
                     ref[:, 2 * g:2 * g + 2] = rep.matrices[g] @ columns
                 assert np.array_equal(na._orbit_matrix(group, multiplicity, columns), ref)
 
-    def test_compression_matches_dense_product(self):
-        rng = np.random.default_rng(88)
-        for group in builtin_groups():
-            for multiplicity in (1, 2, 3):
-                dim = group.order * multiplicity
-                lam = na.regular_representation(group, multiplicity)
-                for width in (1, dim // 2, dim):
-                    B = np.linalg.svd(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
-                    B = B[:, dim - width:]  # a column slice, as the complement takes one
-                    ref = B.conj().T @ lam.matrices @ B
-                    assert np.array_equal(na._regular_compression(group, multiplicity, B), ref)
-
 
 class TestRepresentationChecks:
     def test_wrong_shape(self):
@@ -901,6 +889,7 @@ class TestValidationProof:
                         na.Representation(group, gen.array_from_json(block))
                 elif job.get("kind") == "wandering_complement_general":
                     X, Y = gen.array_from_json(job["X"]), gen.array_from_json(job["Y"])
+                    # the complement builds no representation of its own
                     na.wandering_complement_general(X, Y, na.FiniteGroup(job["table"]), job["mult"])
         assert len(built) >= 40
 
@@ -1215,6 +1204,18 @@ class TestCancel:
         with pytest.raises(wg.HypothesisFailure, match=r"^rho is not equivalent to sigma1 \+ sigma3$"):
             na.cancel(lam, std2, pair, same)
 
+    def test_rho_must_share_sigma1s_group(self):
+        """Q8 and D4 both have five classes and equal regular characters, so
+        only the group tells them apart; it is checked before rho is tested
+        as a regular multiple."""
+        d4 = na.dihedral_4()
+        lam = na.regular_representation(d4)
+        zero = na.Representation(d4, np.zeros((8, 0, 0), dtype=np.complex128))
+        for rho in (na.regular_representation(na.quaternion_8()),
+                    na.Representation(na.quaternion_8(), np.ones((8, 1, 1), dtype=np.complex128))):
+            with pytest.raises(ValueError, match="^summands must share one group$"):
+                na.cancel(rho, zero, lam, lam)
+
     def test_verdicts_match_the_reference(self):
         """Verdicts, messages and witnesses equal those of the decision
         through direct sums, on regular multiples of the builtin groups
@@ -1332,7 +1333,80 @@ class TestWanderingComplementGeneral:
         calls, original = [], na.regular_representation
         monkeypatch.setattr(na, "regular_representation", lambda g, m=1: calls.append(m) or original(g, m))
         assert na.wandering_complement_general(X, Y, group, multiplicity).shape[1] == multiplicity - r
-        assert calls == ([multiplicity - r] if r else [])
+        assert calls == []
+
+    def _s3_inputs(self, multiplicity, r):
+        rng = np.random.default_rng(92)
+        group = na.symmetric_3()
+        lam = na.regular_representation(group, multiplicity)
+        Y = random_commutant_unitary(rng, lam) @ self._standard_columns(group, multiplicity, multiplicity)
+        X = random_commutant_unitary(rng, lam) @ self._standard_columns(group, multiplicity, r)
+        return X, Y, group
+
+    def test_builds_no_svd_representation_or_witness(self, monkeypatch):
+        X, Y, group = self._s3_inputs(3, 1)
+
+        def refuse(name):
+            def raise_(*args, **kwargs):
+                raise AssertionError(f"{name} reached")
+            return raise_
+
+        monkeypatch.setattr(na, "Representation", refuse("Representation"))
+        monkeypatch.setattr(na, "are_equivalent", refuse("are_equivalent"))
+        monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
+        Xp = na.wandering_complement_general(X, Y, group, 3)
+        union = na._orbit_matrix(group, 3, np.hstack([X, Xp]))
+        assert Xp.shape == (18, 2)
+        assert np.max(np.abs(union.conj().T @ union - np.eye(18))) <= 1e-9
+
+    def test_union_orbit_and_memory_at_the_order_cap(self):
+        # D4 x Z32, N = 2: one dense copy of lambda (256 x 256 x 256) would take 256 MiB
+        rng = np.random.default_rng(93)
+        group = na.direct_product(na.dihedral_4(), na.cyclic_group(32))
+        n, N = group.order, 2
+        # exp(iH), H = sum_h R(h) kron A_h made Hermitian (R the right
+        # translations), commutes with lambda: H[(x, b), (y, c)] = A_(x^-1 y)[b, c]
+        A = rng.standard_normal((n, N, N)) + 1j * rng.standard_normal((n, N, N))
+        H = A[np.array(group.table)[list(group.inverse_table)]].transpose(0, 2, 1, 3).reshape(n * N, n * N)
+        w, E = np.linalg.eigh(H + H.conj().T)
+        C = (E * np.exp(1j * w)) @ E.conj().T
+        Y, X = self._standard_columns(group, N, N), C @ self._standard_columns(group, N, 1)
+        tracemalloc.start()
+        try:
+            Xp = na.wandering_complement_general(X, Y, group, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        union = na._orbit_matrix(group, N, np.hstack([X, Xp]))
+        assert Xp.shape == (n * N, 1)
+        assert np.max(np.abs(union.conj().T @ union - np.eye(n * N))) <= 1e-9
+        assert peak < 32 * 2**20
+
+    def test_unorthonormal_conclusion_is_a_genericity_failure(self, monkeypatch):
+        X, Y, group = self._s3_inputs(3, 1)
+        eigh = np.linalg.eigh
+
+        def skewed(H):
+            w, V = eigh(H)
+            V[:, 0] *= 1.01
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(wg.GenericityFailure, match="^the orbit of X and its complement is not orthonormal$"):
+            na.wandering_complement_general(X, Y, group, 3)
+
+    def test_no_well_conditioned_draw_is_a_genericity_failure(self, monkeypatch):
+        X, Y, group = self._s3_inputs(2, 1)
+        monkeypatch.setattr(na, "_COND_LIMIT", 0.5)  # every draw's condition number is at least 1
+        with pytest.raises(wg.GenericityFailure, match="^no well-conditioned complement found in 8 seeded attempts$"):
+            na.wandering_complement_general(X, Y, group, 2)
+
+    def test_nan_gram_skips_every_seed(self, monkeypatch):
+        X, Y, group = self._s3_inputs(2, 1)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: (np.full(len(H), np.nan), eigh(H)[1]))
+        with pytest.raises(wg.GenericityFailure, match="^no well-conditioned complement found in 8 seeded attempts$"):
+            na.wandering_complement_general(X, Y, group, 2)
 
     def test_bad_inputs_rejected(self):
         group = na.symmetric_3()
