@@ -268,18 +268,14 @@ def conj_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(M.conjugate(), full_matrices=False)
 
 
-def oblique_projector_matrix(
-    B_onto: np.ndarray, B_along: np.ndarray, rel: float = TOL_RANK_REL, factors: tuple | None = None
-) -> np.ndarray:
+def oblique_projector_matrix(B_onto: np.ndarray, B_along: np.ndarray, rel: float, factors: tuple) -> np.ndarray:
     """Projectors onto span(B_onto) along span(B_along), zero on the joint
     span's orthogonal complement; stacks (..., n, d) give (..., n, n).
 
-    ``factors`` are ``conj_svd`` of the joint stack [B_along | B_onto] when
-    the caller already has them; the pseudo-inverse is formed from them
-    exactly as ``numpy.linalg.pinv(joint, rcond=rel)`` forms it.
+    ``factors`` are ``conj_svd`` of the joint stack [B_along | B_onto]; the
+    pseudo-inverse is formed from them exactly as
+    ``numpy.linalg.pinv(joint, rcond=rel)`` forms it.
     """
-    if factors is None:
-        factors = conj_svd(np.concatenate([B_along, B_onto], axis=-1))
     U, s, Vh = factors
     large = s > rel * np.max(s, axis=-1, keepdims=True, initial=0.0)
     inverse = np.divide(1, s, where=large, out=s.copy())

@@ -10,9 +10,11 @@ produced point by point over those dual points.
 
 The Riesz construction follows the proof shape: orthonormal generators of
 the orthogonal complement V of the coarse space inside the fine one, then
-the oblique projector onto the target space along the coarse space applied
-to those generators.  The frame construction first projects the fine
-generators orthogonally onto V, then obliquely into the target.
+the oblique projector P onto the target space along the coarse space applied
+to those generators.  The frame construction applies P to the fine
+generators themselves: the proof first projects them orthogonally onto V,
+but P kills the coarse space and the fine generators already lie in the
+fine space, so P after that projection is P alone.
 
 The public functions check their hypotheses once, at entry, in a fixed
 order.  The private steps trust them: ``_oblique_riesz_core``, shared by
@@ -111,19 +113,17 @@ def is_invariant(W, tol_rank: float = TOL_RANK_REL) -> bool:
     """Whether the subspace is closed under the group action.
 
     Orbit families and fiber basis fields are invariant by construction and
-    return True immediately.  Dense bases get the generator translation
-    test: translating every basis column by each group generator (a roll
-    along one cyclic axis) must stay inside the span.
+    return True immediately.  Dense bases are counted: the translates of
+    the columns span the subspace whose fiber at each dual point is the
+    span of the columns' fibers there, and the columns lie inside it, so
+    they are invariant exactly when their rank equals the sum of their
+    fiber ranks.
     """
     if isinstance(W, (Family, SampledFamily, FiberBasisField)):
         return True
     if not isinstance(W, DenseBasis):
         raise TypeError(f"unsupported subspace presentation: {type(W).__name__}")
-    B, orders = W.columns, W.space.group.orders
-    r = _linalg.matrix_rank(B, tol_rank)
-    cyclic = B.reshape(orders + (-1,))  # rows are (element, channel) pairs, element-major
-    moved = (np.roll(cyclic, 1, axis).reshape(B.shape) for axis, n in enumerate(orders) if n > 1)
-    return all(_linalg.matrix_rank(np.hstack([B, LB]), tol_rank) == r for LB in moved)
+    return bool(_linalg.matrix_rank(W.columns, tol_rank) == _linalg._rank(W.svd[1], tol_rank).sum())
 
 
 def _fiber_basis(
@@ -175,10 +175,10 @@ def orth_complement_in(Y: Family, X, tol_rank: float = TOL_RANK_REL):
     return family_from_fibers(Y.space, complement_fibers(X, Y, tol_rank))
 
 
-def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, FiberBasisField, np.ndarray]:
+def _validated_split(v0, w0, v1, tol_rank: float) -> np.ndarray:
     """Resolve and validate a split whose V0 is known to sit inside V1 (trivial
-    intersection, joint spanning of the fine space's fibers); returns both
-    fiber bases and the projectors onto W0 along V0."""
+    intersection, joint spanning of the fine space's fibers); returns the
+    projectors onto W0 along V0."""
     BV0 = _fiber_basis(v0, tol_rank)
     BW0 = _fiber_basis(w0, tol_rank)
     r1 = _linalg._rank(v1.svd[1], tol_rank)
@@ -202,7 +202,7 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> tuple[FiberBasisField, Fibe
             lambda p: NotDirectSum(f"W0 fibers leave the fine space at dual point {p}"),
         ),
     )
-    return BV0, BW0, _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank, factors)
+    return _linalg.oblique_projector_matrix(BW0.fibers, BV0.fibers, tol_rank, factors)
 
 
 def oblique_projector(v0: Family, w0, within: Family, tol_rank: float = TOL_RANK_REL) -> FiberField:
@@ -214,8 +214,7 @@ def oblique_projector(v0: Family, w0, within: Family, tol_rank: float = TOL_RANK
     """
     if not is_contained(v0, within, tol_rank):
         raise NotContained("V0 generators leave the fine space fiberwise")
-    *_, mats = _validated_split(v0, w0, within, tol_rank)
-    return FiberField(within.space, mats)
+    return FiberField(within.space, _validated_split(v0, w0, within, tol_rank))
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def restricted_projection_pair(
         raise SizeMismatch(f"complement sizes differ: {len(M)} vs {len(Mp)}")
     FM, FMp = M.fibers, Mp.fibers
     k = len(M)
-    (UM, sM), (UMp, sMp), (UN, sN) = M.svd, Mp.svd, N.svd
+    (_, sM), (_, sMp), (UN, sN) = M.svd, Mp.svd, N.svd
     rn = _linalg._rank(sN, tol_rank)
     BN = _linalg.leading_columns(UN, rn)
 
@@ -260,13 +259,12 @@ def restricted_projection_pair(
             lambda p: NotDirectSum(f"M (+) N and M' (+) N differ at dual point {p}"),
         ),
     )
-    # full column rank everywhere, so the SVD bases keep all k columns
-    P = _linalg.oblique_projector_matrix(UM, BN, tol_rank)
-    Q = _linalg.oblique_projector_matrix(UMp, BN, tol_rank)
-    # FM and FMp have full column rank k, so their pseudo-inverses give the
-    # least-squares solutions at every point at once
-    p1 = np.linalg.pinv(FM) @ (P @ FMp)
-    q1 = np.linalg.pinv(FMp) @ (Q @ FM)
+    # [FM | BN] and [FMp | BN] have rank k + rn at every point (BN's zeroed
+    # columns aside), so each side's fibers have unique coordinates in the
+    # other side's stack, and the first k are the projection along N; the
+    # checks above made every rank decision, so pinv keeps numpy's rcond
+    p1 = (np.linalg.pinv(np.concatenate([FM, BN], axis=2)) @ FMp)[:, :k]
+    q1 = (np.linalg.pinv(np.concatenate([FMp, BN], axis=2)) @ FM)[:, :k]
     eye = np.eye(k)
     residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
     return ProjectionPair(FiberField(M.space, p1), FiberField(M.space, q1), residual)
@@ -300,8 +298,7 @@ def _oblique_riesz_core(X: Family, Y: Family, BW0: FiberBasisField, tol_rank: fl
     Y's, |X| < |Y|, W0 resolved): the complement fibers of X's in Y's,
     projected onto W0 along V0 as they are, then one inverse transform."""
     FZ = complement_fibers(X, Y, tol_rank)
-    *_, P = _validated_split(X, BW0, Y, tol_rank)
-    return family_from_fibers(X.space, P @ FZ)
+    return family_from_fibers(X.space, _validated_split(X, BW0, Y, tol_rank) @ FZ)
 
 
 def oblique_frame_wavelets(
@@ -310,22 +307,21 @@ def oblique_frame_wavelets(
     w0,
     tol_rank: float = TOL_RANK_REL,
 ):
-    """Frame generators of W0: project all fine generators orthogonally onto
-    the complement V, then obliquely into W0.
+    """Frame generators of W0: Gamma = P Y, the projector P onto W0 along V0
+    applied to all fine generators.
 
-    The output keeps |Y| members (possibly redundant); fine and coarse orbit
-    families only need to be frames, so their fiber ranks may fall below the
-    generator counts.
+    The proof projects Y orthogonally onto the complement V of V0 in V1
+    first; P kills V0 and vanishes off V1, so P after that projection is P,
+    and P commutes with the group and maps V1 onto W0, which carries Y's
+    frame to a frame of W0.  The output keeps |Y| members (possibly
+    redundant); fine and coarse orbit families only need to be frames, so
+    their fiber ranks may fall below the generator counts.
     """
     frame_bounds(X, tol_rank)
     frame_bounds(Y, tol_rank)
     _require_contained(X, Y, tol_rank, "X", "Y")
     w0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")  # resolved once
-    BV0, BW0, P = _validated_split(X, w0, Y, tol_rank)
-    a, b = len(BV0), len(BW0)
-    # a valid split gives every fine fiber the rank a + b
-    BV = _linalg.complement_in_span(BV0.svd, _linalg.thin_svd(Y.svd[0][:, :, : a + b]), b, tol_rank)
-    return family_from_fibers(X.space, P @ (_linalg.projector(BV) @ Y.fibers))
+    return family_from_fibers(X.space, _validated_split(X, w0, Y, tol_rank) @ Y.fibers)
 
 
 def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):

@@ -526,6 +526,23 @@ class TestCancelReports:
             "code": "SchemaError", "message": "bad Cayley table: Cayley table entries must be integers",
         }
 
+    def test_finite_abelian_is_not_a_finite_group_presentation(self, tmp_path):
+        code, report, _ = run(tmp_path, self.job({}, group={"kind": "finite_abelian", "orders": [2]}))
+        assert (code, report["command"]) == (1, "cancel")
+        assert report["error"] == {
+            "code": "SchemaError", "message": "group kind 'finite_abelian' is not a finite group presentation",
+        }
+
+    def test_builtin_group_is_not_a_system_space(self, tmp_path):
+        job = orthonormal_delta_job()
+        job["system"]["group"] = {"kind": "builtin", "name": "S3"}
+        code, report, _ = run(tmp_path, job)
+        assert (code, report["command"]) == (1, "analyze")
+        assert report["error"] == {
+            "code": "SchemaError",
+            "message": "group kind 'builtin' needs a system space (finite_abelian or integer_shift)",
+        }
+
     def test_z0_is_an_unknown_builtin_group(self, tmp_path):
         code, report, _ = run(tmp_path, self.job({}, group={"kind": "builtin", "name": "Z0"}))
         assert (code, report["command"]) == (1, "cancel")

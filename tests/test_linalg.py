@@ -111,7 +111,8 @@ def test_oblique_projector_matches_per_point():
     rng = np.random.default_rng(8)
     onto = mixed_stack(rng, 9, 4, 2)
     along = mixed_stack(rng, 9, 4, 1)
-    P = _linalg.oblique_projector_matrix(onto, along)
+    factors = _linalg.conj_svd(np.concatenate([along, onto], axis=-1))
+    P = _linalg.oblique_projector_matrix(onto, along, TOL_RANK_REL, factors)
     for p in range(9):
         S = np.hstack([along[p], onto[p]])
         coords = np.linalg.pinv(S, rcond=TOL_RANK_REL)
@@ -129,7 +130,6 @@ def test_joint_factors_serve_rank_and_projector(k_onto, k_along):
     factors = _linalg.conj_svd(joint)
     P = _linalg.oblique_projector_matrix(onto, along, TOL_RANK_REL, factors)
     assert P.shape == (12, 5, 5)
-    assert np.array_equal(P, _linalg.oblique_projector_matrix(onto, along))
     for p in range(12):
         coords = np.linalg.pinv(joint[p], rcond=TOL_RANK_REL)
         np.testing.assert_array_equal(P[p], onto[p] @ coords[k_along:, :])
@@ -342,14 +342,25 @@ def test_complement_bases_span_the_difference():
 
 
 def ref_projection_pair(M, Mp, N, rel=TOL_RANK_REL):
+    """Two steps per direction: the projector onto M along N, then the
+    per-point least-squares coordinates of the projected fibers.  Also checks
+    that one solve against the stack [FM | BN] gives the same coordinates."""
     FM, FMp, FN = M.fibers, Mp.fibers, N.fibers
     UN, rn = orth_columns(FN, rel)
     BN = UN * (np.arange(UN.shape[2]) < rn[:, None])[:, None, :]
-    P = _linalg.oblique_projector_matrix(orth_columns(FM, rel)[0], BN, rel)
-    Q = _linalg.oblique_projector_matrix(orth_columns(FMp, rel)[0], BN, rel)
+
+    def projector(onto):
+        factors = _linalg.conj_svd(np.concatenate([BN, onto], axis=-1))
+        return _linalg.oblique_projector_matrix(onto, BN, rel, factors)
+
+    P, Q = projector(orth_columns(FM, rel)[0]), projector(orth_columns(FMp, rel)[0])
     PFMp, QFM = P @ FMp, Q @ FM
     p1 = np.stack([np.linalg.lstsq(FM[p], PFMp[p], rcond=None)[0] for p in range(len(FM))])
     q1 = np.stack([np.linalg.lstsq(FMp[p], QFM[p], rcond=None)[0] for p in range(len(FM))])
+    k = len(M)
+    for onto, other, two_step in ((FM, FMp, p1), (FMp, FM, q1)):
+        one_solve = (np.linalg.pinv(np.concatenate([onto, BN], axis=2)) @ other)[:, :k]
+        np.testing.assert_allclose(one_solve, two_step, rtol=0, atol=1e-13)
     return p1, q1
 
 

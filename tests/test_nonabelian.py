@@ -1268,6 +1268,16 @@ class TestWanderingComplementGeneral:
         out = na.wandering_complement_general(Y, Y, group, 2)
         assert out.shape == (12, 0)
 
+    def test_s3_size_hypotheses(self):
+        group = na.symmetric_3()
+        Y = self._standard_columns(group, 2, 2)
+        message = "^a complete wandering family here has exactly 2 members, got 1$"
+        with pytest.raises(wg.HypothesisFailure, match=message):
+            na.wandering_complement_general(Y[:, :0], Y[:, :1], group, 2)
+        X = np.zeros((12, 3), dtype=np.complex128)
+        with pytest.raises(wg.HypothesisFailure, match=r"^\|X\| = 3 exceeds \|Y\| = 2$"):
+            na.wandering_complement_general(X, Y, group, 2)
+
     def test_s3_sizes_and_union_gram(self):
         rng = np.random.default_rng(85)
         group = na.symmetric_3()

@@ -193,6 +193,16 @@ class TestRestrictedProjectionPair:
         with pytest.raises(wg.SizeMismatch):
             wg.restricted_projection_pair(M, Mp, wg.Family(sp, ()))
 
+    def test_forms_no_oblique_projector(self, monkeypatch):
+        from wandergen import _linalg
+
+        def refuse(*args):
+            raise AssertionError("the pair is one solve per direction")
+
+        monkeypatch.setattr(_linalg, "oblique_projector_matrix", refuse)
+        M, Mp, N = random_projection_triple(np.random.default_rng(57))
+        assert wg.restricted_projection_pair(M, Mp, N).inverse_residual <= 1e-9
+
 
 class TestObliqueRieszWavelets:
     def test_orthogonal_target_returns_z(self):
@@ -284,6 +294,26 @@ class TestObliqueFrameWavelets:
         X, Y, W0 = random_oblique_instance(rng)
         gamma = wg.oblique_frame_wavelets(X, Y, W0)
         assert wg.frame_bounds(gamma).lower > 0
+
+    def test_builds_no_complement_of_v0(self, monkeypatch):
+        from wandergen import _linalg
+
+        def refuse(*args):
+            raise AssertionError("Gamma = P Y needs no basis of V1 minus V0")
+
+        monkeypatch.setattr(_linalg, "complement_in_span", refuse)
+        monkeypatch.setattr(_linalg, "_pivoted_qr", refuse)
+        X, Y, W0 = random_frame_instance(np.random.default_rng(64))
+        assert len(wg.oblique_frame_wavelets(X, Y, W0)) == len(Y)
+
+    def test_gamma_is_the_dense_oblique_projector_applied_to_y(self):
+        rng = np.random.default_rng(1234)
+        for _ in range(30):
+            X, Y, W0 = random_frame_instance(rng)
+            gamma = wg.oblique_frame_wavelets(X, Y, W0)
+            dense_x, dense_w0 = oracle.dense_family_matrix(X), oracle.dense_family_matrix(W0)
+            expected = oracle.dense_oblique_projector(dense_x, dense_w0) @ oracle.dense_family_matrix(Y)
+            np.testing.assert_allclose(oracle.dense_family_matrix(gamma), expected, rtol=0, atol=1e-11)
 
 
 class TestDualFamily:
@@ -452,8 +482,9 @@ class TestWaveletsAgainstDenseOracle:
 
 
 class TestDenseW0ResolvedOnce:
-    """A dense W0 is tested for invariance once, by rolling its columns along
-    the cyclic axes, with the NotInvariant messages and precedence kept."""
+    """A dense W0 is tested for invariance once, by comparing its rank with
+    the sum of its fiber ranks, with the NotInvariant messages and
+    precedence kept."""
 
     @staticmethod
     def reference_is_invariant(W, tol_rank=1e-9):
@@ -478,6 +509,21 @@ class TestDenseW0ResolvedOnce:
             basis = wg.DenseBasis(sp, cols)
             assert wg.is_invariant(basis) == self.reference_is_invariant(basis)
         assert wg.is_invariant(wg.DenseBasis(sp, cases[0]))
+
+    @pytest.mark.parametrize("orders", [[8], [2, 3], [4, 4]])
+    def test_noise_on_either_side_of_the_rank_rule(self, orders):
+        # noise below the rank rule leaves the exact orbit span's verdict;
+        # noise above it is seen as the exact translation matrices see it
+        rng = np.random.default_rng(sum(orders))
+        sp = space(orders, 2)
+        cols = oracle.dense_family_matrix(random_riesz_family(rng, sp, 1))
+        noise = rng.standard_normal(cols.shape) + 1j * rng.standard_normal(cols.shape)
+        noise /= np.abs(noise).max()
+        below, above = (wg.DenseBasis(sp, cols + eps * noise) for eps in (1e-10, 1e-8))
+        assert self.reference_is_invariant(wg.DenseBasis(sp, cols))
+        assert wg.is_invariant(below)
+        assert not self.reference_is_invariant(above)
+        assert not wg.is_invariant(above)
 
     @pytest.mark.parametrize("construct", [wg.oblique_riesz_wavelets, wg.oblique_frame_wavelets])
     def test_invariance_tested_once(self, monkeypatch, construct):
@@ -521,6 +567,18 @@ class TestDenseW0ResolvedOnce:
             wg.oblique_projector(X, W, Y)
         with pytest.raises(wg.NotInvariant, match=generic):
             _fiber_basis(W, 1e-9)
+
+    def test_varying_fiber_rank(self):
+        # channel 1 of the second member is delta_0 + delta_1, whose fiber
+        # vanishes at dual point 1: rank 2 at point 0, rank 1 at point 1
+        sp = space([2], 2)
+        W0 = wg.Family(sp, (wg.delta(sp, 0, 0), wg.delta(sp, 0, 1) + wg.delta(sp, 1, 1)))
+        with pytest.raises(wg.NotDirectSum, match="^family has varying fiber rank on this sampling$"):
+            _fiber_basis(W0, 1e-9)
+        dense = wg.DenseBasis(sp, oracle.dense_family_matrix(W0))
+        message = "^invariant subspace has varying fiber dimension on this sampling$"
+        with pytest.raises(wg.NotDirectSum, match=message):
+            _fiber_basis(dense, 1e-9)
 
     def test_dense_fibers_computed_once_and_read_only(self):
         sp, _, _, W0 = z2_worked_example()
