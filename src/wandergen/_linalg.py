@@ -6,13 +6,17 @@ eigenvalue counts as zero at or below rel * max(largest in its row, 1), and
 every rank and singularity decision reads it.  Four other tests stay apart:
 ``oracle.py``'s copies (the independent reference), the QR's detected rank
 in ``complement_in_span`` (a projector spectrum near {0, 1}), ``pinv``'s
-rcond (orthonormal columns, so sigma_max >= 1 and it agrees) and the
+rcond (orthonormal columns, so sigma_max >= 1 and it agrees; the projection
+pair's solve keeps numpy's default, after its rank tests) and the
 condition limit ``nonabelian._COND_LIMIT`` of the seeded draws in
 ``are_equivalent`` and ``wandering_complement_general`` (conditioning,
 not rank).  Helpers that read a subspace take its thin SVD factors (U, s),
-so one factorization serves every decision on a stack.  Pivoted QR and
-principal angles are numpy kernels batched over the stack, so the library
-needs numpy only.
+so one factorization serves every decision on a stack, and a decision
+about two subspaces reads the holders' factors too: containment and the
+dimension a stack adds to a span come from its residual off the cached
+basis (``contained_in``, ``residual_rank``), and principal angles from the
+cached bases themselves.  Pivoted QR and principal angles are numpy
+kernels batched over the stack, so the library needs numpy only.
 """
 
 from __future__ import annotations
@@ -45,6 +49,37 @@ def thin_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin SVD factors of a stack (..., n, k): U (..., n, min(n, k)) and s (..., min(n, k))."""
     U, s, _ = np.linalg.svd(np.asarray(M, dtype=np.complex128), full_matrices=False)
     return U, s
+
+
+def _residual_off(F: np.ndarray, factors: tuple, rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """The residual R = F - B (B^H F) of a stack F (points, n, k) off a
+    holder's span, and the zero cutoff of each point.
+
+    B is the holder's cached basis: the leading columns of its thin SVD
+    factors (U, s), cut at its rank.  The cutoff reads ``cutoff`` over the
+    holder's largest singular value and ||F_p||_F, the scale a joint SVD of
+    [holder | F] reads, so no caller writes its own.
+    """
+    U, s = factors
+    B = leading_columns(U, _rank(s, rel))
+    R = F - B @ (B.conj().swapaxes(-1, -2) @ F)
+    scale = np.stack([np.max(s, axis=-1, initial=0.0), np.linalg.norm(F, axis=(-2, -1))], axis=-1)
+    return R, cutoff(scale, rel)
+
+
+def contained_in(F: np.ndarray, factors: tuple, rel: float) -> np.ndarray:
+    """Per point, whether the columns of F (points, n, k) lie in the span of a
+    holder's thin SVD factors (U, s): ||R_p||_F of their residual off it at
+    or below the cutoff."""
+    R, cut = _residual_off(F, factors, rel)
+    return np.linalg.norm(R, axis=(-2, -1)) <= cut
+
+
+def residual_rank(F: np.ndarray, factors: tuple, rel: float) -> np.ndarray:
+    """Per point, the rank of F's residual off the span of a holder's thin SVD
+    factors (U, s): the dimension F's columns add to that span."""
+    R, cut = _residual_off(F, factors, rel)
+    return np.sum(np.linalg.svd(R, compute_uv=False) > cut[..., None], axis=-1)
 
 
 def leading_columns(U: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -235,10 +270,11 @@ def max_principal_angle(A: tuple, B: tuple, rel: float = TOL_RANK_REL) -> float:
 
     Spans of unequal dimension report pi/2 (maximally apart); two empty
     spans agree at angle 0.  Pairs of equal rank r are grouped by r, and
-    each group takes the sine/cosine split of Knyazev-Argentati (2002):
-    orthonormal bases QA, QB by SVD, the cosines as the singular values of
-    QA^H QB, the sines as those of QB - QA QA^H QB, and arcsin wherever the
-    cosine squared is >= 0.5.
+    each group takes the sine/cosine split of Bjorck-Golub (1973) and
+    Knyazev-Argentati (2002) on the cached orthonormal bases QA, QB, the
+    leading r columns of each U: the cosines are the singular values of
+    QA^H QB, the sines those of QB - QA QA^H QB, and arcsin applies
+    wherever the cosine squared is >= 0.5.
     """
     (UA, sa), (UB, sb) = A, B
     UA, UB = UA.reshape((-1,) + UA.shape[-2:]), UB.reshape((-1,) + UB.shape[-2:])
@@ -246,10 +282,9 @@ def max_principal_angle(A: tuple, B: tuple, rel: float = TOL_RANK_REL) -> float:
     if np.any(ra != rb):
         return math.pi / 2
     worst = 0.0
-    for r in np.unique(ra[ra > 0]):
+    for r in sorted(set(ra[ra > 0].tolist())):  # np.unique would import numpy.ma
         at = ra == r
-        QA = np.linalg.svd(UA[at, :, :r], full_matrices=False)[0]
-        QB = np.linalg.svd(UB[at, :, :r], full_matrices=False)[0]
+        QA, QB = UA[at, :, :r], UB[at, :, :r]
         QA_H_QB = QA.conj().swapaxes(-1, -2) @ QB
         sigma = np.linalg.svd(QA_H_QB, compute_uv=False)
         sines = np.linalg.svd(QB - QA @ QA_H_QB, compute_uv=False)
@@ -268,20 +303,24 @@ def conj_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(M.conjugate(), full_matrices=False)
 
 
+def pinv_from(factors: tuple, rcond: float) -> np.ndarray:
+    """Pseudo-inverses of a stack M (..., n, k) from ``conj_svd(M)``, formed
+    exactly as ``numpy.linalg.pinv(M, rcond=rcond)`` forms them."""
+    U, s, Vh = factors
+    large = s > rcond * np.max(s, axis=-1, keepdims=True, initial=0.0)
+    inverse = np.divide(1, s, where=large, out=s.copy())
+    inverse[~large] = 0
+    return Vh.swapaxes(-1, -2) @ (inverse[..., None] * U.swapaxes(-1, -2))
+
+
 def oblique_projector_matrix(B_onto: np.ndarray, B_along: np.ndarray, rel: float, factors: tuple) -> np.ndarray:
     """Projectors onto span(B_onto) along span(B_along), zero on the joint
     span's orthogonal complement; stacks (..., n, d) give (..., n, n).
 
     ``factors`` are ``conj_svd`` of the joint stack [B_along | B_onto]; the
-    pseudo-inverse is formed from them exactly as
-    ``numpy.linalg.pinv(joint, rcond=rel)`` forms it.
+    pseudo-inverse is ``pinv_from(factors, rel)``.
     """
-    U, s, Vh = factors
-    large = s > rel * np.max(s, axis=-1, keepdims=True, initial=0.0)
-    inverse = np.divide(1, s, where=large, out=s.copy())
-    inverse[~large] = 0
-    coords = Vh.swapaxes(-1, -2) @ (inverse[..., None] * U.swapaxes(-1, -2))
-    return B_onto @ coords[..., B_along.shape[-1]:, :]
+    return B_onto @ pinv_from(factors, rel)[..., B_along.shape[-1]:, :]
 
 
 def raise_at_first_failure(*checks) -> None:

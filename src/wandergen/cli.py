@@ -390,15 +390,18 @@ def _family_json(fam) -> list | dict:
         return {"fiber_sampled": True, "note": fam.note, "fibers": fibers}
     # coefficient Families are exact mode (shift constructions return
     # SampledFamily); each member renders straight from its arrays, stored
-    # cells by element index, then channel; %.17g is format_float's format
+    # cells by element index, then channel; %.17g is format_float's format;
+    # each member is one % over its flattened (channel, label, im, re) values
     labels = ["[" + ",".join(map(str, e)) + "]" for e in fam.space.group.elements()]
     template = '{"channel":%d,"element":%s,"im":%.17g,"re":%.17g}'
     members = []
     for v in fam.members:
         element, channel = np.divmod(np.flatnonzero(v.support_mask()), fam.space.channels)
         values = _finite(v.dense()[element, channel])
-        entries = zip(channel.tolist(), element.tolist(), values.imag.tolist(), values.real.tolist())
-        members.append(_Raw("[" + ",".join([template % (c, labels[e], i, r) for c, e, i, r in entries]) + "]"))
+        flat = [None] * (4 * len(element))
+        flat[0::4], flat[2::4], flat[3::4] = channel.tolist(), values.imag.tolist(), values.real.tolist()
+        flat[1::4] = [labels[e] for e in element.tolist()]
+        members.append(_Raw(("[" + ",".join([template] * len(element)) + "]") % tuple(flat)))
     return members
 
 
@@ -471,7 +474,7 @@ def _run_oblique(job, space, families, opts) -> dict:
     Y = _parse_family(space, families, "Y")
     w0 = _resolve_w0(space, families, opts)
     gamma = oblique.oblique_riesz_wavelets(X, Y, w0, opts["tol_rank"])
-    # a dense W0 was resolved and tested once inside; containment reads its fibers
+    # a dense W0 was resolved and tested once inside; containment reads its cached factors
     checks = {"gamma_in_w0": is_contained(gamma, w0, opts["tol_rank"])}
     return {
         "families": {"Gamma": _family_json(gamma)},

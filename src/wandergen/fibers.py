@@ -11,8 +11,9 @@ shift mode); "is this family wandering?" is then a single matrix
 comparison.
 
 Each fiber holder factors its fiber stack once (``svd``), for every rank
-and basis decision on those fibers; a joint stack of concatenated fibers
-is factored on its own.
+and basis decision on those fibers.  Decisions about two subspaces read
+those factors too: X sits inside Y where X's fibers have no residual off
+Y's cached basis, and principal angles come from the two cached bases.
 """
 
 from __future__ import annotations
@@ -261,12 +262,11 @@ def is_biorthogonal(X, Xt, tol_bio: float | None = None) -> BiorthogonalityCheck
 
 
 def is_contained(X, Y, tol_rank: float = TOL_RANK_REL) -> bool:
-    """Pointwise column-space containment of X's fibers in Y's."""
+    """Pointwise column-space containment of X's fibers in Y's, decided by
+    X's residual off Y's cached basis."""
     if X.space != Y.space:
         raise SizeMismatch("containment needs a shared system space")
-    ry = _linalg._rank(Y.svd[1], tol_rank)
-    joint = _linalg.matrix_rank(np.concatenate([Y.fibers, X.fibers], axis=2), tol_rank)
-    return bool(np.all(joint == ry))
+    return bool(np.all(_linalg.contained_in(X.fibers, Y.svd, tol_rank)))
 
 
 def _require_contained(A, B, tol_rank: float, a: str, b: str) -> None:

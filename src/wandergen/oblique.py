@@ -150,15 +150,16 @@ def _fiber_basis(
 
 
 def direct_sum_check(A, B, tol_rank: float = TOL_RANK_REL, require_ambient: bool = False) -> bool:
-    """Pointwise rank additivity of the stacked fibers.
+    """Pointwise rank additivity of the two fiber spans: A's residual off
+    B's cached basis keeps all of A's rank.
 
     With ``require_ambient`` the joint span must also fill all channels,
     i.e. the fiberwise sum reconstructs the whole space.
     """
-    joint = _linalg.matrix_rank(np.concatenate([A.fibers, B.fibers], axis=2), tol_rank)
-    ok = joint == _linalg._rank(A.svd[1], tol_rank) + _linalg._rank(B.svd[1], tol_rank)
+    added = _linalg.residual_rank(A.fibers, B.svd, tol_rank)
+    ok = added == _linalg._rank(A.svd[1], tol_rank)
     if require_ambient:
-        ok &= joint == A.space.channels
+        ok &= _linalg._rank(B.svd[1], tol_rank) + added == A.space.channels
     return bool(np.all(ok))
 
 
@@ -184,7 +185,7 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> np.ndarray:
     r1 = _linalg._rank(v1.svd[1], tol_rank)
     factors = _linalg.conj_svd(np.concatenate([BV0.fibers, BW0.fibers], axis=2))  # one SVD: rank and projector
     joint = _linalg._rank(factors[1], tol_rank)
-    w0_in_v1 = _linalg.matrix_rank(np.concatenate([v1.fibers, BW0.fibers], axis=2), tol_rank)
+    w0_in_v1 = _linalg.contained_in(BW0.fibers, v1.svd, tol_rank)
     _linalg.raise_at_first_failure(
         (
             joint != len(BV0) + len(BW0),
@@ -198,7 +199,7 @@ def _validated_split(v0, w0, v1, tol_rank: float) -> np.ndarray:
             ),
         ),
         (
-            w0_in_v1 != r1,
+            ~w0_in_v1,
             lambda p: NotDirectSum(f"W0 fibers leave the fine space at dual point {p}"),
         ),
     )
@@ -215,6 +216,10 @@ def oblique_projector(v0: Family, w0, within: Family, tol_rank: float = TOL_RANK
     if not is_contained(v0, within, tol_rank):
         raise NotContained("V0 generators leave the fine space fiberwise")
     return FiberField(within.space, _validated_split(v0, w0, within, tol_rank))
+
+
+# numpy.linalg.pinv's default rcond
+_PINV_RCOND = 1e-15
 
 
 @dataclass(frozen=True)
@@ -241,30 +246,29 @@ def restricted_projection_pair(
     (_, sM), (_, sMp), (UN, sN) = M.svd, Mp.svd, N.svd
     rn = _linalg._rank(sN, tol_rank)
     BN = _linalg.leading_columns(UN, rn)
-
-    def rank(*blocks):
-        return _linalg.matrix_rank(np.concatenate(blocks, axis=2), tol_rank)
-
+    # one factorization of each side's stack serves its rank test and its solve
+    onM, onMp = (_linalg.conj_svd(np.concatenate([F, BN], axis=2)) for F in (FM, FMp))
     _linalg.raise_at_first_failure(
         (
             (_linalg._rank(sM, tol_rank) != k) | (_linalg._rank(sMp, tol_rank) != k),
             lambda p: NotDirectSum(f"generator fibers are dependent at dual point {p}"),
         ),
         (
-            (rank(FM, BN) != k + rn) | (rank(FMp, BN) != k + rn),
+            (_linalg._rank(onM[1], tol_rank) != k + rn) | (_linalg._rank(onMp[1], tol_rank) != k + rn),
             lambda p: NotDirectSum(f"complements meet N at dual point {p}"),
         ),
         (
-            rank(FM, FMp, BN) != k + rn,
+            _linalg.matrix_rank(np.concatenate([FM, FMp, BN], axis=2), tol_rank) != k + rn,
             lambda p: NotDirectSum(f"M (+) N and M' (+) N differ at dual point {p}"),
         ),
     )
     # [FM | BN] and [FMp | BN] have rank k + rn at every point (BN's zeroed
     # columns aside), so each side's fibers have unique coordinates in the
     # other side's stack, and the first k are the projection along N; the
-    # checks above made every rank decision, so pinv keeps numpy's rcond
-    p1 = (np.linalg.pinv(np.concatenate([FM, BN], axis=2)) @ FMp)[:, :k]
-    q1 = (np.linalg.pinv(np.concatenate([FMp, BN], axis=2)) @ FM)[:, :k]
+    # checks above made every rank decision, so the solve keeps numpy's
+    # default pinv rcond and matches pinv bit for bit
+    p1 = (_linalg.pinv_from(onM, _PINV_RCOND) @ FMp)[:, :k]
+    q1 = (_linalg.pinv_from(onMp, _PINV_RCOND) @ FM)[:, :k]
     eye = np.eye(k)
     residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
     return ProjectionPair(FiberField(M.space, p1), FiberField(M.space, q1), residual)

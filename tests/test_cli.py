@@ -167,6 +167,33 @@ class TestGoldenOracleEvidence:
         union = oracle.dense_projector(np.hstack([MX, MXp]))
         assert np.max(np.abs(union - oracle.dense_projector(MY))) <= 1e-15
 
+    def test_complement_z2_span_angle_against_mpmath(self, tmp_path):
+        """The report's span angle against the largest principal angle between
+        the same float fiber spans at 60 digits: sin of it is the norm of
+        (I - P_union) P_Y, with each projector A (A^H A)^-1 A^H.  Both spans
+        fill C^2 at both dual points, so the truth is 0 up to mpmath's
+        rounding, and the report stays within 2 eps of it (an angle taken
+        after orthonormalizing the cached bases again read 5.9e-16)."""
+        import mpmath
+
+        code = main(["--job", os.path.join(GOLDEN, "complement_z2.json"), "--out", str(tmp_path / "r")])
+        assert code == 0
+        report = json.loads((tmp_path / "r").read_text())
+        fams, _ = self.load("complement_z2")
+        union = Family(self.SPACE, fams["X"].members + self.family(report["families"]["Xprime"]).members)
+        with mpmath.workdps(60):
+            def projector(F):
+                A = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in F])
+                return A * mpmath.inverse(A.H * A) * A.H
+
+            sines = []
+            for p in range(self.SPACE.points):
+                gap = (mpmath.eye(2) - projector(union.fibers[p])) * projector(fams["Y"].fibers[p])
+                sines.append(max(mpmath.svd_c(gap, compute_uv=False)))
+            truth = float(mpmath.asin(max(sines)))
+        assert truth <= 1e-50
+        assert abs(report["residuals"]["span_angle"] - truth) <= 2 * np.finfo(float).eps
+
     def test_oblique_z2(self):
         fams, report = self.load("oblique_z2")
         members = report["families"]["Gamma"]
@@ -468,6 +495,38 @@ class TestSampledFamilyRendering:
                 cli._complex_array_json([[1.0, z]])
 
 
+class TestMemberRendering:
+    """Each exact-mode member renders with one % over its flattened values,
+    byte for byte as one % per entry renders it."""
+
+    @staticmethod
+    def per_entry_family_json(fam):
+        labels = ["[" + ",".join(map(str, e)) + "]" for e in fam.space.group.elements()]
+        template = '{"channel":%d,"element":%s,"im":%.17g,"re":%.17g}'
+        members = []
+        for v in fam.members:
+            element, channel = np.divmod(np.flatnonzero(v.support_mask()), fam.space.channels)
+            values = cli._finite(v.dense()[element, channel])
+            entries = zip(channel.tolist(), element.tolist(), values.imag.tolist(), values.real.tolist())
+            members.append(cli._Raw("[" + ",".join([template % (c, labels[e], i, r) for c, e, i, r in entries]) + "]"))
+        return members
+
+    def test_one_format_matches_per_entry_form(self):
+        rng = np.random.default_rng(4096)
+        space = SystemSpace(FiniteAbelian((5, 3)), 3)
+        cells = [(g, c) for g in space.group.elements() for c in range(3)]
+        special = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0, -0.5]
+        members = []
+        for size in (0, 1, 7, len(cells)):
+            chosen = rng.choice(len(cells), size, replace=False)
+            parts = [rng.choice(special, size), rng.choice(special, size)]
+            parts = [np.where(rng.random(size) < 0.5, p, rng.standard_normal(size)) for p in parts]
+            members.append(GroupVector(space, {cells[i]: complex(re, im) for i, re, im in zip(chosen, *parts)}))
+        fam = Family(space, members)
+        assert render_json(cli._family_json(fam)) == render_json(self.per_entry_family_json(fam))
+        assert '"re":1e+308' in render_json(cli._family_json(fam))
+
+
 class TestCancelReports:
     @staticmethod
     def representation(mats):
@@ -656,7 +715,11 @@ def families_job(command, **families) -> dict:
 class TestHypothesesCheckedOnce:
     """Each job checks each hypothesis once, at the entry point: one
     containment test of X in Y, one bound per input family, one inverse
-    transform per output family; analyze forms one eigendecomposition."""
+    transform per output family; analyze forms one eigendecomposition.
+    The stacked SVDs a job takes are pinned too: one per fiber holder whose
+    factors a decision reads, the split's joint stack, and the complement
+    report's two angle SVDs; containment and the dimension a stack adds to
+    a span factor no joint stack."""
 
     COUNTED = (("fibers", "is_contained"), ("fibers", "riesz_bounds"), ("fibers", "frame_bounds"),
                ("groups", "idft"), ("_linalg", "matrix_rank"))
@@ -675,9 +738,11 @@ class TestHypothesesCheckedOnce:
         "analyze": (lambda rng: {"X": random_riesz_family(rng, random_space(rng), 2)},
                     [("riesz_bounds", "X"), ("frame_bounds", "X")], 0),
     }
+    # stacked np.linalg.svd calls per job, on the draws below
+    STACKED_SVDS = {"oblique": 4, "frame-oblique": 4, "biortho": 8, "complement": 5, "analyze": 0}
 
     def run_counted(self, monkeypatch, job):
-        """Run the job with the counted functions and eigvalsh wrapped; return
+        """Run the job with the counted functions, eigvalsh and svd wrapped; return
         the parsed families by name and the (function, args) call log."""
         parsed, calls = {}, []
         parse = cli._parse_family
@@ -692,8 +757,9 @@ class TestHypothesesCheckedOnce:
             for module_name, loaded in list(sys.modules.items()):
                 if module_name.startswith("wandergen") and getattr(loaded, name, None) is original:
                     monkeypatch.setattr(loaded, name, counting)
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(("eigvalsh", a)) or eigvalsh(*a, **k))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: calls.append(("svd", (a,))) or svd(a, *r, **k))
         _, code = cli.run_job(job, cli.build_parser().parse_args(["--job", "-"]))
         assert code == 0
         return parsed, calls
@@ -709,8 +775,9 @@ class TestHypothesesCheckedOnce:
         for function, *names in once:
             assert count(function, *(parsed[n] for n in names)) == 1, (function, names)
         assert count("idft") == outputs
+        assert sum(name == "svd" and np.ndim(args[0]) == 3 for name, args in calls) == self.STACKED_SVDS[command]
         if command == "complement":  # the wandering checks form no rank test of their own;
-            assert count("matrix_rank") == 1  # containment ranks its joint stack, Y's rank reads Y.svd
+            assert count("matrix_rank") == 0  # containment reads X's residual off Y.svd
         if command == "analyze":  # bounds, residual and completeness share one spectrum
             assert (count("eigvalsh"), count("matrix_rank")) == (1, 0)
 

@@ -1,6 +1,8 @@
 """The library runs on numpy alone: no module imports scipy, the package
 metadata requires only numpy, and a run of every CLI command leaves scipy
-unloaded.  scipy may still serve the tests as a reference implementation."""
+unloaded.  scipy may still serve the tests as a reference implementation.
+The same run leaves ``numpy.ma`` unloaded, whose import (through
+``np.unique``, for one) costs a cold CLI run several milliseconds."""
 
 import ast
 import json
@@ -82,14 +84,19 @@ def small_jobs() -> dict:
 PROBE = """
 import json, sys
 from wandergen.cli import main
-codes = {}
+codes, masked = {}, []
 for name, path, out in json.loads(sys.argv[1]):
     codes[name] = main(["--job", path, "--out", out])
-print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+    if "numpy.ma" in sys.modules and not masked:
+        masked.append(name)  # the first command whose run loaded numpy.ma
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules, "numpy.ma": masked}))
 """
 
 
-def test_every_cli_command_leaves_scipy_unloaded(tmp_path):
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """One small job per CLI command, all run in one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("cli_run")
     jobs = small_jobs()
     assert {j["command"] for j in jobs.values()} == {
         "analyze", "complement", "oblique", "frame-oblique", "dual", "biortho",
@@ -107,4 +114,12 @@ def test_every_cli_command_leaves_scipy_unloaded(tmp_path):
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["codes"] == {name: 0 for name in jobs}
-    assert result["scipy"] is False
+    return result
+
+
+def test_every_cli_command_leaves_scipy_unloaded(cli_run):
+    assert cli_run["scipy"] is False
+
+
+def test_every_cli_command_leaves_numpy_ma_unloaded(cli_run):
+    assert cli_run["numpy.ma"] == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import wandergen as wg
-from wandergen import oracle
+from wandergen import _linalg, oracle
+from wandergen.defaults import TOL_RANK_REL
 from wandergen.fibers import fiber_span_angle, gram_normalization
 from wandergen.oblique import _fiber_basis
 from conftest import (
@@ -174,6 +175,27 @@ class TestRestrictedProjectionPair:
         k = len(M)
         eye = np.eye(k)
         assert np.max(np.abs(pair.q1.matrices @ pair.p1.matrices - eye)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [57, 800, 801, 802, 803])
+    def test_three_svds_and_pinv_bits(self, monkeypatch, seed):
+        """With the holders' factors cached, the pair factors [FM | BN] and
+        [FMp | BN] once each, for the rank test and the solve, plus the
+        three-block stack; p1 and q1 keep numpy's pinv bits."""
+        M, Mp, N = random_projection_triple(np.random.default_rng(seed))
+        for fam in (M, Mp, N):
+            fam.svd
+        svd, shapes = np.linalg.svd, []
+        counting = lambda a, *r, **k: shapes.append(np.shape(a)) or svd(a, *r, **k)  # noqa: E731
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counting)  # the SVD inside np.linalg.pinv
+        pair = wg.restricted_projection_pair(M, Mp, N)
+        monkeypatch.undo()
+        k, rn = len(M), _linalg._rank(N.svd[1], TOL_RANK_REL)
+        BN = _linalg.leading_columns(N.svd[0], rn)
+        assert [len(shape) for shape in shapes] == [3, 3, 3]
+        p1 = (np.linalg.pinv(np.concatenate([M.fibers, BN], axis=2)) @ Mp.fibers)[:, :k]
+        q1 = (np.linalg.pinv(np.concatenate([Mp.fibers, BN], axis=2)) @ M.fibers)[:, :k]
+        assert np.array_equal(pair.p1.matrices, p1) and np.array_equal(pair.q1.matrices, q1)
 
     def test_empty_n_change_of_basis(self):
         rng = np.random.default_rng(58)

@@ -160,3 +160,24 @@ def test_no_module_writes_its_own_cutoff():
     assert len(modules) >= 8
     offenders = {m.name: scale_floors(m) for m in modules if scale_floors(m)}
     assert offenders == {}
+
+
+def ranked_concatenations(path: pathlib.Path) -> list[str]:
+    """Functions that pass a concatenation straight to ``matrix_rank``: a
+    joint stack factored for a rank decision alone."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for call in ast.walk(func):
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "matrix_rank":
+                if any(getattr(n.func, "attr", None) == "concatenate" for n in ast.walk(call.args[0]) if isinstance(n, ast.Call)):
+                    found.append(func.name)
+    return found
+
+
+def test_two_subspace_decisions_factor_no_joint_stack():
+    # containment and direct sums read the holders' cached factors; the
+    # projection pair's three-block test is the one joint rank left
+    found = {m.name: ranked_concatenations(m) for m in (SRC / "fibers.py", SRC / "oblique.py")}
+    assert found == {"fibers.py": [], "oblique.py": ["restricted_projection_pair"]}
