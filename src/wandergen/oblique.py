@@ -14,12 +14,13 @@ the oblique projector P onto the target space along the coarse space applied
 to those generators.  The frame construction applies P to the fine
 generators themselves: the proof first projects them orthogonally onto V,
 but P kills the coarse space and the fine generators already lie in the
-fine space, so P after that projection is P alone.
+fine space, so P after that projection is P alone.  The biorthogonal
+construction needs no split: each biorthogonal pair gives its projector.
 
 The public functions check their hypotheses once, at entry, in a fixed
-order.  The private steps trust them: ``_oblique_riesz_core``, shared by
-the Riesz and biorthogonal constructions, and ``_validated_split``, which
-assumes V0 already sits inside V1.
+order.  The private steps trust them: ``_validated_split``, which assumes
+V0 already sits inside V1, and ``_projector_along_dual``, which assumes
+its pair biorthogonal.
 """
 
 from __future__ import annotations
@@ -294,13 +295,6 @@ def oblique_riesz_wavelets(
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
     BW0 = _fiber_basis(w0, tol_rank, "W0 is not closed under the group action")
-    return _oblique_riesz_core(X, Y, BW0, tol_rank)
-
-
-def _oblique_riesz_core(X: Family, Y: Family, BW0: FiberBasisField, tol_rank: float):
-    """The Riesz construction on checked inputs (X and Y Riesz, X's span in
-    Y's, |X| < |Y|, W0 resolved): the complement fibers of X's in Y's,
-    projected onto W0 along V0 as they are, then one inverse transform."""
     FZ = complement_fibers(X, Y, tol_rank)
     return family_from_fibers(X.space, _validated_split(X, BW0, Y, tol_rank) @ FZ)
 
@@ -351,19 +345,16 @@ def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
     return family_from_fibers(gamma.space, Bt @ np.linalg.inv(pairing).conj())
 
 
-def _perp_intersection_field(big, perp_of, expected_dim: int, tol_rank: float) -> FiberBasisField:
-    """Fiber bases of (span big) intersect (span perp_of)^perp."""
-    B = _fiber_basis(big, tol_rank).fibers
-    A = _fiber_basis(perp_of, tol_rank).fibers
-    V, r = _linalg.null_space_columns(A.conj().transpose(0, 2, 1) @ B, tol_rank)
-    found = V.shape[2] - r
-    wrong = np.flatnonzero(found != expected_dim)
-    if wrong.size:
-        p = wrong[0]
-        raise NotDirectSum(
-            f"intersection dimension {found[p]} != expected {expected_dim} at dual point {p}"
-        )
-    return FiberBasisField(big.space, B @ V[:, :, V.shape[2] - expected_dim:])
+def _projector_along_dual(A, At, tol_rank: float, error, what: str) -> np.ndarray:
+    """Projectors F_A (F_At^H F_A)^+ F_At^H onto A's fiber spans along the
+    orthogonal complements of At's.  One SVD of the normalized pairing
+    N F_At^H F_A serves its singularity test, which raises ``error`` with
+    ``what`` at the first singular dual point, and its pseudo-inverse."""
+    FtH = gram_normalization(A.space) * At.fibers.conj().swapaxes(-1, -2)
+    factors = _linalg.conj_svd(FtH @ A.fibers)
+    singular = _linalg._rank(factors[1], tol_rank) < len(A)
+    _linalg.raise_at_first_failure((singular, lambda p: error(f"{what} at dual point {p}")))
+    return A.fibers @ _linalg.pinv_from(factors, tol_rank) @ FtH
 
 
 @dataclass(frozen=True)
@@ -386,11 +377,13 @@ def biorthogonal_wavelets(
 ) -> BiorthogonalPair:
     """Dual multiwavelet pair from biorthogonal refinable family pairs.
 
-    W0 = V1 intersect Vt0-perp and Wt0 = Vt1 intersect V0-perp are computed
-    fiberwise; the wavelets come from the oblique Riesz construction, their
-    duals from the fiberwise pairing solve.  The union systems (X with the
-    wavelets against their tilde mates) are certified Riesz and
-    biorthogonal before returning.
+    Each pair gives its fiberwise projector along the dual span's orthogonal
+    complement: Q0 onto V0, Q1 onto V1.  The wavelets are (I - Q0) Z, in
+    W0 = V1 intersect Vt0-perp, for the complement generators Z of V0 in V1;
+    their duals are (I - Q0^H) Q1^H Z, in Wt0 = Vt1 intersect V0-perp, times
+    the inverse of their pairing, which is I up to rounding.  The union
+    systems (X with the wavelets against their tilde mates) are certified
+    Riesz and biorthogonal before returning.
     """
     if tol_bio is None:
         tol_bio = default_bio_tol(X.space)
@@ -405,10 +398,14 @@ def biorthogonal_wavelets(
     r, s = len(X), len(Y)
     if r >= s:
         raise SizesEqual(f"need |X| < |Y|, got {r} >= {s}")
-    W0 = _perp_intersection_field(Y, Xt, s - r, tol_rank)
-    Wt0 = _perp_intersection_field(Yt, X, s - r, tol_rank)
-    gamma = _oblique_riesz_core(X, Y, W0, tol_rank)
-    gamma_t = dual_family(gamma, Wt0, tol_rank)
+    Q0 = _projector_along_dual(X, Xt, tol_rank, NotDirectSum, "V0 and W0 fibers overlap")
+    Q1 = _projector_along_dual(Y, Yt, tol_rank, SingularPairing, "fiber pairing singular")
+    FZ = complement_fibers(X, Y, tol_rank)
+    gamma = family_from_fibers(X.space, FZ - Q0 @ FZ)
+    Bt = Q1.conj().swapaxes(-1, -2) @ FZ
+    Bt = Bt - Q0.conj().swapaxes(-1, -2) @ Bt
+    pairing = gram_normalization(X.space) * gamma.fibers.transpose(0, 2, 1) @ Bt.conj()
+    gamma_t = family_from_fibers(X.space, Bt @ np.linalg.inv(pairing).conj())
     ok, pair_res = is_biorthogonal(gamma, gamma_t, tol_bio)
     if not ok:
         raise SingularPairing(f"constructed pair residual {pair_res:.3e} exceeds {tol_bio:.1e}")
@@ -419,4 +416,3 @@ def biorthogonal_wavelets(
     riesz_bounds(union_t, tol_rank)
     _, union_res = is_biorthogonal(union, union_t, tol_bio)
     return BiorthogonalPair(gamma, gamma_t, pair_res, float(union_res))
-

@@ -1,5 +1,6 @@
 """Boundary cases for the two-subspace decisions: X inside Y, W0 inside V1,
-Gamma inside W0, and V0 meeting W0 only in zero.
+Gamma inside W0, and V0 meeting W0 only in zero; and for the biorthogonality
+of the biorthogonal pipeline's inputs against tol_bio.
 
 Each builder works on a 4-point shift grid with 4 channels (Gram
 normalization 1, fibers given directly) and pushes the fiber at dual point 2
@@ -158,3 +159,59 @@ def test_at_the_cutoff_the_residual_equals_it():
         B = U[POINT][:, s[POINT] > TOL]
         R = F[POINT] - B @ (B.conj().T @ F[POINT])
         assert np.linalg.norm(R) == cut
+
+
+# biorthogonality of the biortho inputs: the cross-Gram residual against tol_bio
+TOL_BIO = 2.0**-30
+BIO_EPS = {"1e-2": 1e-2, "1-1e-6": 1 - 1e-6, "1": 1.0, "1+1e-6": 1 + 1e-6, "1e2": 1e2}
+
+
+def with_entry(holder, channel, column, value):
+    """The holder with value added to one fiber entry at POINT."""
+    F = holder.fibers.copy()
+    F[POINT, channel, column] += value
+    return wg.SampledFamily(holder.space, F)
+
+
+def x_pair_off_by(delta):
+    """X = [e0, e1] inside Y = [e0, e1, e2], Xt = [e0 + e2 + e3, e1 + e2 + e3]
+    inside Yt = [e0, e1, e2 + e3], except that at POINT Xt's second column
+    gains delta e0: the X/Xt cross-Gram is I + delta E_01 there, Y/Yt's is I.
+    Xt sees the complement Z = e2, so a Q0 that takes the X/Xt pairing for I
+    leaves Gamma off Xt by delta."""
+    Xt = with_entry(sampled(E[0] + E[2] + E[3], E[1] + E[2] + E[3]), 0, 1, delta)
+    return sampled(E[0], E[1]), Xt, sampled(E[0], E[1], E[2]), sampled(E[0], E[1], E[2] + E[3])
+
+
+def y_pair_off_by(delta):
+    """Y = [e0, e1, e2] against Yt = [e0 + e3, e1 + delta e0, e2], with
+    X = [e0, e1] and Xt = [e0 + e2 + e3, e1 + e2 - delta e3] = [yt0 + yt2,
+    -delta yt0 + yt1 + yt2] inside it, delta at POINT only: the Y/Yt
+    cross-Gram is I + delta E_01 there, X/Xt's is I."""
+    Yt = with_entry(sampled(E[0] + E[3], E[1], E[2]), 0, 1, delta)
+    Xt = with_entry(sampled(E[0] + E[2] + E[3], E[1] + E[2]), 3, 1, -delta)
+    return sampled(E[0], E[1]), Xt, sampled(E[0], E[1], E[2]), Yt
+
+
+BIO_PAIRS = {"X": x_pair_off_by, "Y": y_pair_off_by}
+
+
+@pytest.mark.parametrize("eps", list(BIO_EPS))
+@pytest.mark.parametrize("pushed", list(BIO_PAIRS))
+def test_biortho_at_the_bio_tolerance(pushed, eps):
+    """Above tol_bio the pushed pair is refused; at or below it the pipeline
+    succeeds, and the wavelets pair with everything exactly: the union
+    cross-Gram is I but for the inputs' own X/Xt block."""
+    X, Xt, Y, Yt = quadruple = BIO_PAIRS[pushed](BIO_EPS[eps] * TOL_BIO)
+    A, At = (X, Xt) if pushed == "X" else (Y, Yt)
+    assert fibers.is_biorthogonal(A, At).residual == BIO_EPS[eps] * TOL_BIO
+    if BIO_EPS[eps] > 1:
+        refused = f"HypothesisFailure: {pushed} and {pushed}t are not biorthogonal (residual {BIO_EPS[eps] * TOL_BIO:.3e})"
+        assert verdict(lambda: wg.biorthogonal_wavelets(*quadruple, tol_bio=TOL_BIO)) == refused
+        return
+    pair = wg.biorthogonal_wavelets(*quadruple, tol_bio=TOL_BIO)
+    assert pair.pair_residual <= 1e-12
+    cross = fibers.mixed_gramian(fibers.union_family(X, pair.gamma), fibers.union_family(Xt, pair.gamma_tilde))
+    expected = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    expected[:, :2, :2] = fibers.mixed_gramian(X, Xt).matrices
+    assert np.max(np.abs(cross.matrices - expected)) <= 1e-12

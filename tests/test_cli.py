@@ -739,7 +739,7 @@ class TestHypothesesCheckedOnce:
                     [("riesz_bounds", "X"), ("frame_bounds", "X")], 0),
     }
     # stacked np.linalg.svd calls per job, on the draws below
-    STACKED_SVDS = {"oblique": 4, "frame-oblique": 4, "biortho": 8, "complement": 5, "analyze": 0}
+    STACKED_SVDS = {"oblique": 4, "frame-oblique": 4, "biortho": 5, "complement": 5, "analyze": 0}
 
     def run_counted(self, monkeypatch, job):
         """Run the job with the counted functions, eigvalsh and svd wrapped; return
@@ -924,6 +924,48 @@ class TestMultiFaultPrecedence:
             "options": {"w0_dense": case in self.DENSE_W0},
         }
         exit_code, report, _ = run(tmp_path, job)
+        assert (exit_code, report["error"]) == (2, {"code": code, "message": message})
+
+
+class TestBiorthoPairingVerdicts:
+    """biortho jobs on Z2 that pass every entry check but whose construction
+    fails.  With --tol-bio 2 a singular X/Xt pairing passes the
+    biorthogonality check and means V0 meets W0; a singular Y/Yt pairing
+    means no dual exists.  Both are library errors (exit code 2), never a
+    failed linear solve.  A zero X/Xt pairing also leaves W0 = V1 intersect
+    Vt0-perp (or Wt0) a dimension too large, and is reported as the overlap
+    all the same; the last case meets every hypothesis at the default
+    tolerance, but V0 and W0 lie so close that the union X, Gamma is not Riesz."""
+
+    OVERLAP = ("NotDirectSum", "V0 and W0 fibers overlap at dual point 0")
+    T = 1e5  # Xt = e0 + T e1 makes Gamma = [e1 - T e0, e2], Gram eigenvalues 1 and 1 + T^2
+    # name: (channels, families, --tol-bio, (error code, message))
+    CASES = {
+        "x-pairing-singular": (
+            2, {"X": [unit(0)], "Xt": [unit(1)], "Y": [unit(0), unit(1)], "Yt": [unit(0), unit(1)]}, "2", OVERLAP),
+        "y-pairing-singular": (
+            3, {"X": [unit(0)], "Xt": [unit(0)], "Y": [unit(0), unit(1)], "Yt": [unit(0), unit(2)]}, "2",
+            ("SingularPairing", "fiber pairing singular at dual point 0")),
+        "x-pairing-zero-w0-too-large": (
+            3, {"X": [unit(0)], "Xt": [unit(2)], "Y": [unit(0), unit(1)], "Yt": [unit(2), unit(1)]}, "2", OVERLAP),
+        "x-pairing-zero-wt0-too-large": (
+            3, {"X": [unit(0)], "Xt": [unit(1)], "Y": [unit(0), unit(1)], "Yt": [unit(1), unit(2)]}, "2", OVERLAP),
+        "union-ill-conditioned": (
+            4, {"X": [unit(0)], "Xt": [unit(0) + unit(1, T)], "Y": [unit(0), unit(1), unit(2)],
+                "Yt": [unit(0) + unit(3), unit(1) + unit(3, -1 / T), unit(2)]}, None,
+            ("NotRiesz", "Gram fiber at dual point 0 is singular (min eigenvalue 1.000e-10)")),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_verdict(self, tmp_path, case):
+        channels, families, tol_bio, (code, message) = self.CASES[case]
+        job = {
+            "version": "wandergen/1",
+            "command": "biortho",
+            "system": {"group": {"kind": "finite_abelian", "orders": [2]}, "channels": channels},
+            "families": families,
+        }
+        exit_code, report, _ = run(tmp_path, job, extra=("--tol-bio", tol_bio) if tol_bio else ())
         assert (exit_code, report["error"]) == (2, {"code": code, "message": message})
 
 

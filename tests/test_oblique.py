@@ -435,6 +435,13 @@ class TestBiorthogonalWavelets:
         inner = np.einsum("pci,pcj->pij", FXt.conj(), FG)
         assert np.max(np.abs(inner)) <= 1e-9
 
+    def test_pair_residual_at_rounding_level(self):
+        # the duals' final pairing inverse removes the rounding of the
+        # projector products: 1.3e-14 here, 1.7e-13 without it
+        rng = np.random.default_rng(78)
+        worst = max(wg.biorthogonal_wavelets(*random_biortho_quadruple(rng)).pair_residual for _ in range(50))
+        assert worst <= 5e-14
+
     def test_pipeline_pair_direct_inner_products(self):
         # oracle route: every orbit cross inner product of (Gamma, Gammatilde)
         # is the expected Kronecker delta by direct summation
@@ -454,6 +461,19 @@ class TestBiorthogonalWavelets:
         Y = random_orthonormal_family(rng, sp, 2)
         with pytest.raises(wg.SizesEqual):
             wg.biorthogonal_wavelets(Y, Y, Y, Y)
+
+    def test_no_subspace_bases_split_or_dual_solve(self, monkeypatch):
+        # the wavelets and duals come from the two pairs' projectors alone
+        from wandergen import oblique
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("biorthogonal_wavelets must not call this")
+
+        for module, name in ((oblique, "_validated_split"), (oblique, "dual_family"), (_linalg, "null_space_columns")):
+            monkeypatch.setattr(module, name, refuse)
+        X, Xt, Y, Yt = random_biortho_quadruple(np.random.default_rng(73))
+        pair = wg.biorthogonal_wavelets(X, Xt, Y, Yt)
+        assert len(pair.gamma) == len(Y) - len(X) and pair.pair_residual <= 1e-12
 
     def test_non_biorthogonal_inputs_rejected(self):
         rng = np.random.default_rng(72)
@@ -486,21 +506,32 @@ class TestWaveletsAgainstDenseOracle:
             expected = self.expected_orbit(X, Y, oracle.dense_family_matrix(W0))
             np.testing.assert_allclose(oracle.dense_family_matrix(gamma), expected, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def dense_perp_intersection(big, perp_of):
+        """Orthonormal dense basis of (span big) intersect (span perp_of)-perp:
+        the part of big's orbit basis that perp_of's orbit basis does not see."""
+        B = oracle.dense_orth_basis(oracle.dense_family_matrix(big))
+        A = oracle.dense_orth_basis(oracle.dense_family_matrix(perp_of))
+        _, sv, Vh = np.linalg.svd(A.conj().T @ B)
+        return B @ Vh[np.sum(sv > 1e-9):].conj().T
+
     @pytest.mark.parametrize("orders", ORDERS, ids=str)
     def test_biorthogonal_wavelets(self, orders):
+        """Gamma against the oblique projection of the complement onto W0 =
+        V1 intersect Vt0-perp along V0, and Gamma-tilde against the unique
+        columns of Wt0 = Vt1 intersect V0-perp whose pairing with Gamma's
+        orbit is the identity."""
         rng = np.random.default_rng([76, *orders])
         for _ in range(3):
             X, Xt, Y, Yt = random_biortho_quadruple(rng, orders=orders)
             pair = wg.biorthogonal_wavelets(X, Xt, Y, Yt)
-            # W0 = V1 intersect Vt0-perp, densely: the part of V1's basis that
-            # Vt0's basis does not see
-            BY = oracle.dense_orth_basis(oracle.dense_family_matrix(Y))
-            BXt = oracle.dense_orth_basis(oracle.dense_family_matrix(Xt))
-            _, sv, Vh = np.linalg.svd(BXt.conj().T @ BY)
-            w0 = BY @ Vh[np.sum(sv > 1e-9):].conj().T
-            assert w0.shape[1] == Y.space.group.order * (len(Y) - len(X))
-            expected = self.expected_orbit(X, Y, w0)
-            np.testing.assert_allclose(oracle.dense_family_matrix(pair.gamma), expected, rtol=0, atol=1e-12)
+            w0 = self.dense_perp_intersection(Y, Xt)
+            wt0 = self.dense_perp_intersection(Yt, X)
+            assert w0.shape[1] == wt0.shape[1] == Y.space.group.order * (len(Y) - len(X))
+            gamma = oracle.dense_family_matrix(pair.gamma)
+            np.testing.assert_allclose(gamma, self.expected_orbit(X, Y, w0), rtol=0, atol=1e-12)
+            dual = wt0 @ np.linalg.inv(gamma.conj().T @ wt0)
+            np.testing.assert_allclose(oracle.dense_family_matrix(pair.gamma_tilde), dual, rtol=0, atol=1e-11)
 
 
 class TestDenseW0ResolvedOnce:
