@@ -1,21 +1,19 @@
 """Small dense linear-algebra helpers shared by the fiberwise constructions.
 
 Every helper takes stacked matrices of shape (..., n, k), one per dual
-point.  ``cutoff`` is the library's one rank rule: a singular value or Gram
-eigenvalue counts as zero at or below rel * max(largest in its row, 1), and
-every rank and singularity decision reads it.  Four other tests stay apart:
-``oracle.py``'s copies (the independent reference), the QR's detected rank
-in ``complement_in_span`` (a projector spectrum near {0, 1}), ``pinv``'s
-rcond (orthonormal columns, so sigma_max >= 1 and it agrees; the projection
-pair's solve keeps numpy's default, after its rank tests) and the
-condition limit ``nonabelian._COND_LIMIT`` of the seeded draws in
-``are_equivalent`` and ``wandering_complement_general`` (conditioning,
-not rank).  Helpers that read a subspace take its thin SVD factors (U, s),
-so one factorization serves every decision on a stack, and a decision
-about two subspaces reads the holders' factors too: containment and the
-dimension a stack adds to a span come from its residual off the cached
-basis (``contained_in``, ``residual_rank``), and principal angles from the
-cached bases themselves.  Pivoted QR and principal angles are numpy
+point.  The library's tolerance tests are decided here: ``cutoff`` for
+ranks (a singular value or Gram eigenvalue is zero at or below
+rel * max(largest in its row, 1)) and ``within`` for residuals (at or below
+the tolerance passes, NaN fails), ``identity_deviation`` being the residual
+max|M - I|.  Three tests stay apart: ``oracle.py``'s copies (the independent
+reference), the QR's detected rank in ``complement_in_span`` (a projector
+spectrum near {0, 1}) and ``pinv``'s rcond (sigma_max >= 1 on orthonormal
+columns, so it agrees).  Helpers that read a subspace take its thin SVD
+factors (U, s), so one factorization serves every decision on a stack; a
+decision about two subspaces reads the holders' factors too: containment
+and the dimension a stack adds to a span come from its residual off the
+cached basis (``contained_in``, ``residual_rank``), principal angles from
+the cached bases themselves.  Pivoted QR and principal angles are numpy
 kernels batched over the stack, so the library needs numpy only.
 """
 
@@ -37,6 +35,18 @@ def cutoff(values: np.ndarray, rel: float) -> np.ndarray:
 
 def _rank(values: np.ndarray, rel: float) -> np.ndarray:
     return np.sum(values > cutoff(values, rel)[..., None], axis=-1)
+
+
+def within(value, tol):
+    """Whether residuals pass: value <= tol, elementwise, so NaN fails (floats give a bool)."""
+    return value <= tol
+
+
+def identity_deviation(M: np.ndarray) -> float:
+    """max |M - I| over a stack (..., k, k) of square matrices; 0.0 when empty."""
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
+        raise ValueError(f"identity deviation needs square matrices, got {M.shape}")
+    return float(np.max(np.abs(M - np.eye(M.shape[-1])))) if M.size else 0.0
 
 
 def matrix_rank(M: np.ndarray, rel: float = TOL_RANK_REL) -> np.ndarray:
@@ -72,7 +82,7 @@ def contained_in(F: np.ndarray, factors: tuple, rel: float) -> np.ndarray:
     holder's thin SVD factors (U, s): ||R_p||_F of their residual off it at
     or below the cutoff."""
     R, cut = _residual_off(F, factors, rel)
-    return np.linalg.norm(R, axis=(-2, -1)) <= cut
+    return within(np.linalg.norm(R, axis=(-2, -1)), cut)
 
 
 def residual_rank(F: np.ndarray, factors: tuple, rel: float) -> np.ndarray:
@@ -255,7 +265,7 @@ def procrustes_align(bases: np.ndarray) -> np.ndarray:
         U, _, Vh = np.linalg.svd(overlap)
         out[t] = out[t] @ (U @ Vh)
         drift = float(np.linalg.norm(out[t] - out[t - 1], axis=0).max())
-        if drift > _MAX_DRIFT:
+        if not within(drift, _MAX_DRIFT):
             raise SelectionObstruction(
                 f"basis drift {drift:.3g} exceeds {_MAX_DRIFT} between grid points "
                 f"{t - 1} and {t}"

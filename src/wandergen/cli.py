@@ -42,7 +42,7 @@ import time
 
 import numpy as np
 
-from . import nonabelian, oblique, oracle, wandering
+from . import _linalg, nonabelian, oblique, oracle, wandering
 from .defaults import DEFAULT_GRID, GROUP_ORDER_LIMIT, TOL_BIO_EXACT, TOL_RANK_REL
 from .errors import ExactModeRequired, SizeLimit, WandergenError, WrongMode
 from .fibers import (
@@ -537,12 +537,11 @@ def _run_cancel(job, opts) -> dict:
     chi2 = nonabelian.character(sigma2)
     chi3 = nonabelian.character(sigma3)
     U = witness.matrix
-    unitarity = float(np.max(np.abs(U.conj().T @ U - np.eye(len(U))), initial=0.0))
     return {
         "witness": {
             "matrix": _complex_array_json(U),
             "residual": float(witness.residual),
-            "unitarity_residual": unitarity,
+            "unitarity_residual": _linalg.identity_deviation(U.conj().T @ U),
             "seed": witness.seed,
         },
         "characters": {

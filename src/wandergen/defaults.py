@@ -1,14 +1,12 @@
 """Default numerical tolerances and size caps, overridable per call and via the CLI."""
 
-# Relative rank / singularity cutoff, applied by _linalg.cutoff alone: a
-# singular value (or Gram eigenvalue) counts as zero at or below
-# TOL_RANK_REL * max(largest value at that point, 1).  The four tests kept
-# apart (oracle.py's copies, the QR's detected rank, pinv's rcond, the
-# condition limit of the seeded draws in are_equivalent and
-# wandering_complement_general) are listed with their reasons in _linalg.
+# Relative rank / singularity cutoff: _linalg.cutoff for ranks counts a
+# singular value (or Gram eigenvalue) as zero at or below
+# TOL_RANK_REL * max(largest value at that point, 1).
 TOL_RANK_REL = 1e-9
 
-# Biorthogonality / wandering residual tolerance; exact mode's is also the
+# Biorthogonality / wandering residual tolerance, decided by _linalg.within
+# for residuals (as every tolerance below is); exact mode's is also the
 # non-abelian character and witness tolerance.
 TOL_BIO_EXACT = 1e-9
 TOL_BIO_SAMPLED = 1e-6

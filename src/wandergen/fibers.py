@@ -146,13 +146,7 @@ class FiberField:
 
     def identity_deviation(self) -> float:
         """Max absolute entry of (matrix - I) over all points."""
-        mats = self.matrices
-        if mats.shape[1] != mats.shape[2]:
-            raise ValueError("identity deviation needs square fibers")
-        if mats.shape[2] == 0:
-            return 0.0
-        eye = np.eye(mats.shape[1], dtype=np.complex128)
-        return float(np.max(np.abs(mats - eye)))
+        return _linalg.identity_deviation(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -214,18 +208,15 @@ def mixed_gramian(X, Xt) -> FiberField:
 def riesz_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     """Extremal Gram-fiber eigenvalues over the dual points.
 
-    Raises NotRiesz when some fiber is singular beyond the relative rank
-    tolerance: the two-sided synthesis inequality then has no positive
-    lower constant.
+    Raises NotRiesz at the first dual point whose fiber is singular, its
+    smallest eigenvalue at or below the rank cutoff: the two-sided synthesis
+    inequality then has no positive lower constant.
     """
     exact, evs = gram_fibers(X).space.exact, X.gram_eigenvalues
     cut = _linalg.cutoff(evs, tol_rank)
-    if np.any(evs[:, 0] <= cut):
-        worst = int(np.argmin(evs[:, 0] - cut))
-        raise NotRiesz(
-            f"Gram fiber at dual point {worst} is singular "
-            f"(min eigenvalue {evs[worst, 0]:.3e})"
-        )
+    singular = _linalg.within(evs[:, 0], cut)
+    message = "Gram fiber at dual point {} is singular (min eigenvalue at or below the cutoff {:.3e})"
+    _linalg.raise_at_first_failure((singular, lambda p: NotRiesz(message.format(p, cut[p]))))
     return Bounds(float(evs[:, 0].min()), float(evs[:, -1].max()), exact)
 
 
@@ -237,13 +228,12 @@ def frame_bounds(X, tol_rank: float = TOL_RANK_REL) -> Bounds:
     smallest eigenvalue exceeding the rank tolerance anywhere.
     """
     exact, evs = gram_fibers(X).space.exact, X.gram_eigenvalues
-    keep = evs > _linalg.cutoff(evs, tol_rank)[:, None]
-    ranks = keep.sum(axis=1)
+    ranks = _linalg._rank(evs, tol_rank)
     if int(ranks.min()) != int(ranks.max()):
         raise RankJump(f"fiber rank varies across sampling: {int(ranks.min())}..{int(ranks.max())}")
     if int(ranks[0]) == 0:
         raise EmptyFamily("family spans only the zero subspace")
-    lower = float(np.where(keep, evs, np.inf).min())
+    lower = float(evs[:, -int(ranks[0])].min())  # ascending rows: the nonzero ones are the last
     upper = float(evs[:, -1].max())
     return Bounds(lower, upper, exact)
 
@@ -258,7 +248,7 @@ def is_biorthogonal(X, Xt, tol_bio: float | None = None) -> BiorthogonalityCheck
     if tol_bio is None:
         tol_bio = default_bio_tol(X.space)
     residual = mixed_gramian(X, Xt).identity_deviation()
-    return BiorthogonalityCheck(residual <= tol_bio, residual)
+    return BiorthogonalityCheck(_linalg.within(residual, tol_bio), residual)
 
 
 def is_contained(X, Y, tol_rank: float = TOL_RANK_REL) -> bool:

@@ -287,22 +287,21 @@ class Representation:
         d = mats.shape[1]
         if d == 0:
             return
-        group = self.group
-        E = np.abs(mats[group.identity] - np.eye(d))
-        if not np.max(E) <= TOL_REPRESENTATION:
+        group, passes = self.group, lambda value: _linalg.within(value, TOL_REPRESENTATION)
+        if not passes(_linalg.identity_deviation(mats[group.identity])):
             raise ValueError("matrix at the identity is not the identity")
+        E = np.abs(mats[group.identity] - np.eye(d))
         e = np.sqrt(np.sum(E * E))  # ||rho(e) - I||_F
         norm = _generator_row_norm(group, mats)
         unitarity = _unitarity_bound(group, mats, e, norm)
-        if not unitarity <= TOL_REPRESENTATION:
+        if not passes(unitarity):
             unitarity = _unitarity_residual(mats)
-            if not unitarity <= TOL_REPRESENTATION:
+            if not passes(unitarity):
                 raise ValueError("representation matrices are not unitary")
         identity_row = _identity_row_bound(e, unitarity, d)
-        if not identity_row <= TOL_REPRESENTATION:
+        if not passes(identity_row):
             identity_row = np.max(np.abs(_homomorphism_residual(group, mats, group.identity)))
-        if not (identity_row <= TOL_REPRESENTATION
-                and _word_bound(group, mats, unitarity, norm) <= TOL_REPRESENTATION):
+        if not (passes(identity_row) and passes(_word_bound(group, mats, unitarity, norm))):
             _check_homomorphism(group, mats)
 
     @property
@@ -317,7 +316,8 @@ class Representation:
         names = [cls[0] for cls in classes]
         traces = np.trace(self.matrices, axis1=1, axis2=2)
         labels = np.repeat(names, [len(cls) for cls in classes])
-        if (np.abs(traces[np.concatenate(classes)] - traces[labels]) > TOL_REPRESENTATION).any():
+        spread = np.abs(traces[np.concatenate(classes)] - traces[labels])
+        if not _linalg.within(spread, TOL_REPRESENTATION).all():
             raise HypothesisFailure("trace is not constant on a conjugacy class")
         return ClassFunction(self.group, tuple(traces[names].tolist()))
 
@@ -335,13 +335,13 @@ def _homomorphism_residual(group: FiniteGroup, mats: np.ndarray, a: int) -> np.n
 def _check_homomorphism(group: FiniteGroup, mats: np.ndarray) -> None:
     """The full check: every row a, raising for the first that fails."""
     for a in group.elements():
-        if not np.max(np.abs(_homomorphism_residual(group, mats, a))) <= TOL_REPRESENTATION:
+        if not _linalg.within(np.max(np.abs(_homomorphism_residual(group, mats, a))), TOL_REPRESENTATION):
             raise ValueError(f"homomorphism property fails at element {a}")
 
 
 def _unitarity_residual(mats: np.ndarray) -> float:
     """The all-element check: the largest entry of |rho(g)^H rho(g) - I|."""
-    return np.max(np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[1])))
+    return _linalg.identity_deviation(mats.conj().transpose(0, 2, 1) @ mats)
 
 
 def _generator_row_norm(group: FiniteGroup, mats: np.ndarray) -> float:
@@ -351,7 +351,7 @@ def _generator_row_norm(group: FiniteGroup, mats: np.ndarray) -> float:
     norm2 = 0.0
     for s in group.generators():
         row = np.abs(_homomorphism_residual(group, mats, s))
-        if not np.max(row) <= TOL_REPRESENTATION:
+        if not _linalg.within(np.max(row), TOL_REPRESENTATION):
             return np.inf
         norm2 = max(norm2, np.max(np.sum(row * row, axis=(1, 2))))
     return np.sqrt(norm2)
@@ -402,14 +402,18 @@ def _proven(group: FiniteGroup, mats: np.ndarray) -> Representation:
     return rep
 
 
+def _require_one_group(group: FiniteGroup, *reps: Representation) -> None:
+    """Raise ValueError unless every representation acts on ``group``'s table."""
+    if any(r.group is not group and r.group.table != group.table for r in reps):
+        raise ValueError("summands must share one group")
+
+
 def direct_sum(*reps: Representation) -> Representation:
     """Block-diagonal sum; zero-dimensional summands are legal and vanish."""
     if not reps:
         raise ValueError("need at least one summand")
     group = reps[0].group
-    for r in reps[1:]:
-        if r.group is not group and r.group.table != group.table:
-            raise ValueError("summands must share one group")
+    _require_one_group(group, *reps[1:])
     d = sum(r.dim for r in reps)
     mats = np.zeros((group.order, d, d), dtype=np.complex128)
     offset = 0
@@ -448,7 +452,7 @@ class ClassFunction:
     def agrees(self, other: "ClassFunction", tol: float = TOL_BIO_EXACT) -> bool:
         if len(self.values) != len(other.values):
             return False
-        return all(abs(a - b) <= tol for a, b in zip(self.values, other.values))
+        return all(_linalg.within(abs(a - b), tol) for a, b in zip(self.values, other.values))
 
 
 def character(rho: Representation) -> ClassFunction:
@@ -549,11 +553,11 @@ def are_equivalent(
         R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         T = np.mean(sigma.matrices @ R @ rho.matrices[inv], axis=0)
         W, s, Vh = np.linalg.svd(T)
-        if s[-1] <= 0 or s[0] / s[-1] > _COND_LIMIT:
+        if s[-1] <= 0 or not _linalg.within(s[0] / s[-1], _COND_LIMIT):
             continue
         U = W @ Vh
         residual = _intertwining_residual(U, rho, sigma)
-        if residual <= tol:
+        if _linalg.within(residual, tol):
             return Intertwiner(U, residual, seed=int(seed), unitary=True)
     raise GenericityFailure(
         f"no well-conditioned intertwiner found in {len(_SEEDS)} seeded attempts"
@@ -574,15 +578,13 @@ def cancel(
     character as chi1 + chi2; only sigma2 ~ sigma3 is witnessed.
     """
     group = rho.group
-    if sigma1.group is not group and sigma1.group.table != group.table:
-        raise ValueError("summands must share one group")
+    _require_one_group(group, sigma1)
     # (dim rho / |G|) chi_lambda: dim rho at the identity, 0 elsewhere
     regular = tuple(rho.dim if group.identity in c else 0 for c in group.conjugacy_classes())
     if rho.dim % group.order or not character(rho).agrees(ClassFunction(group, regular), tol):
         raise HypothesisFailure("rho is not a finite multiple of the regular representation")
     for sigma, label in ((sigma2, "sigma2"), (sigma3, "sigma3")):
-        if sigma.group is not sigma1.group and sigma.group.table != sigma1.group.table:
-            raise ValueError("summands must share one group")
+        _require_one_group(group, sigma)
         if rho.dim != sigma1.dim + sigma.dim or not character(rho).agrees(ClassFunction(sigma1.group, tuple(
                 a + b for a, b in zip(character(sigma1).values, character(sigma).values))), tol):
             raise HypothesisFailure(f"rho is not equivalent to sigma1 + {label}")
@@ -604,7 +606,7 @@ def _orbit_matrix(group: FiniteGroup, multiplicity: int, columns: np.ndarray) ->
 
 def _orthonormal(M: np.ndarray, tol: float) -> bool:
     """max |M^H M - I| <= tol; NaN fails."""
-    return np.max(np.abs(M.conj().T @ M - np.eye(M.shape[1])), initial=0.0) <= tol
+    return _linalg.within(_linalg.identity_deviation(M.conj().T @ M), tol)
 
 
 def wandering_complement_general(
@@ -645,7 +647,7 @@ def wandering_complement_general(
         R = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
         orbit_z = _orbit_matrix(group, multiplicity, R - orbit_x @ (orbit_x.conj().T @ R))
         w, V = np.linalg.eigh(orbit_z.conj().T @ orbit_z)
-        if not (w[0] > 0 and w[-1] <= _COND_LIMIT**2 * w[0]):
+        if not (w[0] > 0 and _linalg.within(w[-1], _COND_LIMIT**2 * w[0])):
             continue
         Xp = orbit_z @ (V @ (V[block].conj().T / np.sqrt(w)[:, None]))  # O_Z H^(-1/2)[:, block]
         if not _orthonormal(_orbit_matrix(group, multiplicity, np.hstack([X, Xp])), tol):

@@ -247,7 +247,7 @@ def restricted_projection_pair(
     (_, sM), (_, sMp), (UN, sN) = M.svd, Mp.svd, N.svd
     rn = _linalg._rank(sN, tol_rank)
     BN = _linalg.leading_columns(UN, rn)
-    # one factorization of each side's stack serves its rank test and its solve
+    # each side's stack is factored once, for its rank test and solve (the left's also for M')
     onM, onMp = (_linalg.conj_svd(np.concatenate([F, BN], axis=2)) for F in (FM, FMp))
     _linalg.raise_at_first_failure(
         (
@@ -259,7 +259,7 @@ def restricted_projection_pair(
             lambda p: NotDirectSum(f"complements meet N at dual point {p}"),
         ),
         (
-            _linalg.matrix_rank(np.concatenate([FM, FMp, BN], axis=2), tol_rank) != k + rn,
+            ~_linalg.contained_in(FMp, (onM[0].conj(), onM[1]), tol_rank),
             lambda p: NotDirectSum(f"M (+) N and M' (+) N differ at dual point {p}"),
         ),
     )
@@ -270,8 +270,7 @@ def restricted_projection_pair(
     # default pinv rcond and matches pinv bit for bit
     p1 = (_linalg.pinv_from(onM, _PINV_RCOND) @ FMp)[:, :k]
     q1 = (_linalg.pinv_from(onMp, _PINV_RCOND) @ FM)[:, :k]
-    eye = np.eye(k)
-    residual = float(np.max(np.abs(p1 @ q1 - eye))) if k else 0.0
+    residual = _linalg.identity_deviation(p1 @ q1)
     return ProjectionPair(FiberField(M.space, p1), FiberField(M.space, q1), residual)
 
 
@@ -339,9 +338,8 @@ def dual_family(gamma, w0_tilde, tol_rank: float = TOL_RANK_REL):
     Bt = BWt.fibers
     pairing = gram_normalization(gamma.space) * gamma.fibers.transpose(0, 2, 1) @ Bt.conj()
     # the stacked inverse raises on any singular matrix, so check every point first
-    singular = np.flatnonzero(_linalg.matrix_rank(pairing, tol_rank) < k)
-    if singular.size:
-        raise SingularPairing(f"fiber pairing singular at dual point {singular[0]}")
+    singular = _linalg.matrix_rank(pairing, tol_rank) < k
+    _linalg.raise_at_first_failure((singular, lambda p: SingularPairing(f"fiber pairing singular at dual point {p}")))
     return family_from_fibers(gamma.space, Bt @ np.linalg.inv(pairing).conj())
 
 

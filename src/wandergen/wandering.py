@@ -55,7 +55,7 @@ class WanderingCertificate:
 
     @property
     def valid(self) -> bool:
-        return self.max_gram_residual <= self.tolerance
+        return _linalg.within(self.max_gram_residual, self.tolerance)
 
 
 def verify_wandering(M, tol_bio: float | None = None, tol_rank: float = TOL_RANK_REL) -> WanderingCertificate:
@@ -74,7 +74,7 @@ def _require_wandering(tol_bio: float | None, **families) -> None:
     """Raise NotWandering for the first named family whose orbit is not orthonormal."""
     for name, M in families.items():
         residual = gram_fibers(M).identity_deviation() if len(M) else 0.0
-        if not residual <= (default_bio_tol(M.space) if tol_bio is None else tol_bio):
+        if not _linalg.within(residual, default_bio_tol(M.space) if tol_bio is None else tol_bio):
             raise NotWandering(f"{name} is not wandering (residual {residual:.3e})")
 
 

@@ -1,6 +1,8 @@
 """Boundary cases for the two-subspace decisions: X inside Y, W0 inside V1,
-Gamma inside W0, and V0 meeting W0 only in zero; and for the biorthogonality
-of the biorthogonal pipeline's inputs against tol_bio.
+Gamma inside W0, V0 meeting W0 only in zero, and M' inside M (+) N for the
+projection pair; and for the residual tests against tol_bio: the
+biorthogonality of the biorthogonal pipeline's inputs, the wandering
+residual and the agreement of class functions.
 
 Each builder works on a 4-point shift grid with 4 channels (Gram
 normalization 1, fibers given directly) and pushes the fiber at dual point 2
@@ -8,7 +10,7 @@ off a span by delta = eps times the cutoff of the residual rule,
 tol * max(sigma_max of the span's holder, ||F_p||_F, 1), where F_p is the
 stack whose residual is measured; every other fiber lies in the span
 exactly.  The in-span parts are chosen so that a rank of the joint stack
-[span | F] would flip elsewhere (at eps = 1.39 to 2 here), which shows the
+[span | F] would flip elsewhere (at eps = 1.39 to 2.5 here), which shows the
 verdicts a rule change moves.  Entries are multiples of e_0..e_3 and tol is
 a power of two, so at eps = 1 the residual norm equals the cutoff in
 floating point, and "at or below the cutoff" is seen against "below".
@@ -25,6 +27,7 @@ import pytest
 
 import wandergen as wg
 from wandergen import fibers
+from wandergen import nonabelian as na
 from wandergen.oblique import direct_sum_check
 
 TOL = 2.0**-30
@@ -87,12 +90,22 @@ def v0_meets_w0(eps):
     return sampled(E[0]), wg.SampledFamily(W0.space, F), sampled(E[0], E[1])
 
 
+def pair_complements(eps):
+    """M = [e0] and M' = [2 e0 + delta e2], complements of N = [e1]: M''s
+    residual off [M | N] has norm delta against the cutoff 2 tol (||M'_p||_F
+    = 2); the three-block stack [M | M' | N] has smallest singular value
+    0.4 eps tol against its cutoff tol * sigma_max, so its rank flips at
+    eps = 2.5."""
+    return sampled(E[0]), sampled(2 * E[0], delta=eps * 2 * TOL), sampled(E[1])
+
+
 LEAVES_W0 = "NotDirectSum: W0 fibers leave the fine space at dual point 2"
+DIFFER = "NotDirectSum: M (+) N and M' (+) N differ at dual point 2"
 OVERLAP = "NotDirectSum: V0 and W0 fibers overlap at dual point 2"
 
 # decision: (verdict of the built case, verdict inside, verdict outside, in-band verdicts);
 # a joint-rank containment rule read "inside" (True / "ok" / False for
-# direct_sum_check) at 1+1e-6 in the first five
+# direct_sum_check) at 1+1e-6 in the first five and the last
 DECISIONS = {
     "X in Y": (
         lambda eps: fibers.is_contained(*x_in_y(eps), TOL),
@@ -126,6 +139,11 @@ DECISIONS = {
         OVERLAP, "ok",
         {"10^-0.5": OVERLAP, "1-1e-6": OVERLAP, "1": OVERLAP, "1+1e-6": OVERLAP, "10^0.5": "ok"},
     ),
+    "M' in M (+) N, at the projection pair": (
+        lambda eps: verdict(lambda: wg.restricted_projection_pair(*pair_complements(eps), TOL)),
+        "ok", DIFFER,
+        {"10^-0.5": "ok", "1-1e-6": "ok", "1": "ok", "1+1e-6": DIFFER, "10^0.5": DIFFER},
+    ),
 }
 
 
@@ -148,11 +166,13 @@ def test_at_the_cutoff_the_residual_equals_it():
     case measures W0's unit fiber basis, as the split does."""
     (X, Y), (V0, W0, _), (gamma, W0_gamma) = x_in_y(1.0), v0_meets_w0(1.0), gamma_in_w0(1.0)
     _, W0_unit, V1 = w0_in_v1(1.0)
+    _, Mp, _ = pair_complements(1.0)
     cases = (
         (X.fibers, Y, 2 * TOL),
         (W0_unit.svd[0][:, :, :1], V1, 2 * TOL),
         (gamma.fibers, W0_gamma, 4 * TOL),
         (V0.fibers, W0, TOL),
+        (Mp.fibers, sampled(E[0], E[1]), 2 * TOL),
     )
     for F, holder, cut in cases:
         U, s = holder.svd
@@ -215,3 +235,31 @@ def test_biortho_at_the_bio_tolerance(pushed, eps):
     expected = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
     expected[:, :2, :2] = fibers.mixed_gramian(X, Xt).matrices
     assert np.max(np.abs(cross.matrices - expected)) <= 1e-12
+
+
+def wandering_off_by(delta):
+    """X = [e0, e1] but for delta e0 added to e1 at POINT: the Gram fiber
+    there is [[1, delta], [delta, 1 + delta^2]], so the residual is delta
+    (delta^2 is below delta, and rounds away at or below the tolerance)."""
+    return with_entry(sampled(E[0], E[1]), 0, 1, delta)
+
+
+@pytest.mark.parametrize("eps", list(BIO_EPS))
+def test_wandering_at_the_bio_tolerance(eps):
+    """The certificate and the complement's entry check read the same
+    residual: at or below tol_bio X is wandering, above it is refused."""
+    delta = BIO_EPS[eps] * TOL_BIO
+    cert = wg.verify_wandering(wandering_off_by(delta), tol_bio=TOL_BIO)
+    assert (cert.max_gram_residual, cert.valid) == (delta, BIO_EPS[eps] <= 1)
+    Y = sampled(E[0], E[1], E[2])
+    complement = verdict(lambda: wg.complement_wandering(wandering_off_by(delta), Y, tol_bio=TOL_BIO))
+    assert complement == ("ok" if BIO_EPS[eps] <= 1 else f"NotWandering: X is not wandering (residual {delta:.3e})")
+
+
+@pytest.mark.parametrize("eps", list(BIO_EPS))
+def test_class_functions_agree_at_the_tolerance(eps):
+    """S3 characters (2, 0, -1) and (2, delta, -1): they agree exactly when
+    |delta| is at or below the tolerance."""
+    group, delta = na.symmetric_3(), BIO_EPS[eps] * TOL_BIO
+    chi, pushed = na.ClassFunction(group, (2.0, 0.0, -1.0)), na.ClassFunction(group, (2.0, delta, -1.0))
+    assert chi.agrees(pushed, TOL_BIO) is pushed.agrees(chi, TOL_BIO) is (BIO_EPS[eps] <= 1)

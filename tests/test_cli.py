@@ -849,16 +849,16 @@ class TestMultiFaultPrecedence:
 
     NOT_INSIDE = ("NotContained", "X's orbit span must sit inside Y's")
     OVERLAP = ("NotDirectSum", "V0 and W0 fibers overlap at dual point 0")
-    SINGULAR = "Gram fiber at dual point {} is singular (min eigenvalue 0.000e+00)"
+    SINGULAR = "Gram fiber at dual point {} is singular (min eigenvalue at or below the cutoff {})"
     TWO_POINTS = [entry([0], 1, 1.0), entry([1], 1, 1.0)]  # vanishes at dual point 1
     # name: (command, channels, families, (error code, message))
     CASES = {
         "oblique-singular-x-outside-y-equal-sizes": (
             "oblique", 2, {"X": [unit(0), unit(0, 2.0)], "Y": [unit(1)], "W0": [unit(1)]},
-            ("NotRiesz", SINGULAR.format(0))),
+            ("NotRiesz", SINGULAR.format(0, "5.000e-09"))),
         "oblique-singular-y-x-outside": (
             "oblique", 2, {"X": [unit(1)], "Y": [TWO_POINTS, unit(0)], "W0": [unit(1)]},
-            ("NotRiesz", SINGULAR.format(1))),
+            ("NotRiesz", SINGULAR.format(1, "1.000e-09"))),
         "oblique-x-outside-equal-sizes": (
             "oblique", 2, {"X": [unit(0)], "Y": [unit(1)], "W0": [unit(1)]}, NOT_INSIDE),
         "oblique-equal-sizes-noninvariant-w0": (
@@ -953,7 +953,7 @@ class TestBiorthoPairingVerdicts:
         "union-ill-conditioned": (
             4, {"X": [unit(0)], "Xt": [unit(0) + unit(1, T)], "Y": [unit(0), unit(1), unit(2)],
                 "Yt": [unit(0) + unit(3), unit(1) + unit(3, -1 / T), unit(2)]}, None,
-            ("NotRiesz", "Gram fiber at dual point 0 is singular (min eigenvalue 1.000e-10)")),
+            ("NotRiesz", "Gram fiber at dual point 0 is singular (min eigenvalue at or below the cutoff 1.000e+01)")),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

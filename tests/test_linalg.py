@@ -150,6 +150,28 @@ def test_first_failing_point_then_first_listed_check():
     _linalg.raise_at_first_failure(check(np.zeros(4, bool), "a"))
 
 
+def test_within_is_at_or_below_and_nan_fails():
+    values = np.array([0.5, 1.0, np.nextafter(1.0, 2.0), np.nan, -np.inf])
+    np.testing.assert_array_equal(_linalg.within(values, 1.0), [True, True, False, False, True])
+    np.testing.assert_array_equal(_linalg.within(1.0, values), [False, True, True, False, False])
+    # a Python float gives a Python bool, which the report renderer takes
+    assert _linalg.within(1.0, 1.0) is True and _linalg.within(math.nan, 1.0) is False
+
+
+def test_identity_deviation():
+    stack = np.tile(np.eye(3, dtype=np.complex128), (4, 1, 1))
+    assert _linalg.identity_deviation(stack) == 0.0
+    stack[2, 0, 1], stack[3, 1, 1] = 0.25j, 1.5
+    assert _linalg.identity_deviation(stack) == 0.5
+    assert _linalg.identity_deviation(np.eye(2)) == 0.0
+    assert _linalg.identity_deviation(np.zeros((4, 0, 0))) == 0.0
+    stack[1, 2, 2] = np.nan
+    assert math.isnan(_linalg.identity_deviation(stack))
+    for shape in ((4, 2, 3), (3,)):
+        with pytest.raises(ValueError, match="square"):
+            _linalg.identity_deviation(np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # numpy kernels against scipy
 

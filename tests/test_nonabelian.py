@@ -928,6 +928,14 @@ class TestCharacter:
         with pytest.raises(wg.HypothesisFailure, match="^trace is not constant on a conjugacy class$"):
             na.character(rep)
 
+    def test_nan_trace_is_not_constant(self):
+        """A NaN trace fails the class-constancy test: no NaN is within a tolerance."""
+        mats = np.tile(np.eye(2, dtype=np.complex128), (6, 1, 1))
+        mats[4, 0, 0] = np.nan
+        rep = na._proven(na.symmetric_3(), mats)
+        with pytest.raises(wg.HypothesisFailure, match="^trace is not constant on a conjugacy class$"):
+            na.character(rep)
+
 
     def test_values_are_the_traces_at_each_class_minimum(self):
         """Bit for bit the per-class loop's values: the trace at the class's

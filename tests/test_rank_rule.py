@@ -6,12 +6,14 @@ Each decision is probed with its deciding value exactly at the cutoff
 (zero) and one ulp above it (nonzero), so a ``<`` turned ``<=`` anywhere
 shows.  The values are powers of two, or a value and its ``nextafter``
 neighbour, and the matrices diagonal, so every factorization returns them
-without rounding.  The last test keeps the rule from being written out
-again in another module.
+without rounding.  The AST guards keep the rule, and every other
+tolerance comparison (``_linalg.within`` decides residuals), from being
+written out again in another module.
 """
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -76,14 +78,15 @@ class TestGramBounds:
             wg.riesz_bounds(diagonal([2.0**-20] * 4), TOL)
         assert wg.riesz_bounds(diagonal([2.0**-20] * 4), BELOW).lower == TOL
 
-    def test_riesz_worst_point_is_the_largest_shortfall(self):
+    def test_riesz_names_the_first_singular_point(self):
         # smallest eigenvalues TOL and 4 TOL at points 1 and 2, whose largest
-        # are 1 and 4: at TOL both sit exactly at their cutoffs and the first
-        # is named; at 2 TOL point 2 falls short by more
+        # are 1 and 4: at TOL both sit exactly at their cutoffs, and at 2 TOL
+        # point 2 falls short by more; either way the first is named, with
+        # its own cutoff
         X = sampled([np.diag(d) for d in ([1.0, 1.0], [1.0, 2.0**-20], [2.0, 2.0**-19], [1.0, 1.0])])
-        with pytest.raises(wg.NotRiesz, match=r"dual point 1 is singular \(min eigenvalue 9\.095e-13\)"):
+        with pytest.raises(wg.NotRiesz, match=r"dual point 1 is singular \(min eigenvalue at or below the cutoff 9\.095e-13\)$"):
             wg.riesz_bounds(X, TOL)
-        with pytest.raises(wg.NotRiesz, match=r"dual point 2 is singular \(min eigenvalue 3\.638e-12\)"):
+        with pytest.raises(wg.NotRiesz, match=r"dual point 1 is singular \(min eigenvalue at or below the cutoff 1\.819e-12\)$"):
             wg.riesz_bounds(X, 2 * TOL)
         assert wg.riesz_bounds(X, BELOW).lower == TOL
 
@@ -162,6 +165,64 @@ def test_no_module_writes_its_own_cutoff():
     assert offenders == {}
 
 
+TOLERANCE = re.compile(r"tol|TOL_|cut|_COND_LIMIT$|_MAX_DRIFT$")
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+def operand_names(node: ast.AST):
+    """The names and attributes an operand reads, calls by their function
+    only: ``_rank(s, tol_rank) != k`` compares a rank, not a tolerance."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Call):
+        yield from operand_names(node.func)
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from operand_names(child)
+
+
+def tolerance_comparisons(path: pathlib.Path) -> list[int]:
+    """Lines of comparisons (<, <=, >, >=, ==, !=) with an operand that reads
+    a tolerance: tol*, TOL_*, cut* (a ``cutoff(...)`` call included),
+    _COND_LIMIT or _MAX_DRIFT."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ORDERINGS) for op in node.ops):
+            if any(TOLERANCE.match(n) for side in (node.left, *node.comparators) for n in operand_names(side)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_tolerance_comparison_finder_sees_every_spelling(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "a = residual <= tol\n"
+        "b = not x <= tol_bio\n"
+        "c = np.max(E) > TOL_REPRESENTATION\n"
+        "d = s[0] / s[-1] > _COND_LIMIT\n"
+        "e = w[-1] <= _COND_LIMIT**2 * w[0]\n"
+        "f = drift > _MAX_DRIFT\n"
+        "g = evs[:, 0] <= cut\n"
+        "h = evs > _linalg.cutoff(evs, rel)[:, None]\n"
+        "i = self.residual <= self.tolerance\n"
+        "j = within(residual, tol) and tol_bio is None and total > 0\n"
+        "k = _rank(s, tol_rank) != k and matrix_rank(M, cut) < k\n",
+        encoding="utf-8",
+    )
+    assert tolerance_comparisons(path) == list(range(1, 10))
+
+
+def test_no_module_writes_its_own_tolerance_test():
+    # every tolerance test goes through _linalg (cutoff for ranks, within
+    # for residuals); oracle.py is the independent reference
+    modules = sorted(set(SRC.rglob("*.py")) - {SRC / "_linalg.py", SRC / "oracle.py"})
+    assert len(modules) >= 8
+    offenders = {m.name: tolerance_comparisons(m) for m in modules if tolerance_comparisons(m)}
+    assert offenders == {}
+
+
 def ranked_concatenations(path: pathlib.Path) -> list[str]:
     """Functions that pass a concatenation straight to ``matrix_rank``: a
     joint stack factored for a rank decision alone."""
@@ -177,7 +238,8 @@ def ranked_concatenations(path: pathlib.Path) -> list[str]:
 
 
 def test_two_subspace_decisions_factor_no_joint_stack():
-    # containment and direct sums read the holders' cached factors; the
-    # projection pair's three-block test is the one joint rank left
+    # containment and direct sums read the holders' cached factors, and the
+    # projection pair decides M' (+) N = M (+) N by M''s residual off its
+    # own solve's factors
     found = {m.name: ranked_concatenations(m) for m in (SRC / "fibers.py", SRC / "oblique.py")}
-    assert found == {"fibers.py": [], "oblique.py": ["restricted_projection_pair"]}
+    assert found == {"fibers.py": [], "oblique.py": []}
